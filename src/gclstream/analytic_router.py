@@ -8,6 +8,12 @@ solve, (G + lambda*I) U^T = Q, performed lazily at evaluation time; the
 result is exactly the batch ridge regression onto one-hot expert labels, so a
 brute-force oracle can verify the streaming path.
 
+G is symmetric, so only its lower triangle is stored: ``accumulate`` updates
+it with one in-place BLAS ``dsyrk`` (B*M^2 flops for a batch of B rows) and
+the Cholesky factorization in ``solve`` reads nothing else.  The upper
+triangle is not maintained; ``full_gram`` mirrors the lower one wherever a
+full matrix is needed (snapshots and checkpoints).
+
 Experts are only ever added: growing from T to T+1 zero-pads Q with a new
 column, leaving everything already accumulated untouched.
 """
@@ -17,31 +23,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import blas, lapack
 
 from .errors import NotSolvedError, NumericalError, ShapeError
 from .expansion import ExpandedBatch, RandomExpansion
 
-# Symmetry drift beyond this triggers re-symmetrization of G.
-_SYM_TOL = 1e-12
+# Tile edge for copying G's lower triangle into the Fortran-ordered
+# factorization buffer: whole-matrix C -> F copies miss cache on every element.
+_COPY_TILE = 64
 
 
 @dataclass
 class RouterState:
     """Streaming statistics and the (lazily) solved routing matrix.
 
+    ``gram`` is a C-contiguous float64 M x M array whose lower triangle
+    (diagonal included) holds G; its upper triangle is not maintained and may
+    hold anything -- read the full matrix through ``full_gram``.
+
     ``solved`` holds U with shape T x M once solve() has run and no
     accumulate/grow has happened since; anything that mutates the statistics
-    resets it to None.
+    resets it to None.  ``factor_buf`` is solve()'s Fortran-ordered M x M
+    workspace, allocated on first use and never checkpointed.
     """
 
-    gram: np.ndarray            # M x M, symmetric PSD
+    gram: np.ndarray            # M x M, lower triangle of the symmetric PSD G
     proto: np.ndarray           # M x T
     lam: float
     samples_seen: int = 0
     solved: np.ndarray | None = None
     seed: int | None = None     # expansion seed, recorded for snapshots
     jitter_used: float = 0.0    # last jitter that made the factorization pass
+    factor_buf: np.ndarray | None = field(default=None, repr=False,
+                                          compare=False)
 
     @property
     def M(self) -> int:
@@ -86,11 +100,14 @@ def accumulate(state: RouterState, batch: ExpandedBatch) -> RouterState:
     if not np.isfinite(phi).all():
         raise NumericalError("non-finite values in expanded batch")
 
-    state.gram += phi.T @ phi
-    drift = np.abs(state.gram - state.gram.T).max()
-    if drift > _SYM_TOL:
-        state.gram += state.gram.T
-        state.gram *= 0.5
+    # gram.T is the F-ordered view of the C-ordered G, so its upper triangle
+    # is G's lower one.  A c that is not F-contiguous float64 would make scipy
+    # update a copy and silently drop the batch.
+    lower = state.gram.T
+    if blas.dsyrk(1.0, phi.T, beta=1.0, c=lower, lower=0,
+                  overwrite_c=1) is not lower:
+        raise ShapeError("router Gram must be a C-contiguous float64 array; "
+                         "the batch was not accumulated")
     state.proto[:, batch.expert_id] += phi.sum(axis=0)
     state.samples_seen += phi.shape[0]
     state.solved = None
@@ -106,28 +123,44 @@ def solve(state: RouterState) -> np.ndarray:
     if state.solved is not None:
         return state.solved
 
-    eye = np.eye(state.M)
-    base = state.gram + state.lam * eye
+    M = state.M
+    if state.factor_buf is None:
+        state.factor_buf = np.empty((M, M), order="F")
+    buf = state.factor_buf
     jitter = 0.0
-    step = 1e-10 * np.trace(state.gram) / state.M
+    step = 1e-10 * np.trace(state.gram) / M
     for attempt in range(4):
-        try:
-            factor = cho_factor(base + jitter * eye, lower=True,
-                                check_finite=False)
+        # A failed dpotrf leaves buf half overwritten: start every attempt
+        # from G.  lam and jitter are added one after the other, as two
+        # separate roundings.
+        _copy_lower(buf, state.gram)
+        buf.flat[::M + 1] += state.lam
+        buf.flat[::M + 1] += jitter
+        factor, info = lapack.dpotrf(buf, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
             break
-        except np.linalg.LinAlgError:
-            if attempt == 3:
-                raise NumericalError(
-                    f"SPD factorization failed at jitter {jitter:g} "
-                    f"(lambda={state.lam:g})"
-                )
-            jitter = step if jitter == 0.0 else jitter * 10.0
-    else:  # pragma: no cover - loop always breaks or raises
-        raise AssertionError
-    ut = cho_solve(factor, state.proto, check_finite=False)
+        if attempt == 3:
+            raise NumericalError(
+                f"SPD factorization failed at jitter {jitter:g} "
+                f"(lambda={state.lam:g})"
+            )
+        jitter = step if jitter == 0.0 else jitter * 10.0
+    ut, _ = lapack.dpotrs(factor, state.proto, lower=1)
     state.solved = np.ascontiguousarray(ut.T)
     state.jitter_used = jitter
     return state.solved
+
+
+def _copy_lower(dst: np.ndarray, src: np.ndarray) -> None:
+    """Copy the lower triangle of ``src`` into ``dst`` one tile at a time.
+
+    The diagonal tiles also copy a few entries above the diagonal, which
+    lower-triangle readers ignore.
+    """
+    M, t = src.shape[0], _COPY_TILE
+    for i in range(0, M, t):
+        for j in range(0, i + 1, t):
+            dst[i:i + t, j:j + t] = src[i:i + t, j:j + t]
 
 
 def route(features: np.ndarray, expansion: RandomExpansion,
@@ -170,10 +203,17 @@ def grow(state: RouterState, new_expert_count: int) -> RouterState:
     return state
 
 
+def full_gram(state: RouterState) -> np.ndarray:
+    """G as a full symmetric matrix: the stored lower triangle, mirrored."""
+    full = np.tril(state.gram)
+    full += np.tril(state.gram, -1).T
+    return full
+
+
 def snapshot(state: RouterState) -> dict:
     """Lossless field dict for checkpointing (versioned by the harness)."""
     return {
-        "gram": state.gram,
+        "gram": full_gram(state),
         "proto": state.proto,
         "lam": np.float64(state.lam),
         "samples_seen": np.int64(state.samples_seen),
@@ -184,7 +224,7 @@ def snapshot(state: RouterState) -> dict:
 def restore(snap: dict) -> RouterState:
     seed = int(snap["seed"])
     return RouterState(
-        gram=np.array(snap["gram"], dtype=np.float64),
+        gram=np.array(snap["gram"], dtype=np.float64, order="C"),
         proto=np.array(snap["proto"], dtype=np.float64),
         lam=float(snap["lam"]),
         samples_seen=int(snap["samples_seen"]),

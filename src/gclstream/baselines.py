@@ -29,6 +29,10 @@ BASELINE_KINDS = ("prototype", "naive_bayes", "kmeans", "trained_shallow")
 
 NB_EPS = 1e-6  # variance smoothing against rectified-zero coordinates
 
+# Element budget of one block of the rows x centers x M difference tensor in
+# _sq_dists (8 MB of float64).
+_DIST_BLOCK = 1 << 20
+
 
 class BaselineRouter:
     """Online sufficient statistics for one baseline routing algorithm."""
@@ -176,6 +180,21 @@ def _shallow_steps(router, e, phi):
         router.b1 -= router.lr * gb1
 
 
+def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, rows of ``x`` x rows of ``centers``.
+
+    Broadcasts the difference a block of rows at a time: the whole
+    len(x) x len(centers) x M tensor would dominate the run's peak memory.
+    Each entry is reduced over M exactly as the unblocked broadcast does.
+    """
+    out = np.empty((len(x), len(centers)))
+    step = max(1, _DIST_BLOCK // centers.size)
+    for i in range(0, len(x), step):
+        diff = x[i:i + step, None, :] - centers[None, :, :]
+        out[i:i + step] = np.square(diff, out=diff).sum(axis=2)
+    return out
+
+
 def baseline_finalize(router: BaselineRouter) -> BaselineRouter:
     """Run Lloyd's iterations for kmeans; no-op for the other kinds."""
     if router.kind != "kmeans":
@@ -191,8 +210,7 @@ def baseline_finalize(router: BaselineRouter) -> BaselineRouter:
             np.random.SeedSequence([router.seed, TAG_KMEANS, e]))
         centers = rows[rng.choice(len(rows), size=k, replace=False)].copy()
         for _ in range(25):
-            d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            assign = np.argmin(d2, axis=1)
+            assign = np.argmin(_sq_dists(rows, centers), axis=1)
             for j in range(k):
                 members = rows[assign == j]
                 if len(members):
@@ -221,8 +239,7 @@ def baseline_route(router: BaselineRouter, features: np.ndarray,
                 np.linalg.norm(means, axis=1, keepdims=True), 1e-300)
             scores = pn @ mn.T
         else:
-            d2 = ((phi[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-            scores = -d2
+            scores = -_sq_dists(phi, means)
         scores[:, router.counts == 0] = -np.inf
         return np.argmax(scores, axis=1)
 
@@ -242,7 +259,7 @@ def baseline_route(router: BaselineRouter, features: np.ndarray,
         if router.centroids is None:
             raise NotSolvedError(
                 "kmeans baseline not finalized; call baseline_finalize first")
-        d2 = ((phi[:, None, :] - router.centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dists(phi, router.centroids)
         return router.centroid_owner[np.argmin(d2, axis=1)]
 
     _, _, logits = _shallow_forward(router, phi)

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic_router import (RouterState, accumulate, grow, new_router_state,
-                              route, solve)
+from .analytic_router import (RouterState, accumulate, full_gram, grow,
+                              new_router_state, route, solve)
 from .baselines import (BASELINE_KINDS, BaselineRouter, baseline_finalize,
                         baseline_fit_update, baseline_restore, baseline_route,
                         baseline_snapshot)
@@ -460,7 +460,7 @@ def checkpoint(state: SeedRunState, path) -> None:
     pool = state.pool
     n_decays = len(pool.decays)
     arrays = {
-        "gram": state.router.gram,
+        "gram": full_gram(state.router),
         "proto": state.router.proto,
         "online_w": pool.online.weights,
         "online_b": pool.online.bias,
@@ -519,7 +519,8 @@ def resume(path, config: RunConfig) -> SeedRunState:
 
     state = SeedRunState(config, int(meta["seed"]))
     state.batch_index = int(meta["batch_index"])
-    state.router.gram = arrays["gram"]
+    state.router.gram = np.ascontiguousarray(arrays["gram"],
+                                             dtype=np.float64)
     state.router.proto = arrays["proto"]
     state.router.samples_seen = int(meta["samples_seen"])
     state.router.solved = None

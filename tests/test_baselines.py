@@ -6,7 +6,7 @@ import pytest
 from gclstream.baselines import (
     BASELINE_KINDS, NB_EPS, BaselineRouter, baseline_finalize,
     baseline_fit_update, baseline_restore, baseline_route, baseline_snapshot,
-    oracle_route,
+    oracle_route, _sq_dists,
 )
 from gclstream.errors import NotSolvedError, ShapeError
 from gclstream.expansion import ExpandedBatch, RandomExpansion
@@ -124,6 +124,15 @@ class TestNaiveBayes:
 
 
 class TestKmeans:
+    def test_blocked_distances_equal_the_full_broadcast(self):
+        """Enough centers that the rows go through several blocks; every
+        distance must still be bit-identical to the one-shot broadcast."""
+        rng = np.random.default_rng(3)
+        x = np.maximum(rng.standard_normal((64, 1024)), 0.0)
+        centers = rng.standard_normal((50, 1024))
+        full = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(_sq_dists(x, centers), full)
+
     def test_route_before_finalize_raises(self):
         exp = _identity_expansion(2)
         router = BaselineRouter("kmeans", 2, seed=0, num_experts=1)

@@ -250,6 +250,33 @@ class TestCheckpointResume:
         resumed, _ = run_seed(config, 1, state=resume(path, config))
         assert resumed == direct
 
+    def test_resumed_gram_updates_in_place_and_saves_symmetric(self, tmp_path):
+        """resume normalises G whatever its stored layout, later batches
+        update that very array, and checkpoint saves the mirrored full G."""
+        config = _fast()
+        state = SeedRunState(config, 1)
+        for _ in range(3):
+            run_batch(state, state.cursor.next_batch())
+        path = tmp_path / "ck.npz"
+        checkpoint(state, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: np.array(v) for k, v in data.items()}
+        arrays["gram"] = np.asfortranarray(arrays["gram"])
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+
+        resumed = resume(path, config)
+        gram = resumed.router.gram
+        before = gram.copy()
+        run_batch(resumed, resumed.cursor.next_batch())
+        assert resumed.router.gram is gram
+        assert not np.array_equal(np.tril(gram), np.tril(before))
+        checkpoint(resumed, path)
+        with np.load(path, allow_pickle=False) as data:
+            saved = data["gram"]
+        np.testing.assert_array_equal(saved, saved.T)
+        np.testing.assert_array_equal(np.tril(saved), np.tril(gram))
+
     def test_altered_config_is_refused(self, tmp_path):
         config = _fast()
         state = SeedRunState(config, 1)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from gclstream.analytic_router import (
     RouterState, new_router_state, accumulate, solve, route, grow,
-    snapshot, restore,
+    full_gram, snapshot, restore,
 )
 from gclstream.expansion import ExpandedBatch, RandomExpansion
 from gclstream.errors import NotSolvedError, NumericalError, ShapeError
@@ -37,7 +38,7 @@ class TestAccumulate:
         state = new_router_state(3, 1.0, num_experts=2)
         accumulate(state, ExpandedBatch(np.array([[1.0, 0.0, 2.0]]), 0))
         np.testing.assert_array_equal(
-            state.gram, [[1, 0, 2], [0, 0, 0], [2, 0, 4]])
+            full_gram(state), [[1, 0, 2], [0, 0, 0], [2, 0, 4]])
         np.testing.assert_array_equal(state.proto[:, 0], [1, 0, 2])
         np.testing.assert_array_equal(state.proto[:, 1], [0, 0, 0])
         assert state.samples_seen == 1
@@ -70,11 +71,40 @@ class TestAccumulate:
         np.testing.assert_allclose(parts.proto, whole.proto, atol=1e-12)
 
     def test_gram_stays_symmetric(self):
+        """The mirrored G is the exact running sum of Phi^T Phi."""
         rng = np.random.default_rng(1)
         state = new_router_state(6, 1.0)
+        running = np.zeros((6, 6))
         for _ in range(50):
-            accumulate(state, ExpandedBatch(rng.standard_normal((7, 6)), 0))
-        np.testing.assert_array_equal(state.gram, state.gram.T)
+            phi = rng.standard_normal((7, 6))
+            running += phi.T @ phi
+            accumulate(state, ExpandedBatch(phi, 0))
+        gram = full_gram(state)
+        np.testing.assert_array_equal(gram, gram.T)
+        np.testing.assert_array_equal(gram, running)
+
+    def test_lower_triangle_is_bit_exact_at_a_blocked_size(self):
+        """At a width where BLAS blocks the update, the stored lower triangle
+        still equals the numpy running sum bit for bit."""
+        rng = np.random.default_rng(5)
+        M = 576
+        state = new_router_state(M, 1.0)
+        running = np.zeros((M, M))
+        for _ in range(4):
+            phi = rng.standard_normal((64, M))
+            running += phi.T @ phi
+            accumulate(state, ExpandedBatch(phi, 0))
+        np.testing.assert_array_equal(np.tril(state.gram), np.tril(running))
+
+    def test_gram_that_is_not_c_contiguous_is_refused(self):
+        """dsyrk would update a copy of a non-C-contiguous G and drop the
+        batch; accumulate must refuse instead, leaving the state as it was."""
+        state = new_router_state(4, 1.0)
+        state.gram = np.asfortranarray(state.gram)
+        with pytest.raises(ShapeError):
+            accumulate(state, ExpandedBatch(np.ones((2, 4)), 0))
+        assert state.samples_seen == 0
+        np.testing.assert_array_equal(state.proto, np.zeros((4, 1)))
 
     def test_width_mismatch_raises(self):
         state = new_router_state(3, 1.0)
@@ -144,13 +174,25 @@ class TestSolve:
         np.testing.assert_allclose(solve(double), expected, atol=1e-10)
 
     def test_jitter_rescues_near_singular_gram(self):
-        """A rank-one Gram with a tiny ridge still factorizes (possibly via
-        the escalating jitter) and returns finite weights."""
-        state = new_router_state(16, 1e-12, num_experts=1)
-        row = np.ones((1, 16))
+        """A rank-one Gram with a tiny ridge fails the first factorization;
+        the retry must start again from G (not from the buffer the failed
+        attempt left half overwritten) and solve G + (lam + jitter) I."""
+        M, lam = 16, 1e-12
+        state = new_router_state(M, lam, num_experts=1)
+        row = np.ones((1, M))
         accumulate(state, ExpandedBatch(row * 1e8, 0))
         weights = solve(state)
-        assert np.isfinite(weights).all()
+        assert state.jitter_used > 0
+        shifted = full_gram(state) + (lam + state.jitter_used) * np.eye(M)
+        expected = cho_solve(cho_factor(shifted, lower=True), state.proto).T
+        np.testing.assert_allclose(weights, expected, rtol=1e-9)
+
+    def test_gram_failing_every_jitter_raises(self):
+        state = new_router_state(4, 1.0, num_experts=1)
+        state.gram = -np.eye(4)
+        with pytest.raises(NumericalError):
+            solve(state)
+        assert state.solved is None
 
 
 class TestRoute:
@@ -226,8 +268,10 @@ class TestSnapshotRestore:
     def test_round_trip_preserves_solution(self):
         rng = np.random.default_rng(9)
         state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
-        copy = restore(snapshot(state))
-        np.testing.assert_array_equal(copy.gram, state.gram)
+        snap = snapshot(state)
+        np.testing.assert_array_equal(snap["gram"], snap["gram"].T)
+        copy = restore(snap)
+        np.testing.assert_array_equal(full_gram(copy), full_gram(state))
         np.testing.assert_array_equal(copy.proto, state.proto)
         assert copy.lam == state.lam
         assert copy.samples_seen == state.samples_seen

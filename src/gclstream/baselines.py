@@ -8,6 +8,13 @@ by Lloyd's algorithm at finalize (k-means), or a two-layer scorer trained by
 gradient descent with experts as labels (trained_shallow).  None of them
 touches the analytic router's statistics or the experts' parameters.
 
+Lloyd's iterations stop at their fixed point: once an assignment repeats the
+previous one, every later iteration would average the same members in the
+same order (an empty cluster keeps its centre), so the centres are already
+bit-identical to those of the full 25 iterations, which stay the cap for a
+reservoir that never settles.  Finalize is a no-op until the reservoirs
+change, as ``analytic_router.solve`` is until the Gram does.
+
 The oracle router is evaluation-only: given the true label it returns the
 lowest-id expert whose training data contained that label, or None if no
 expert ever trained it (callers fall back to the analytic selection and count
@@ -30,8 +37,14 @@ BASELINE_KINDS = ("prototype", "naive_bayes", "kmeans", "trained_shallow")
 NB_EPS = 1e-6  # variance smoothing against rectified-zero coordinates
 
 # Element budget of one block of the rows x centers x M difference tensor in
-# _sq_dists (8 MB of float64).
-_DIST_BLOCK = 1 << 20
+# _sq_dists: 512 KB of float64, so each block's subtract, square and sum
+# passes stay in a 4 MB L2.  Timed on a 2-core Xeon at M=1024, 512 rows x 10
+# centers: 23.9 ms per call at 1 << 20, 11.7 ms at 1 << 16, 12.8 ms at
+# 1 << 15, 15.7 ms at 1 << 14.  The size is exact at any value: every entry
+# is one contiguous reduction over M, whichever block holds it.
+_DIST_BLOCK = 1 << 16
+
+LLOYD_MAX_ITERS = 25
 
 
 class BaselineRouter:
@@ -176,7 +189,8 @@ def _shallow_steps(router, e, phi):
             raise NumericalError("non-finite gradient in shallow router")
         router.W2 -= router.lr * gw2
         router.b2 -= router.lr * gb2
-        router.W1 -= router.lr * gw1
+        gw1 *= router.lr
+        router.W1 -= gw1
         router.b1 -= router.lr * gb1
 
 
@@ -196,8 +210,9 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def baseline_finalize(router: BaselineRouter) -> BaselineRouter:
-    """Run Lloyd's iterations for kmeans; no-op for the other kinds."""
-    if router.kind != "kmeans":
+    """Run Lloyd's iterations for kmeans; no-op for the other kinds and for
+    a kmeans router already finalized on its current reservoirs."""
+    if router.kind != "kmeans" or router.centroids is not None:
         return router
     centroids = []
     owners = []
@@ -209,8 +224,12 @@ def baseline_finalize(router: BaselineRouter) -> BaselineRouter:
         rng = np.random.default_rng(
             np.random.SeedSequence([router.seed, TAG_KMEANS, e]))
         centers = rows[rng.choice(len(rows), size=k, replace=False)].copy()
-        for _ in range(25):
+        previous = None
+        for _ in range(LLOYD_MAX_ITERS):
             assign = np.argmin(_sq_dists(rows, centers), axis=1)
+            if previous is not None and np.array_equal(assign, previous):
+                break
+            previous = assign
             for j in range(k):
                 members = rows[assign == j]
                 if len(members):
@@ -303,6 +322,8 @@ def baseline_restore(router: BaselineRouter, snap: dict) -> BaselineRouter:
     router.seen = [int(v) for v in snap["seen"]]
     router.reservoirs = [np.array(snap[f"reservoir_{e}"])
                          for e in range(router.num_experts)]
+    router.centroids = None
+    router.centroid_owner = None
     if router.kind == "trained_shallow":
         router.W1 = np.array(snap["W1"])
         router.b1 = np.array(snap["b1"])

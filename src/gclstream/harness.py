@@ -25,6 +25,7 @@ import hashlib
 import json
 import logging
 import time
+import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -503,10 +504,24 @@ def checkpoint(state: SeedRunState, path) -> None:
 
 
 def resume(path, config: RunConfig) -> SeedRunState:
-    """Rebuild a SeedRunState from a snapshot; config must hash-match."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        arrays = {k: np.array(v) for k, v in data.items() if k != "meta"}
+    """Rebuild a SeedRunState from a snapshot; config must hash-match.
+
+    A checkpoint that cannot be read, or that lacks an entry the config
+    needs, raises ConfigError.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            arrays = {k: np.array(v) for k, v in data.items() if k != "meta"}
+    except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError) as err:
+        raise ConfigError(f"{path}: unreadable checkpoint ({err})") from err
+    try:
+        return _restore(meta, arrays, config)
+    except KeyError as err:
+        raise ConfigError(f"{path}: checkpoint has no entry {err}") from err
+
+
+def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
     if meta["version"] != CHECKPOINT_VERSION:
         raise ConfigError(
             f"checkpoint version {meta['version']} != engine checkpoint "

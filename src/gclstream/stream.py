@@ -139,6 +139,7 @@ def load_feature_file(path) -> FileSource:
 
     labels = np.empty(rows, dtype=np.int64)
     X = np.empty((rows, d), dtype=np.float64)
+    offsets = np.empty(rows, dtype=np.int64)
     row = 0
     for line in lines[1:]:
         text = line.decode("ascii", errors="replace").strip()
@@ -164,10 +165,15 @@ def load_feature_file(path) -> FileSource:
                 f"at byte {offset}")
         labels[row] = label
         X[row] = values
+        offsets[row] = offset
         row += 1
         offset += len(line) + 1
     if row != rows:
         raise ConfigError(f"{path}: found {row} rows, header declared {rows}")
+    if not np.isfinite(X).all():
+        bad = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ConfigError(f"{path}: non-finite value in row {bad} at byte "
+                          f"{offsets[bad]}")
     return FileSource(d, num_classes, labels, X)
 
 

@@ -164,6 +164,27 @@ def two_pass_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Lloyd's k-means, every iteration run
+# ---------------------------------------------------------------------------
+
+def lloyd_ref(rows: np.ndarray, centers: np.ndarray,
+              iters: int = 25) -> np.ndarray:
+    """Exactly ``iters`` Lloyd iterations from the given centres, no early
+    exit: one-shot broadcast distances, argmin to the lowest index on ties,
+    each centre moved to its members' mean, an empty cluster left in place."""
+    rows = np.asarray(rows, dtype=np.float64)
+    centers = np.array(centers, dtype=np.float64)
+    for _ in range(iters):
+        d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(d2, axis=1)
+        for j in range(len(centers)):
+            members = rows[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    return centers
+
+
+# ---------------------------------------------------------------------------
 # linear CKA through double-centered Gram matrices
 # ---------------------------------------------------------------------------
 

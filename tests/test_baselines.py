@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
+import gclstream.baselines as baselines_mod
 from gclstream.baselines import (
-    BASELINE_KINDS, NB_EPS, BaselineRouter, baseline_finalize,
+    BASELINE_KINDS, NB_EPS, TAG_KMEANS, BaselineRouter, baseline_finalize,
     baseline_fit_update, baseline_restore, baseline_route, baseline_snapshot,
     oracle_route, _sq_dists,
 )
 from gclstream.errors import NotSolvedError, ShapeError
 from gclstream.expansion import ExpandedBatch, RandomExpansion
 
-from oracles import two_pass_moments
+from oracles import lloyd_ref, two_pass_moments
 
 
 def _identity_expansion(M):
@@ -196,6 +197,122 @@ class TestKmeans:
         assert router.centroids.shape[0] == 2
         picks = baseline_route(router, np.array([[1.5, 0.0]]), exp)
         assert picks[0] == 0
+
+
+def _lloyd_reference(router):
+    """Centroids and owners from 25 full Lloyd iterations per expert, seeded
+    as ``baseline_finalize`` seeds its initial centres."""
+    centroids, owners = [], []
+    for e in range(router.num_experts):
+        rows = router.reservoirs[e][:router.fill[e]]
+        if len(rows) == 0:
+            continue
+        k = min(router.K, len(rows))
+        rng = np.random.default_rng(
+            np.random.SeedSequence([router.seed, TAG_KMEANS, e]))
+        init = rows[rng.choice(len(rows), size=k, replace=False)]
+        centroids.append(lloyd_ref(rows, init))
+        owners.extend([e] * k)
+    return np.vstack(centroids), np.array(owners, dtype=np.int64)
+
+
+def _separated_router(seed):
+    """Two experts, each fed three tight, far-apart blobs in 8 dimensions."""
+    rng = np.random.default_rng(seed)
+    router = BaselineRouter("kmeans", 8, seed=seed, num_experts=2, K=3,
+                            reservoir_cap=90)
+    for e in range(2):
+        blobs = rng.standard_normal((3, 8)) * 10.0
+        rows = np.vstack([b + 0.1 * rng.standard_normal((40, 8))
+                          for b in blobs])
+        _feed(router, rng.permutation(rows), e, chunk=16)
+    return router
+
+
+def _count_distance_passes(monkeypatch):
+    calls = []
+
+    def counting(x, centers):
+        calls.append(len(x))
+        return _sq_dists(x, centers)
+
+    monkeypatch.setattr(baselines_mod, "_sq_dists", counting)
+    return calls
+
+
+class TestLloydFixedPoint:
+    """Stopping at the first repeated assignment must give the centroids
+    of all 25 iterations bit for bit."""
+
+    def _assert_matches_reference(self, router):
+        centroids, owners = _lloyd_reference(router)
+        baseline_finalize(router)
+        np.testing.assert_array_equal(router.centroids, centroids)
+        np.testing.assert_array_equal(router.centroid_owner, owners)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_separated_data_matches_full_iterations(self, seed):
+        self._assert_matches_reference(_separated_router(seed))
+
+    def test_empty_cluster_matches_full_iterations(self):
+        """Three distinct points for six centres: at least three clusters
+        stay empty and keep their initial centre."""
+        points = np.array([[0.0, 0.0], [5.0, 1.0], [-3.0, 4.0]])
+        rows = np.repeat(points, 10, axis=0)
+        router = BaselineRouter("kmeans", 2, seed=3, num_experts=1, K=6)
+        _feed(router, rows, 0)
+        centroids, _ = _lloyd_reference(router)
+        assert len(np.unique(centroids, axis=0)) == 3
+        self._assert_matches_reference(router)
+
+    def test_duplicate_rows_and_argmin_ties_match_full_iterations(self):
+        rng = np.random.default_rng(6)
+        rows = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
+        for seed in range(4):
+            router = BaselineRouter("kmeans", 2, seed=seed, num_experts=1,
+                                    K=4)
+            _feed(router, rows, 0)
+            self._assert_matches_reference(router)
+
+    def test_more_centres_than_rows_matches_full_iterations(self):
+        router = BaselineRouter("kmeans", 3, seed=0, num_experts=2, K=10)
+        _feed(router, np.arange(12.0).reshape(4, 3), 0)
+        _feed(router, -np.arange(6.0).reshape(2, 3), 1)
+        self._assert_matches_reference(router)
+        assert router.centroids.shape == (6, 3)
+
+    def test_separated_data_stops_well_before_the_cap(self, monkeypatch):
+        router = _separated_router(0)
+        calls = _count_distance_passes(monkeypatch)
+        baseline_finalize(router)
+        assert 2 * 2 <= len(calls) <= 2 * 8
+
+    def test_second_finalize_is_a_no_op(self, monkeypatch):
+        router = _separated_router(1)
+        baseline_finalize(router)
+        centroids = router.centroids
+        calls = _count_distance_passes(monkeypatch)
+        baseline_finalize(router)
+        assert router.centroids is centroids
+        assert calls == []
+
+    def test_fit_update_forces_a_refit(self, monkeypatch):
+        router = _separated_router(2)
+        baseline_finalize(router)
+        centroids = router.centroids
+        _feed(router, np.full((1, 8), 50.0), 0)
+        calls = _count_distance_passes(monkeypatch)
+        baseline_finalize(router)
+        assert router.centroids is not centroids
+        assert calls
+
+    def test_restore_drops_stale_centroids(self):
+        router = _separated_router(3)
+        other = _separated_router(4)
+        baseline_finalize(router)
+        baseline_restore(router, baseline_snapshot(other))
+        assert router.centroids is None and router.centroid_owner is None
+        self._assert_matches_reference(router)
 
 
 class TestTrainedShallow:

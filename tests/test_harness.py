@@ -299,6 +299,31 @@ class TestCheckpointResume:
         with pytest.raises(ConfigError):
             resume(path, config)
 
+    def test_truncated_checkpoint_is_refused(self, tmp_path):
+        config = _fast()
+        state = SeedRunState(config, 1)
+        run_batch(state, state.cursor.next_batch())
+        path = tmp_path / "ck.npz"
+        checkpoint(state, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(ConfigError):
+            resume(path, config)
+
+    @pytest.mark.parametrize("key", ["meta", "gram", "baseline_kmeans_fill"])
+    def test_checkpoint_missing_an_entry_is_refused(self, tmp_path, key):
+        config = _fast(track_baselines=("kmeans",))
+        state = SeedRunState(config, 1)
+        run_batch(state, state.cursor.next_batch())
+        path = tmp_path / "ck.npz"
+        checkpoint(state, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: np.array(v) for k, v in data.items() if k != key}
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ConfigError):
+            resume(path, config)
+
 
 class TestRunEmission:
     def test_run_writes_the_result_directory(self, tmp_path):

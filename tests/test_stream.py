@@ -272,6 +272,15 @@ class TestFeatureFile:
             load_feature_file(path)
         assert "byte" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_the_byte_offset(self, tmp_path, cell):
+        path = tmp_path / "bad.txt"
+        path.write_text("d=2 classes=1 rows=3\n0,1.0,2.0\n\n"
+                        f"0,3.0,{cell}\n0,5.0,6.0\n")
+        with pytest.raises(ConfigError) as err:
+            load_feature_file(path)
+        assert "row 1 at byte 32" in str(err.value)
+
     def test_malformed_header_raises(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("width=3 rows=1\n0,1.0,2.0,3.0\n")

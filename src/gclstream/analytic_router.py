@@ -52,7 +52,6 @@ class RouterState:
     lam: float
     samples_seen: int = 0
     solved: np.ndarray | None = None
-    seed: int | None = None     # expansion seed, recorded for snapshots
     jitter_used: float = 0.0    # last jitter that made the factorization pass
     factor_buf: np.ndarray | None = field(default=None, repr=False,
                                           compare=False)
@@ -66,8 +65,7 @@ class RouterState:
         return self.proto.shape[1]
 
 
-def new_router_state(M: int, lam: float, num_experts: int = 1,
-                     seed: int | None = None) -> RouterState:
+def new_router_state(M: int, lam: float, num_experts: int = 1) -> RouterState:
     if M <= 0:
         raise ShapeError(f"M must be positive, got {M}")
     if lam <= 0:
@@ -78,7 +76,6 @@ def new_router_state(M: int, lam: float, num_experts: int = 1,
         gram=np.zeros((M, M), dtype=np.float64),
         proto=np.zeros((M, num_experts), dtype=np.float64),
         lam=float(lam),
-        seed=seed,
     )
 
 
@@ -217,16 +214,13 @@ def snapshot(state: RouterState) -> dict:
         "proto": state.proto,
         "lam": np.float64(state.lam),
         "samples_seen": np.int64(state.samples_seen),
-        "seed": np.int64(-1 if state.seed is None else state.seed),
     }
 
 
 def restore(snap: dict) -> RouterState:
-    seed = int(snap["seed"])
     return RouterState(
         gram=np.array(snap["gram"], dtype=np.float64, order="C"),
         proto=np.array(snap["proto"], dtype=np.float64),
         lam=float(snap["lam"]),
         samples_seen=int(snap["samples_seen"]),
-        seed=None if seed < 0 else seed,
     )

@@ -1,19 +1,25 @@
 """Alternative routers over the same expanded features.
 
 Every baseline consumes exactly the ExpandedBatch stream the analytic router
-sees and maintains bounded per-expert statistics online: a running mean
-(prototype similarity), running mean+variance via Welford's parallel update
-(naive Bayes with diagonal Gaussians), a uniform reservoir of rows clustered
-by Lloyd's algorithm at finalize (k-means), or a two-layer scorer trained by
-gradient descent with experts as labels (trained_shallow).  None of them
-touches the analytic router's statistics or the experts' parameters.
+sees and keeps bounded per-expert statistics online; none touches the
+analytic router's statistics or the experts' parameters.
 
-Lloyd's iterations stop at their fixed point: once an assignment repeats the
-previous one, every later iteration would average the same members in the
-same order (an empty cluster keeps its centre), so the centres are already
-bit-identical to those of the full 25 iterations, which stay the cap for a
-reservoir that never settles.  Finalize is a no-op until the reservoirs
-change, as ``analytic_router.solve`` is until the Gram does.
+Each kind is one class that holds only the arrays its ``route`` reads and
+takes only its own parameters, behind one protocol: ``register_expert()``
+returns the new id, ``update(e, phi)`` folds in expert ``e``'s rows,
+``finalize()`` fits what ``update`` leaves stale, ``route(phi)`` picks an
+expert per row (ties to the lowest id), and ``state()``/``load(dict)``
+checkpoint the arrays, ``load`` reading only its own keys.  The entry points
+``baseline_fit_update``, ``baseline_finalize`` and ``baseline_route`` hold the
+shared input checks.
+
+K-means fits lazily: ``baseline_route`` finalizes first, which runs Lloyd's
+iterations once per change of the reservoirs, as ``analytic_router.solve``
+factors once per change of the Gram.  The iterations stop at their fixed
+point: once an assignment repeats the previous one, every later iteration
+would average the same members in the same order (an empty cluster keeps its
+centre), so the centres are bit-identical to those of the full 25
+iterations, which stay the cap for a reservoir that never settles.
 
 The oracle router is evaluation-only: given the true label it returns the
 lowest-id expert whose training data contained that label, or None if no
@@ -23,6 +29,8 @@ the fallback).
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .errors import NotSolvedError, NumericalError, ShapeError
@@ -31,8 +39,6 @@ from .expansion import ExpandedBatch, RandomExpansion
 TAG_RESERVOIR = 21
 TAG_KMEANS = 22
 TAG_SHALLOW = 23
-
-BASELINE_KINDS = ("prototype", "naive_bayes", "kmeans", "trained_shallow")
 
 NB_EPS = 1e-6  # variance smoothing against rectified-zero coordinates
 
@@ -47,151 +53,94 @@ _DIST_BLOCK = 1 << 16
 LLOYD_MAX_ITERS = 25
 
 
-class BaselineRouter:
-    """Online sufficient statistics for one baseline routing algorithm."""
+class _Baseline:
+    """Protocol defaults shared by the four kinds."""
 
-    def __init__(self, kind: str, M: int, seed: int, num_experts: int = 1,
-                 metric: str = "cosine", K: int = 10, hidden: int = 512,
-                 reservoir_cap: int = 512, lr: float = 0.005, iters: int = 3):
-        if kind not in BASELINE_KINDS:
-            raise ValueError(
-                f"unknown baseline kind {kind!r}; choose from {BASELINE_KINDS}")
-        if metric not in ("cosine", "euclidean"):
-            raise ValueError(f"unknown prototype metric {metric!r}")
-        self.kind = kind
+    STATE: tuple = ()  # the arrays state() saves and load() restores
+
+    def finalize(self) -> None:
+        """Nothing to fit: ``route`` reads what ``update`` keeps current."""
+
+    def state(self) -> dict:
+        return {key: getattr(self, key) for key in self.STATE}
+
+    def load(self, snap: dict) -> None:
+        for key in self.STATE:
+            setattr(self, key, np.array(snap[key]))
+
+
+class PrototypeRouter(_Baseline):
+    """Cosine similarity to each expert's running mean of expanded rows."""
+
+    STATE = ("counts", "means")
+
+    def __init__(self, M: int, num_experts: int = 1):
         self.M = M
-        self.seed = seed
-        self.metric = metric
-        self.K = K
-        self.hidden = hidden
-        self.reservoir_cap = reservoir_cap
-        self.lr = lr
-        self.iters = iters
-        self.num_experts = 0
-        # prototype / naive bayes
-        self.counts = np.zeros(0, dtype=np.int64)
-        self.means = np.zeros((0, M))
-        self.m2 = np.zeros((0, M))
-        # kmeans
-        self.reservoirs: list[np.ndarray] = []
-        self.fill: list[int] = []
-        self.seen: list[int] = []
-        self.centroids: np.ndarray | None = None
-        self.centroid_owner: np.ndarray | None = None
-        # trained_shallow
-        if kind == "trained_shallow":
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, TAG_SHALLOW]))
-            self.W1 = rng.standard_normal((hidden, M)) / np.sqrt(M)
-            self.b1 = np.zeros(hidden)
-            self.W2 = np.zeros((0, hidden))
-            self.b2 = np.zeros(0)
-        for _ in range(num_experts):
-            self.register_expert()
+        self.counts = np.zeros(num_experts, dtype=np.int64)
+        self.means = np.zeros((num_experts, M))
+
+    @property
+    def num_experts(self) -> int:
+        return len(self.counts)
 
     def register_expert(self) -> int:
-        e = self.num_experts
-        self.num_experts += 1
         self.counts = np.append(self.counts, 0)
         self.means = np.vstack([self.means, np.zeros((1, self.M))])
+        return self.num_experts - 1
+
+    def update(self, e: int, phi: np.ndarray):
+        """Chan's parallel mean update; returns the batch mean and its
+        offset from the previous running mean, which m2 folds in."""
+        nb = phi.shape[0]
+        mean_b = phi.mean(axis=0)
+        n = self.counts[e]
+        total = n + nb
+        delta = mean_b - self.means[e]
+        self.means[e] += delta * (nb / total)
+        self.counts[e] = total
+        return mean_b, delta
+
+    def route(self, phi: np.ndarray) -> np.ndarray:
+        pn = phi / np.maximum(np.linalg.norm(phi, axis=1, keepdims=True),
+                              1e-300)
+        mn = self.means / np.maximum(
+            np.linalg.norm(self.means, axis=1, keepdims=True), 1e-300)
+        scores = pn @ mn.T
+        scores[:, self.counts == 0] = -np.inf
+        return np.argmax(scores, axis=1)
+
+
+class NaiveBayesRouter(PrototypeRouter):
+    """Diagonal-Gaussian likelihood per expert from Welford's running mean
+    and m2; population variance is m2 / count, smoothed by NB_EPS."""
+
+    STATE = ("counts", "means", "m2")
+
+    def __init__(self, M: int, num_experts: int = 1):
+        super().__init__(M, num_experts)
+        self.m2 = np.zeros((num_experts, M))
+
+    def register_expert(self) -> int:
         self.m2 = np.vstack([self.m2, np.zeros((1, self.M))])
-        self.reservoirs.append(np.zeros((self.reservoir_cap, self.M)))
-        self.fill.append(0)
-        self.seen.append(0)
-        self.centroids = None
-        self.centroid_owner = None
-        if self.kind == "trained_shallow":
-            self.W2 = np.vstack([self.W2, np.zeros((1, self.hidden))])
-            self.b2 = np.append(self.b2, 0.0)
-        return e
+        return super().register_expert()
 
+    def update(self, e: int, phi: np.ndarray) -> None:
+        n, nb = self.counts[e], phi.shape[0]
+        mean_b, delta = super().update(e, phi)
+        m2_b = ((phi - mean_b) ** 2).sum(axis=0)
+        self.m2[e] += m2_b + delta * delta * (n * nb / (n + nb))
 
-def baseline_fit_update(router: BaselineRouter,
-                        batch: ExpandedBatch) -> BaselineRouter:
-    """Fold one expanded batch into the baseline's statistics."""
-    phi = np.asarray(batch.values, dtype=np.float64)
-    if phi.ndim != 2 or phi.shape[1] != router.M:
-        raise ShapeError(
-            f"batch width {phi.shape[-1]} does not match router width "
-            f"{router.M}")
-    e = batch.expert_id
-    if e is None or not 0 <= e < router.num_experts:
-        raise ValueError(f"expert id {e!r} is not registered")
-    if phi.shape[0] == 0:
-        return router
-    if not np.isfinite(phi).all():
-        raise NumericalError("non-finite values in expanded batch")
-
-    if router.kind in ("prototype", "naive_bayes"):
-        _welford(router, e, phi)
-    elif router.kind == "kmeans":
-        _reservoir(router, e, phi)
-    else:
-        _shallow_steps(router, e, phi)
-    return router
-
-
-def _welford(router, e, phi):
-    """Chan's parallel mean/M2 update; population variance = m2/count."""
-    nb = phi.shape[0]
-    mean_b = phi.mean(axis=0)
-    m2_b = ((phi - mean_b) ** 2).sum(axis=0)
-    n = router.counts[e]
-    total = n + nb
-    delta = mean_b - router.means[e]
-    router.means[e] += delta * (nb / total)
-    router.m2[e] += m2_b + delta * delta * (n * nb / total)
-    router.counts[e] = total
-
-
-def _reservoir(router, e, phi):
-    """Uniform reservoir; acceptance keyed by (seed, expert, arrival count)."""
-    cap = router.reservoir_cap
-    for row in phi:
-        router.seen[e] += 1
-        n = router.seen[e]
-        if router.fill[e] < cap:
-            router.reservoirs[e][router.fill[e]] = row
-            router.fill[e] += 1
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(
-                [router.seed, TAG_RESERVOIR, e, n]))
-            j = int(rng.integers(n))
-            if j < cap:
-                router.reservoirs[e][j] = row
-    router.centroids = None
-    router.centroid_owner = None
-
-
-def _shallow_forward(router, phi):
-    z1 = phi @ router.W1.T + router.b1
-    a1 = np.maximum(z1, 0.0)
-    return z1, a1, a1 @ router.W2.T + router.b2
-
-
-def _shallow_steps(router, e, phi):
-    B = phi.shape[0]
-    for _ in range(router.iters):
-        z1, a1, logits = _shallow_forward(router, phi)
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        dlogits = p
-        dlogits[:, e] -= 1.0
-        dlogits /= B
-        gw2 = dlogits.T @ a1
-        gb2 = dlogits.sum(axis=0)
-        da1 = dlogits @ router.W2
-        dz1 = da1 * (z1 > 0.0)
-        gw1 = dz1.T @ phi
-        gb1 = dz1.sum(axis=0)
-        if not (np.isfinite(gw1).all() and np.isfinite(gw2).all()):
-            raise NumericalError("non-finite gradient in shallow router")
-        router.W2 -= router.lr * gw2
-        router.b2 -= router.lr * gb2
-        gw1 *= router.lr
-        router.W1 -= gw1
-        router.b1 -= router.lr * gb1
+    def route(self, phi: np.ndarray) -> np.ndarray:
+        scores = np.full((phi.shape[0], self.num_experts), -np.inf)
+        for e in range(self.num_experts):
+            if self.counts[e] == 0:
+                continue
+            var = self.m2[e] / self.counts[e] + NB_EPS
+            diff = phi - self.means[e]
+            scores[:, e] = -0.5 * (
+                np.log(2.0 * np.pi * var).sum()
+                + (diff * diff / var).sum(axis=1))
+        return np.argmax(scores, axis=1)
 
 
 def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -209,80 +158,224 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def baseline_finalize(router: BaselineRouter) -> BaselineRouter:
-    """Run Lloyd's iterations for kmeans; no-op for the other kinds and for
-    a kmeans router already finalized on its current reservoirs."""
-    if router.kind != "kmeans" or router.centroids is not None:
-        return router
-    centroids = []
-    owners = []
-    for e in range(router.num_experts):
-        rows = router.reservoirs[e][:router.fill[e]]
-        if len(rows) == 0:
-            continue
-        k = min(router.K, len(rows))
+class KMeansRouter(_Baseline):
+    """K centroids per expert, clustered from a uniform reservoir of its
+    rows; a row routes to the owner of its nearest centroid."""
+
+    def __init__(self, M: int, seed: int, num_experts: int = 1, K: int = 10,
+                 reservoir_cap: int = 512):
+        self.M = M
+        self.seed = seed
+        self.K = K
+        self.reservoir_cap = reservoir_cap
+        self.reservoirs = [np.zeros((reservoir_cap, M))
+                           for _ in range(num_experts)]
+        self.fill = [0] * num_experts
+        self.seen = [0] * num_experts
+        self.centroids: np.ndarray | None = None
+        self.centroid_owner: np.ndarray | None = None
+
+    @property
+    def num_experts(self) -> int:
+        return len(self.fill)
+
+    def register_expert(self) -> int:
+        self.reservoirs.append(np.zeros((self.reservoir_cap, self.M)))
+        self.fill.append(0)
+        self.seen.append(0)
+        self.centroids = None
+        self.centroid_owner = None
+        return self.num_experts - 1
+
+    def update(self, e: int, phi: np.ndarray) -> None:
+        """Uniform reservoir; acceptance keyed by (seed, expert, arrival
+        count)."""
+        cap = self.reservoir_cap
+        for row in phi:
+            self.seen[e] += 1
+            n = self.seen[e]
+            if self.fill[e] < cap:
+                self.reservoirs[e][self.fill[e]] = row
+                self.fill[e] += 1
+            else:
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    [self.seed, TAG_RESERVOIR, e, n]))
+                j = int(rng.integers(n))
+                if j < cap:
+                    self.reservoirs[e][j] = row
+        self.centroids = None
+        self.centroid_owner = None
+
+    def finalize(self) -> None:
+        """Lloyd's iterations per expert; a no-op while the centroids are
+        current."""
+        if self.centroids is not None:
+            return
+        centroids = []
+        owners = []
+        for e in range(self.num_experts):
+            rows = self.reservoirs[e][:self.fill[e]]
+            if len(rows) == 0:
+                continue
+            k = min(self.K, len(rows))
+            rng = np.random.default_rng(
+                np.random.SeedSequence([self.seed, TAG_KMEANS, e]))
+            centers = rows[rng.choice(len(rows), size=k, replace=False)].copy()
+            previous = None
+            for _ in range(LLOYD_MAX_ITERS):
+                assign = np.argmin(_sq_dists(rows, centers), axis=1)
+                if previous is not None and np.array_equal(assign, previous):
+                    break
+                previous = assign
+                for j in range(k):
+                    members = rows[assign == j]
+                    if len(members):
+                        centers[j] = members.mean(axis=0)
+            centroids.append(centers)
+            owners.extend([e] * k)
+        if not centroids:
+            raise NotSolvedError("kmeans baseline has no rows to cluster")
+        self.centroids = np.vstack(centroids)
+        self.centroid_owner = np.array(owners, dtype=np.int64)
+
+    def route(self, phi: np.ndarray) -> np.ndarray:
+        if self.centroids is None:
+            raise NotSolvedError(
+                "kmeans baseline not finalized; call baseline_finalize first")
+        d2 = _sq_dists(phi, self.centroids)
+        return self.centroid_owner[np.argmin(d2, axis=1)]
+
+    def state(self) -> dict:
+        return {"fill": np.array(self.fill, dtype=np.int64),
+                "seen": np.array(self.seen, dtype=np.int64),
+                **{f"reservoir_{e}": r for e, r in enumerate(self.reservoirs)}}
+
+    def load(self, snap: dict) -> None:
+        self.fill = [int(v) for v in snap["fill"]]
+        self.seen = [int(v) for v in snap["seen"]]
+        self.reservoirs = [np.array(snap[f"reservoir_{e}"])
+                           for e in range(len(self.fill))]
+        self.centroids = None
+        self.centroid_owner = None
+
+
+class ShallowRouter(_Baseline):
+    """A ReLU hidden layer and a linear expert scorer trained online by
+    softmax cross-entropy, each batch labelled with its expert."""
+
+    STATE = ("W1", "b1", "W2", "b2")
+
+    def __init__(self, M: int, seed: int, num_experts: int = 1,
+                 hidden: int = 512, lr: float = 0.005, iters: int = 3):
+        self.M = M
+        self.lr = lr
+        self.iters = iters
         rng = np.random.default_rng(
-            np.random.SeedSequence([router.seed, TAG_KMEANS, e]))
-        centers = rows[rng.choice(len(rows), size=k, replace=False)].copy()
-        previous = None
-        for _ in range(LLOYD_MAX_ITERS):
-            assign = np.argmin(_sq_dists(rows, centers), axis=1)
-            if previous is not None and np.array_equal(assign, previous):
-                break
-            previous = assign
-            for j in range(k):
-                members = rows[assign == j]
-                if len(members):
-                    centers[j] = members.mean(axis=0)
-        centroids.append(centers)
-        owners.extend([e] * k)
-    router.centroids = np.vstack(centroids)
-    router.centroid_owner = np.array(owners, dtype=np.int64)
+            np.random.SeedSequence([seed, TAG_SHALLOW]))
+        self.W1 = rng.standard_normal((hidden, M)) / np.sqrt(M)
+        self.b1 = np.zeros(hidden)
+        self.W2 = np.zeros((num_experts, hidden))
+        self.b2 = np.zeros(num_experts)
+
+    @property
+    def num_experts(self) -> int:
+        return len(self.b2)
+
+    def register_expert(self) -> int:
+        self.W2 = np.vstack([self.W2, np.zeros((1, self.W1.shape[0]))])
+        self.b2 = np.append(self.b2, 0.0)
+        return self.num_experts - 1
+
+    def _forward(self, phi):
+        z1 = phi @ self.W1.T + self.b1
+        a1 = np.maximum(z1, 0.0)
+        return z1, a1, a1 @ self.W2.T + self.b2
+
+    def update(self, e: int, phi: np.ndarray) -> None:
+        B = phi.shape[0]
+        for _ in range(self.iters):
+            z1, a1, logits = self._forward(phi)
+            logits -= logits.max(axis=1, keepdims=True)
+            p = np.exp(logits)
+            p /= p.sum(axis=1, keepdims=True)
+            dlogits = p
+            dlogits[:, e] -= 1.0
+            dlogits /= B
+            gw2 = dlogits.T @ a1
+            gb2 = dlogits.sum(axis=0)
+            da1 = dlogits @ self.W2
+            dz1 = da1 * (z1 > 0.0)
+            gw1 = dz1.T @ phi
+            gb1 = dz1.sum(axis=0)
+            if not (np.isfinite(gw1).all() and np.isfinite(gw2).all()):
+                raise NumericalError("non-finite gradient in shallow router")
+            self.W2 -= self.lr * gw2
+            self.b2 -= self.lr * gb2
+            gw1 *= self.lr
+            self.W1 -= gw1
+            self.b1 -= self.lr * gb1
+
+    def route(self, phi: np.ndarray) -> np.ndarray:
+        _, _, logits = self._forward(phi)
+        return np.argmax(logits, axis=1)
+
+
+BASELINES = {
+    "prototype": PrototypeRouter,
+    "naive_bayes": NaiveBayesRouter,
+    "kmeans": KMeansRouter,
+    "trained_shallow": ShallowRouter,
+}
+BASELINE_KINDS = tuple(BASELINES)
+
+
+def new_baseline(kind: str, M: int, **settings):
+    """A ``kind`` router of width M; of the run's ``settings`` (seed, lr,
+    iters, ...) it takes only those its constructor names."""
+    if kind not in BASELINES:
+        raise ValueError(
+            f"unknown baseline kind {kind!r}; choose from {BASELINE_KINDS}")
+    cls = BASELINES[kind]
+    params = inspect.signature(cls).parameters
+    return cls(M, **{k: v for k, v in settings.items() if k in params})
+
+
+def baseline_fit_update(router, batch: ExpandedBatch):
+    """Fold one expanded batch into the baseline's statistics."""
+    phi = np.asarray(batch.values, dtype=np.float64)
+    if phi.ndim != 2 or phi.shape[1] != router.M:
+        raise ShapeError(
+            f"batch width {phi.shape[-1]} does not match router width "
+            f"{router.M}")
+    e = batch.expert_id
+    if e is None or not 0 <= e < router.num_experts:
+        raise ValueError(f"expert id {e!r} is not registered")
+    if phi.shape[0] == 0:
+        return router
+    if not np.isfinite(phi).all():
+        raise NumericalError("non-finite values in expanded batch")
+    router.update(e, phi)
     return router
 
 
-def baseline_route(router: BaselineRouter, features: np.ndarray,
-                   expansion: RandomExpansion,
+def baseline_finalize(router):
+    """Fit what ``route`` reads from the current statistics: Lloyd's
+    iterations for k-means, a no-op for the other kinds and for a k-means
+    router already finalized on its current reservoirs."""
+    router.finalize()
+    return router
+
+
+def baseline_route(router, features: np.ndarray, expansion: RandomExpansion,
                    phi: np.ndarray | None = None) -> np.ndarray:
-    """Select an expert per row (ties to the lowest id, as everywhere)."""
+    """Select an expert per row (ties to the lowest id, as everywhere).
+
+    ``phi``, when given, is ``expansion(features)`` already computed.
+    """
     if phi is None:
         phi = expansion(np.atleast_2d(features))
-    phi = np.atleast_2d(phi)
-
-    if router.kind == "prototype":
-        means = router.means
-        if router.metric == "cosine":
-            pn = phi / np.maximum(np.linalg.norm(phi, axis=1, keepdims=True),
-                                  1e-300)
-            mn = means / np.maximum(
-                np.linalg.norm(means, axis=1, keepdims=True), 1e-300)
-            scores = pn @ mn.T
-        else:
-            scores = -_sq_dists(phi, means)
-        scores[:, router.counts == 0] = -np.inf
-        return np.argmax(scores, axis=1)
-
-    if router.kind == "naive_bayes":
-        scores = np.full((phi.shape[0], router.num_experts), -np.inf)
-        for e in range(router.num_experts):
-            if router.counts[e] == 0:
-                continue
-            var = router.m2[e] / router.counts[e] + NB_EPS
-            diff = phi - router.means[e]
-            scores[:, e] = -0.5 * (
-                np.log(2.0 * np.pi * var).sum()
-                + (diff * diff / var).sum(axis=1))
-        return np.argmax(scores, axis=1)
-
-    if router.kind == "kmeans":
-        if router.centroids is None:
-            raise NotSolvedError(
-                "kmeans baseline not finalized; call baseline_finalize first")
-        d2 = _sq_dists(phi, router.centroids)
-        return router.centroid_owner[np.argmin(d2, axis=1)]
-
-    _, _, logits = _shallow_forward(router, phi)
-    return np.argmax(logits, axis=1)
+    baseline_finalize(router)
+    return router.route(np.atleast_2d(phi))
 
 
 def oracle_route(true_label: int, history) -> int | None:
@@ -291,42 +384,3 @@ def oracle_route(true_label: int, history) -> int | None:
         if true_label in classes:
             return e
     return None
-
-
-# ---------------------------------------------------------------------------
-# checkpoint support
-# ---------------------------------------------------------------------------
-
-def baseline_snapshot(router: BaselineRouter) -> dict:
-    snap = {
-        "counts": router.counts,
-        "means": router.means,
-        "m2": router.m2,
-        "fill": np.array(router.fill, dtype=np.int64),
-        "seen": np.array(router.seen, dtype=np.int64),
-    }
-    for e, res in enumerate(router.reservoirs):
-        snap[f"reservoir_{e}"] = res
-    if router.kind == "trained_shallow":
-        snap.update(W1=router.W1, b1=router.b1, W2=router.W2, b2=router.b2)
-    return snap
-
-
-def baseline_restore(router: BaselineRouter, snap: dict) -> BaselineRouter:
-    while router.num_experts < len(snap["counts"]):
-        router.register_expert()
-    router.counts = np.array(snap["counts"], dtype=np.int64)
-    router.means = np.array(snap["means"])
-    router.m2 = np.array(snap["m2"])
-    router.fill = [int(v) for v in snap["fill"]]
-    router.seen = [int(v) for v in snap["seen"]]
-    router.reservoirs = [np.array(snap[f"reservoir_{e}"])
-                         for e in range(router.num_experts)]
-    router.centroids = None
-    router.centroid_owner = None
-    if router.kind == "trained_shallow":
-        router.W1 = np.array(snap["W1"])
-        router.b1 = np.array(snap["b1"])
-        router.W2 = np.array(snap["W2"])
-        router.b2 = np.array(snap["b2"])
-    return router

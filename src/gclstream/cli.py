@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .harness import (ABLATION_AXES, RunConfig, ablate, apply_overrides,
                       config_from_dict, config_to_dict, desk_config, run)
-from .metrics import a_auc, a_avg, a_last, accuracy, bwt, f_last, routing_accuracy
+from .metrics import (a_auc, a_avg, a_last, accuracy, bwt, f_last,
+                      routing_accuracy, session_row)
 from .stream import StreamConfig, SyntheticBackbone, write_feature_file
 
 
@@ -137,9 +138,8 @@ def _cmd_metrics(args) -> int:
                 anytime.append(accuracy(predictions, labels))
             elif record["phase"] == "session":
                 i = record["step"]
-                for j in range(i + 1):
-                    member = np.isin(labels, sorted(session_classes[j]))
-                    R[i, j] = accuracy(predictions[member], labels[member])
+                R[i, :i + 1] = session_row(predictions, labels,
+                                           session_classes[:i + 1])
             elif record["phase"] == "final":
                 recomputed["final_accuracy"] = accuracy(predictions, labels)
                 recomputed["routing_accuracy"] = routing_accuracy(

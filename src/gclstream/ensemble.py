@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_router import RouterState, route
+from .baselines import BASELINE_KINDS, baseline_route, oracle_route
 from .errors import ShapeError
 from .experts import EmaBank, ExpertAdapter, Head, LogitMask, masked_softmax
 
@@ -30,10 +31,7 @@ AGGREGATIONS = (
     "softmax_mean", "softmax_max", "softmax_min_entropy",
 )
 
-ROUTING_MODES = (
-    "ridge", "latest", "oracle",
-    "prototype", "naive_bayes", "kmeans", "trained_shallow",
-)
+ROUTING_MODES = ("ridge", "latest", "oracle", *BASELINE_KINDS)
 
 
 @dataclass
@@ -104,20 +102,19 @@ class InferenceResult:
     scores: np.ndarray               # combined score vectors, B x C
     routing_scores: np.ndarray | None = None   # B x T when ridge-routed
     oracle_fallbacks: int = 0
-    head_logits: np.ndarray | None = None      # B x heads x C when collected
 
 
 def full_inference(features: np.ndarray, expansion, router, pool, mask,
                    config: EnsembleConfig, *, routing: str = "ridge",
-                   true_labels=None, history=None, baseline=None,
-                   collect_head_logits: bool = False) -> InferenceResult:
+                   true_labels=None, history=None,
+                   baseline=None) -> InferenceResult:
     """Route every sample to an expert, then ensemble-predict per expert.
 
     routing modes: ``ridge`` — the solved analytic router; ``latest`` —
     always the newest expert (router disabled); ``oracle`` — lowest-id expert
     that trained the true label, falling back to ridge for labels no expert
-    trained (fallbacks counted); baseline kinds — delegate to the fitted
-    baseline router.
+    trained (fallbacks counted); baseline kinds — delegate to the baseline
+    router, which fits on demand.
     """
     if routing not in ROUTING_MODES:
         raise ValueError(
@@ -137,7 +134,6 @@ def full_inference(features: np.ndarray, expansion, router, pool, mask,
     elif routing == "oracle":
         if true_labels is None or history is None:
             raise ValueError("oracle routing needs true labels and history")
-        from .baselines import oracle_route
         selections = np.empty(B, dtype=np.int64)
         ridge_sel = None
         for i, label in enumerate(np.asarray(true_labels)):
@@ -150,34 +146,19 @@ def full_inference(features: np.ndarray, expansion, router, pool, mask,
                 fallbacks += 1
             selections[i] = choice
     else:
-        from .baselines import baseline_route
         if baseline is None:
             raise ValueError(f"routing {routing!r} needs a fitted baseline")
         selections = baseline_route(baseline, features, expansion)
 
     scores = np.empty((B, pool.num_classes))
     predictions = np.empty(B, dtype=np.int64)
-    head_logits = None
-    if collect_head_logits:
-        head_logits = np.empty((B, 1 + len(pool.decays), pool.num_classes))
     for expert_id in np.unique(selections):
         idx = np.nonzero(selections == expert_id)[0]
-        adapter = pool.adapters[expert_id]
-        bank = pool.banks[expert_id]
-        sub = features[idx]
-        z, yhat = ensemble_predict(sub, adapter, bank, pool.online, mask,
-                                   config)
-        scores[idx] = z
-        predictions[idx] = yhat
-        if collect_head_logits:
-            adapted = adapter.adapted(sub)
-            stacked = np.stack(
-                [pool.online.logits(adapted)]
-                + [h.logits(adapted) for h in bank.heads], axis=1)
-            head_logits[idx] = stacked
+        scores[idx], predictions[idx] = ensemble_predict(
+            features[idx], pool.adapters[expert_id], pool.banks[expert_id],
+            pool.online, mask, config)
 
     return InferenceResult(
         selections=selections, predictions=predictions, scores=scores,
         routing_scores=routing_scores, oracle_fallbacks=fallbacks,
-        head_logits=head_logits,
     )

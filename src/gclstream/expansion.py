@@ -88,9 +88,3 @@ class ExpandedBatch:
 
     values: np.ndarray  # B x M
     expert_id: int | None = None
-
-
-def expand(features: np.ndarray, expansion: RandomExpansion,
-           expert_id: int | None = None) -> ExpandedBatch:
-    """Expand a feature batch; ``expert_id`` tags who was training."""
-    return ExpandedBatch(expansion(np.atleast_2d(features)), expert_id)

@@ -34,9 +34,8 @@ import numpy as np
 from . import __version__
 from .analytic_router import (RouterState, accumulate, full_gram, grow,
                               new_router_state, route, solve)
-from .baselines import (BASELINE_KINDS, BaselineRouter, baseline_finalize,
-                        baseline_fit_update, baseline_restore, baseline_route,
-                        baseline_snapshot)
+from .baselines import (BASELINE_KINDS, baseline_fit_update, baseline_route,
+                        new_baseline)
 from .ensemble import (AGGREGATIONS, ROUTING_MODES, EnsembleConfig,
                        full_inference)
 from .errors import ConfigError
@@ -44,7 +43,7 @@ from .expansion import ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, EmaBank, ExpertAdapter,
                       ExpertPool, Head, LogitMask, build_mask, train_step)
 from .metrics import (MetricsLedger, a_auc, a_avg, a_last, accuracy, bwt,
-                      f_last, linear_cka, routing_accuracy)
+                      f_last, linear_cka, routing_accuracy, session_row)
 from .stream import StreamConfig, StreamCursor, build_stream
 
 log = logging.getLogger("gclstream")
@@ -200,8 +199,7 @@ class SeedRunState:
                     if config.expansion_seed is not None else seed)
         self.expansion = RandomExpansion(self.source.d, config.M, exp_seed,
                                          config.activation)
-        self.router = new_router_state(config.M, config.lam, num_experts=1,
-                                       seed=exp_seed)
+        self.router = new_router_state(config.M, config.lam, num_experts=1)
         adapter_rng = np.random.default_rng(
             np.random.SeedSequence([seed, TAG_ADAPTER]))
         self.pool = ExpertPool(self.source.d, self.source.num_classes,
@@ -211,8 +209,8 @@ class SeedRunState:
         if config.routing in BASELINE_KINDS:
             kinds.add(config.routing)
         self.baselines = {
-            kind: BaselineRouter(kind, config.M, seed, num_experts=1,
-                                 lr=config.lr, iters=config.iters)
+            kind: new_baseline(kind, config.M, seed=seed, lr=config.lr,
+                               iters=config.iters)
             for kind in sorted(kinds)
         }
         self.ledger = MetricsLedger(config.stream.sessions)
@@ -267,18 +265,13 @@ def _infer(state: SeedRunState, rows: np.ndarray, routing: str):
     X = state.holdout_X[rows]
     y = state.holdout_y[rows]
     mask = _seen_mask(state)
-    router_arg = state.router
     if routing in ("ridge", "oracle"):
         solve(state.router)
-    baseline = None
-    if routing in BASELINE_KINDS:
-        baseline = state.baselines[routing]
-        if routing == "kmeans":
-            baseline_finalize(baseline)
     return full_inference(
-        X, state.expansion, router_arg, state.pool, mask,
+        X, state.expansion, state.router, state.pool, mask,
         EnsembleConfig(config.aggregation), routing=routing, true_labels=y,
-        history=state.pool.trained_classes, baseline=baseline,
+        history=state.pool.trained_classes,
+        baseline=state.baselines.get(routing),
     ), y
 
 
@@ -345,11 +338,9 @@ def run_batch(state: SeedRunState, batch) -> None:
             and state.session_last_batch[session] == state.batch_index - 1):
         rows = _eval_pool(state, state.seen)
         result, y_eval = _infer(state, rows, config.routing)
-        accs = []
-        for j in range(session + 1):
-            member = np.isin(y_eval, sorted(state.schedule.session_classes[j]))
-            accs.append(accuracy(result.predictions[member], y_eval[member]))
-        state.ledger.record_session_row(session, accs)
+        state.ledger.record_session_row(session, session_row(
+            result.predictions, y_eval,
+            state.schedule.session_classes[:session + 1]))
         _log_predictions(state, "session", session, rows, y_eval, result)
 
 
@@ -387,30 +378,16 @@ def finish_seed(state: SeedRunState) -> dict:
             oracle_result.selections, y_eval, state.pool.trained_classes)
         metrics["oracle_fallbacks"] = float(oracle_result.oracle_fallbacks)
         if config.eval_session_matrix:
-            accs = []
-            for j in range(config.stream.sessions):
-                member = np.isin(y_eval,
-                                 sorted(state.schedule.session_classes[j]))
-                accs.append(accuracy(oracle_result.predictions[member],
-                                     y_eval[member]))
-            metrics["oracle_a_last"] = float(np.mean(accs))
-        record = {
-            "phase": "oracle",
-            "step": None,
-            "ids": [int(i) for i in state.holdout_ids[rows]],
-            "labels": [int(v) for v in y_eval],
-            "predictions": [int(v) for v in oracle_result.predictions],
-            "selections": [int(v) for v in oracle_result.selections],
-        }
-        if config.log_predictions:
-            state.predictions_log.append(record)
+            metrics["oracle_a_last"] = float(np.mean(session_row(
+                oracle_result.predictions, y_eval,
+                state.schedule.session_classes)))
+        _log_predictions(state, "oracle", None, rows, y_eval, oracle_result)
 
+    X = state.holdout_X[rows]
+    phi = state.expansion(X) if state.baselines else None
     for kind in sorted(state.baselines):
-        baseline = state.baselines[kind]
-        if kind == "kmeans":
-            baseline_finalize(baseline)
-        selections = baseline_route(baseline, state.holdout_X[rows],
-                                    state.expansion)
+        selections = baseline_route(state.baselines[kind], X,
+                                    state.expansion, phi=phi)
         metrics[f"routing_accuracy_{kind}"] = routing_accuracy(
             selections, y_eval, state.pool.trained_classes)
 
@@ -482,7 +459,7 @@ def checkpoint(state: SeedRunState, path) -> None:
                 [np.stack([h.bias for h in bank.heads])
                  for bank in pool.banks])
     for kind, baseline in state.baselines.items():
-        for key, value in baseline_snapshot(baseline).items():
+        for key, value in baseline.state().items():
             arrays[f"baseline_{kind}_{key}"] = value
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -572,9 +549,8 @@ def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
     state.predictions_log = list(meta["predictions_log"])
     for kind, baseline in state.baselines.items():
         prefix = f"baseline_{kind}_"
-        snap = {k[len(prefix):]: v for k, v in arrays.items()
-                if k.startswith(prefix)}
-        baseline_restore(baseline, snap)
+        baseline.load({k[len(prefix):]: v for k, v in arrays.items()
+                       if k.startswith(prefix)})
     return state
 
 
@@ -739,8 +715,7 @@ def ablate(config: RunConfig, axis: str):
         cells = [(kind, replace(config, mask_kind=kind))
                  for kind in MASK_KINDS]
     elif axis == "routing_alg":
-        modes = ("ridge", "prototype", "naive_bayes", "kmeans",
-                 "trained_shallow", "oracle")
+        modes = ("ridge", *BASELINE_KINDS, "oracle")
         cells = [(mode, replace(config, routing=mode)) for mode in modes]
     elif axis == "M_sweep":
         cells = [(f"M{m}", replace(config, M=m))

@@ -85,6 +85,14 @@ def accuracy(predictions, labels) -> float:
     return float(np.mean(predictions == labels))
 
 
+def session_row(predictions, labels, session_classes) -> list[float]:
+    """Accuracy on the samples of each session's classes, in session order:
+    one row of the session accuracy matrix."""
+    predictions, labels = np.asarray(predictions), np.asarray(labels)
+    members = [np.isin(labels, sorted(classes)) for classes in session_classes]
+    return [accuracy(predictions[m], labels[m]) for m in members]
+
+
 def routing_accuracy(selections, true_labels, history) -> float:
     """Fraction routed to an expert that trained on the sample's true class."""
     selections = np.asarray(selections, dtype=np.int64)

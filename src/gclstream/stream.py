@@ -67,35 +67,9 @@ class StreamConfig:
 # feature sources
 # ---------------------------------------------------------------------------
 
-class SyntheticBackbone:
-    """Gaussian class prototypes plus per-sample noise, all seed-derived.
-
-    Sample id i has label i // samples_per_class and features
-    mu_label + noise_scale * eps_i, with prototypes and noise drawn once from
-    the stream seed, so features depend only on (seed, sample id).
-    """
-
-    def __init__(self, config: StreamConfig):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, TAG_DATA]))
-        C, spc, d = config.num_classes, config.samples_per_class, config.d
-        self.d = d
-        self.num_classes = C
-        self.prototypes = config.cluster_spread * rng.standard_normal((C, d))
-        self.labels = np.repeat(np.arange(C), spc)
-        noise = rng.standard_normal((C * spc, d))
-        self._X = self.prototypes[self.labels] + config.noise_scale * noise
-
-    def features(self, ids) -> np.ndarray:
-        return self._X[np.asarray(ids, dtype=np.int64)]
-
-    def class_ids(self) -> dict[int, np.ndarray]:
-        return {c: np.nonzero(self.labels == c)[0]
-                for c in range(self.num_classes)}
-
-
-class FileSource:
-    """Feature source backed by a parsed feature file (same contract)."""
+class FeatureSource:
+    """Labelled feature rows addressed by sample id; a parsed feature file
+    is one as it stands."""
 
     def __init__(self, d, num_classes, labels, X):
         self.d = d
@@ -111,7 +85,26 @@ class FileSource:
                 for c in range(self.num_classes)}
 
 
-def load_feature_file(path) -> FileSource:
+class SyntheticBackbone(FeatureSource):
+    """Gaussian class prototypes plus per-sample noise, all seed-derived.
+
+    Sample id i has label i // samples_per_class and features
+    mu_label + noise_scale * eps_i, with prototypes and noise drawn once from
+    the stream seed, so features depend only on (seed, sample id).
+    """
+
+    def __init__(self, config: StreamConfig):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([config.seed, TAG_DATA]))
+        C, spc, d = config.num_classes, config.samples_per_class, config.d
+        self.prototypes = config.cluster_spread * rng.standard_normal((C, d))
+        labels = np.repeat(np.arange(C), spc)
+        noise = rng.standard_normal((C * spc, d))
+        super().__init__(d, C, labels,
+                         self.prototypes[labels] + config.noise_scale * noise)
+
+
+def load_feature_file(path) -> FeatureSource:
     """Parse ``d=<int> classes=<int> rows=<int>`` + ``label,f1,...,fd`` lines.
 
     Errors name the byte offset of the offending line.
@@ -174,7 +167,7 @@ def load_feature_file(path) -> FileSource:
         bad = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise ConfigError(f"{path}: non-finite value in row {bad} at byte "
                           f"{offsets[bad]}")
-    return FileSource(d, num_classes, labels, X)
+    return FeatureSource(d, num_classes, labels, X)
 
 
 def write_feature_file(path, source) -> None:

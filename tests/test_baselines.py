@@ -5,9 +5,9 @@ import pytest
 
 import gclstream.baselines as baselines_mod
 from gclstream.baselines import (
-    BASELINE_KINDS, NB_EPS, TAG_KMEANS, BaselineRouter, baseline_finalize,
-    baseline_fit_update, baseline_restore, baseline_route, baseline_snapshot,
-    oracle_route, _sq_dists,
+    BASELINE_KINDS, NB_EPS, TAG_KMEANS, KMeansRouter, NaiveBayesRouter,
+    PrototypeRouter, ShallowRouter, baseline_finalize, baseline_fit_update,
+    baseline_route, new_baseline, oracle_route, _sq_dists,
 )
 from gclstream.errors import NotSolvedError, ShapeError
 from gclstream.expansion import ExpandedBatch, RandomExpansion
@@ -32,19 +32,19 @@ def _feed(router, rows, expert, chunk=3):
 
 class TestStreamingMoments:
     def test_prototype_mean_by_hand(self):
-        router = BaselineRouter("prototype", 2, seed=0, num_experts=1)
+        router = PrototypeRouter(2, num_experts=1)
         _feed(router, np.array([[1.0, 0.0], [3.0, 0.0]]), 0)
         np.testing.assert_allclose(router.means[0], [2.0, 0.0])
 
     def test_population_variance_by_hand(self):
-        router = BaselineRouter("naive_bayes", 1, seed=0, num_experts=1)
+        router = NaiveBayesRouter(1, num_experts=1)
         _feed(router, np.array([[1.0], [3.0]]), 0)
         np.testing.assert_allclose(router.m2[0] / router.counts[0], [1.0])
 
     def test_chunked_updates_match_two_pass_statistics(self):
         rng = np.random.default_rng(0)
         rows = rng.standard_normal((57, 6)) * 3.0 + 1.0
-        router = BaselineRouter("naive_bayes", 6, seed=0, num_experts=1)
+        router = NaiveBayesRouter(6, num_experts=1)
         _feed(router, rows[:20], 0, chunk=1)
         _feed(router, rows[20:41], 0, chunk=7)
         _feed(router, rows[41:], 0, chunk=16)
@@ -54,7 +54,7 @@ class TestStreamingMoments:
                                    atol=1e-10)
 
     def test_experts_accumulate_independently(self):
-        router = BaselineRouter("prototype", 2, seed=0, num_experts=2)
+        router = PrototypeRouter(2, num_experts=2)
         _feed(router, np.array([[1.0, 1.0]]), 0)
         _feed(router, np.array([[5.0, 5.0]]), 1)
         np.testing.assert_allclose(router.means[0], [1.0, 1.0])
@@ -65,7 +65,7 @@ class TestPrototypeRouting:
     def test_two_separated_clusters_route_cleanly(self):
         rng = np.random.default_rng(1)
         exp = _identity_expansion(2)
-        router = BaselineRouter("prototype", 2, seed=0, num_experts=2)
+        router = PrototypeRouter(2, num_experts=2)
         a = rng.standard_normal((40, 2)) * 1e-3 + np.array([4.0, 0.0])
         b = rng.standard_normal((40, 2)) * 1e-3 + np.array([-4.0, 0.0])
         _feed(router, a, 0)
@@ -75,34 +75,21 @@ class TestPrototypeRouting:
 
     def test_unfed_expert_is_never_selected(self):
         exp = _identity_expansion(2)
-        router = BaselineRouter("prototype", 2, seed=0, num_experts=2)
+        router = PrototypeRouter(2, num_experts=2)
         _feed(router, np.array([[1.0, 0.0]]), 0)
         picks = baseline_route(router, np.array([[0.0, 1.0]]), exp)
         assert picks[0] == 0
 
-    def test_euclidean_metric_option(self):
-        exp = _identity_expansion(2)
-        router = BaselineRouter("prototype", 2, seed=0, num_experts=2,
-                                metric="euclidean")
-        _feed(router, np.array([[2.0, 0.0]]), 0)
-        _feed(router, np.array([[-2.0, 0.0]]), 1)
-        picks = baseline_route(router, np.array([[1.9, 0.0], [-1.9, 0.0]]),
-                               exp)
-        np.testing.assert_array_equal(picks, [0, 1])
-
     def test_cosine_ignores_magnitude_euclidean_does_not(self):
         """A probe aligned with a far-away prototype: cosine follows the
-        direction, euclidean follows the distance."""
+        direction, where the nearest mean would follow the distance."""
         exp = _identity_expansion(2)
-        cos = BaselineRouter("prototype", 2, seed=0, num_experts=2)
-        euc = BaselineRouter("prototype", 2, seed=0, num_experts=2,
-                             metric="euclidean")
-        for router in (cos, euc):
-            _feed(router, np.array([[100.0, 0.0]]), 0)
-            _feed(router, np.array([[0.0, 1.0]]), 1)
+        router = PrototypeRouter(2, num_experts=2)
+        _feed(router, np.array([[100.0, 0.0]]), 0)
+        _feed(router, np.array([[0.0, 1.0]]), 1)
         probe = np.array([[3.0, 0.0]])
-        assert baseline_route(cos, probe, exp)[0] == 0
-        assert baseline_route(euc, probe, exp)[0] == 1
+        assert baseline_route(router, probe, exp)[0] == 0
+        assert np.argmin(_sq_dists(probe, router.means)[0]) == 1
 
 
 class TestNaiveBayes:
@@ -110,7 +97,7 @@ class TestNaiveBayes:
         """A broad cluster explains a far point better than a pinpoint one
         even when the pinpoint mean is slightly closer."""
         exp = _identity_expansion(1)
-        router = BaselineRouter("naive_bayes", 1, seed=0, num_experts=2)
+        router = NaiveBayesRouter(1, num_experts=2)
         _feed(router, np.array([[0.9], [1.1]]), 0)      # tight around 1
         _feed(router, np.array([[-4.0], [8.0]]), 1)     # broad around 2
         picks = baseline_route(router, np.array([[3.0]]), exp)
@@ -118,7 +105,7 @@ class TestNaiveBayes:
 
     def test_smoothing_keeps_degenerate_variances_finite(self):
         exp = _identity_expansion(2)
-        router = BaselineRouter("naive_bayes", 2, seed=0, num_experts=1)
+        router = NaiveBayesRouter(2, num_experts=1)
         _feed(router, np.array([[1.0, 2.0], [1.0, 2.0]]), 0)  # zero variance
         picks = baseline_route(router, np.array([[1.0, 2.0]]), exp)
         assert picks[0] == 0
@@ -135,15 +122,40 @@ class TestKmeans:
         np.testing.assert_array_equal(_sq_dists(x, centers), full)
 
     def test_route_before_finalize_raises(self):
-        exp = _identity_expansion(2)
-        router = BaselineRouter("kmeans", 2, seed=0, num_experts=1)
+        router = KMeansRouter(2, seed=0, num_experts=1)
         _feed(router, np.ones((4, 2)), 0)
         with pytest.raises(NotSolvedError):
-            baseline_route(router, np.ones((1, 2)), exp)
+            router.route(np.ones((1, 2)))
+
+    def test_route_with_no_rows_raises(self):
+        router = KMeansRouter(2, seed=0, num_experts=2)
+        with pytest.raises(NotSolvedError):
+            baseline_route(router, np.ones((1, 2)), _identity_expansion(2))
+
+    def test_baseline_route_fits_lazily(self, monkeypatch):
+        """The entry point finalizes first, and refits only after the
+        reservoirs change."""
+        rng = np.random.default_rng(7)
+        exp = _identity_expansion(2)
+        lazy = KMeansRouter(2, seed=0, num_experts=2, K=3)
+        eager = KMeansRouter(2, seed=0, num_experts=2, K=3)
+        a = rng.standard_normal((30, 2)) + 3.0
+        b = rng.standard_normal((30, 2)) - 3.0
+        for router in (lazy, eager):
+            _feed(router, a, 0)
+            _feed(router, b, 1)
+        baseline_finalize(eager)
+        probe = rng.standard_normal((10, 2)) * 3.0
+        np.testing.assert_array_equal(baseline_route(lazy, probe, exp),
+                                      eager.route(probe))
+        np.testing.assert_array_equal(lazy.centroids, eager.centroids)
+        calls = _count_distance_passes(monkeypatch)
+        baseline_route(lazy, probe, exp)
+        assert calls == [len(probe)]
 
     def test_single_centroid_reduces_to_the_mean(self):
         exp = _identity_expansion(2)
-        router = BaselineRouter("kmeans", 2, seed=0, num_experts=1, K=1)
+        router = KMeansRouter(2, seed=0, num_experts=1, K=1)
         rows = np.array([[1.0, 0.0], [3.0, 0.0], [5.0, 0.0]])
         _feed(router, rows, 0)
         baseline_finalize(router)
@@ -152,7 +164,7 @@ class TestKmeans:
     def test_two_cluster_routing(self):
         rng = np.random.default_rng(2)
         exp = _identity_expansion(2)
-        router = BaselineRouter("kmeans", 2, seed=0, num_experts=2, K=3)
+        router = KMeansRouter(2, seed=0, num_experts=2, K=3)
         a = rng.standard_normal((60, 2)) * 0.1 + np.array([4.0, 0.0])
         b = rng.standard_normal((60, 2)) * 0.1 + np.array([-4.0, 0.0])
         _feed(router, a, 0)
@@ -166,7 +178,7 @@ class TestKmeans:
         rows = rng.standard_normal((900, 2))
         routers = []
         for _ in range(2):
-            router = BaselineRouter("kmeans", 2, seed=5, num_experts=1,
+            router = KMeansRouter(2, seed=5, num_experts=1,
                                     reservoir_cap=64)
             _feed(router, rows, 0, chunk=17)
             routers.append(router)
@@ -181,7 +193,7 @@ class TestKmeans:
         rows = np.arange(200, dtype=np.float64)[:, None]
         early = 0
         for seed in range(40):
-            router = BaselineRouter("kmeans", 1, seed=seed, num_experts=1,
+            router = KMeansRouter(1, seed=seed, num_experts=1,
                                     reservoir_cap=20)
             _feed(router, rows, 0, chunk=50)
             kept = router.reservoirs[0][:router.fill[0]].ravel()
@@ -191,7 +203,7 @@ class TestKmeans:
 
     def test_fewer_rows_than_k_still_finalizes(self):
         exp = _identity_expansion(2)
-        router = BaselineRouter("kmeans", 2, seed=0, num_experts=1, K=10)
+        router = KMeansRouter(2, seed=0, num_experts=1, K=10)
         _feed(router, np.array([[1.0, 0.0], [2.0, 0.0]]), 0)
         baseline_finalize(router)
         assert router.centroids.shape[0] == 2
@@ -219,7 +231,7 @@ def _lloyd_reference(router):
 def _separated_router(seed):
     """Two experts, each fed three tight, far-apart blobs in 8 dimensions."""
     rng = np.random.default_rng(seed)
-    router = BaselineRouter("kmeans", 8, seed=seed, num_experts=2, K=3,
+    router = KMeansRouter(8, seed=seed, num_experts=2, K=3,
                             reservoir_cap=90)
     for e in range(2):
         blobs = rng.standard_normal((3, 8)) * 10.0
@@ -259,7 +271,7 @@ class TestLloydFixedPoint:
         stay empty and keep their initial centre."""
         points = np.array([[0.0, 0.0], [5.0, 1.0], [-3.0, 4.0]])
         rows = np.repeat(points, 10, axis=0)
-        router = BaselineRouter("kmeans", 2, seed=3, num_experts=1, K=6)
+        router = KMeansRouter(2, seed=3, num_experts=1, K=6)
         _feed(router, rows, 0)
         centroids, _ = _lloyd_reference(router)
         assert len(np.unique(centroids, axis=0)) == 3
@@ -269,13 +281,13 @@ class TestLloydFixedPoint:
         rng = np.random.default_rng(6)
         rows = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
         for seed in range(4):
-            router = BaselineRouter("kmeans", 2, seed=seed, num_experts=1,
+            router = KMeansRouter(2, seed=seed, num_experts=1,
                                     K=4)
             _feed(router, rows, 0)
             self._assert_matches_reference(router)
 
     def test_more_centres_than_rows_matches_full_iterations(self):
-        router = BaselineRouter("kmeans", 3, seed=0, num_experts=2, K=10)
+        router = KMeansRouter(3, seed=0, num_experts=2, K=10)
         _feed(router, np.arange(12.0).reshape(4, 3), 0)
         _feed(router, -np.arange(6.0).reshape(2, 3), 1)
         self._assert_matches_reference(router)
@@ -310,7 +322,7 @@ class TestLloydFixedPoint:
         router = _separated_router(3)
         other = _separated_router(4)
         baseline_finalize(router)
-        baseline_restore(router, baseline_snapshot(other))
+        router.load(other.state())
         assert router.centroids is None and router.centroid_owner is None
         self._assert_matches_reference(router)
 
@@ -319,7 +331,7 @@ class TestTrainedShallow:
     def test_learns_two_separated_clusters(self):
         rng = np.random.default_rng(4)
         exp = _identity_expansion(2)
-        router = BaselineRouter("trained_shallow", 2, seed=1, num_experts=2,
+        router = ShallowRouter(2, seed=1, num_experts=2,
                                 hidden=32, lr=0.05, iters=2)
         a = rng.standard_normal((50, 2)) * 0.2 + np.array([3.0, 0.0])
         b = rng.standard_normal((50, 2)) * 0.2 + np.array([-3.0, 0.0])
@@ -330,9 +342,9 @@ class TestTrainedShallow:
         np.testing.assert_array_equal(picks, [0] * 6 + [1] * 6)
 
     def test_hidden_layer_init_is_seed_keyed(self):
-        a = BaselineRouter("trained_shallow", 4, seed=1)
-        b = BaselineRouter("trained_shallow", 4, seed=1)
-        c = BaselineRouter("trained_shallow", 4, seed=2)
+        a = ShallowRouter(4, seed=1)
+        b = ShallowRouter(4, seed=1)
+        c = ShallowRouter(4, seed=2)
         np.testing.assert_array_equal(a.W1, b.W1)
         assert np.abs(a.W1 - c.W1).max() > 1e-6
 
@@ -351,32 +363,53 @@ class TestOracle:
 class TestLifecycle:
     def test_register_expert_grows_every_kind(self):
         for kind in BASELINE_KINDS:
-            router = BaselineRouter(kind, 3, seed=0, num_experts=1)
+            router = new_baseline(kind, 3, seed=0)
             router.register_expert()
             assert router.num_experts == 2
             _feed(router, np.ones((2, 3)), 1)
 
+    def test_each_kind_holds_and_saves_only_its_own_state(self):
+        held = {
+            "prototype": ({"counts", "means"}, {"counts", "means"}),
+            "naive_bayes": ({"counts", "means", "m2"},
+                            {"counts", "means", "m2"}),
+            "kmeans": ({"reservoirs", "fill", "seen"},
+                       {"fill", "seen", "reservoir_0", "reservoir_1"}),
+            "trained_shallow": ({"W1", "b1", "W2", "b2"},
+                                {"W1", "b1", "W2", "b2"}),
+        }
+        for kind in BASELINE_KINDS:
+            router = new_baseline(kind, 3, seed=0, num_experts=2)
+            arrays = {k for k, v in vars(router).items()
+                      if isinstance(v, (np.ndarray, list))}
+            assert (arrays, set(router.state())) == held[kind], kind
+
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
-            BaselineRouter("centroid", 3, seed=0)
+            new_baseline("centroid", 3, seed=0)
 
     def test_width_mismatch_raises(self):
-        router = BaselineRouter("prototype", 3, seed=0, num_experts=1)
+        router = PrototypeRouter(3, num_experts=1)
         with pytest.raises(ShapeError):
             _feed(router, np.ones((2, 4)), 0)
 
     def test_snapshot_restore_round_trip(self):
         rng = np.random.default_rng(5)
         for kind in BASELINE_KINDS:
-            router = BaselineRouter(kind, 3, seed=0, num_experts=2)
+            router = new_baseline(kind, 3, seed=0, num_experts=2,
+                                  reservoir_cap=8)
             _feed(router, rng.standard_normal((30, 3)), 0)
             _feed(router, rng.standard_normal((30, 3)) + 2.0, 1)
-            copy = BaselineRouter(kind, 3, seed=0, num_experts=2)
-            baseline_restore(copy, baseline_snapshot(router))
+            copy = new_baseline(kind, 3, seed=0, reservoir_cap=8)
+            copy.load(router.state())
+            assert copy.num_experts == 2
+            more = rng.standard_normal((20, 3))
+            _feed(router, more, 1)
+            _feed(copy, more, 1)
+            saved = copy.state()
+            for key, value in router.state().items():
+                np.testing.assert_array_equal(saved[key], value)
             exp = _identity_expansion(3)
-            if kind == "kmeans":
-                baseline_finalize(router)
-                baseline_finalize(copy)
             probe = rng.standard_normal((10, 3))
             np.testing.assert_array_equal(
                 baseline_route(router, probe, exp),

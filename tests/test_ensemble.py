@@ -208,12 +208,6 @@ class TestFullInference:
         np.testing.assert_array_equal(result.predictions,
                                       np.argmax(direct, axis=1))
 
-    def test_collect_head_logits_shapes(self):
-        result = full_inference(self.X0[:3], self.expansion, self.router,
-                                self.pool, self.mask, self.config,
-                                collect_head_logits=True)
-        assert result.head_logits.shape == (3, 2, 4)  # online + one shadow
-
     def test_unknown_routing_mode_raises(self):
         with pytest.raises(ValueError):
             full_inference(self.X0[:2], self.expansion, self.router,

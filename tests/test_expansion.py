@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gclstream.expansion import RandomExpansion, ExpandedBatch, expand
+from gclstream.expansion import RandomExpansion
 from gclstream.errors import ShapeError
 
 
@@ -103,12 +103,3 @@ class TestExpansionValidation:
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError):
             RandomExpansion(4, 8, seed=-1)
-
-
-class TestExpandHelper:
-    def test_tags_expert_and_promotes_single_row(self):
-        exp = RandomExpansion(3, 6, seed=2)
-        batch = expand(np.ones(3), exp, expert_id=4)
-        assert isinstance(batch, ExpandedBatch)
-        assert batch.expert_id == 4
-        assert batch.values.shape == (1, 6)

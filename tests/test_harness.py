@@ -1,12 +1,18 @@
 """Experiment harness: config identity, seed runs, checkpointing, emission."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gclstream.baselines import BASELINE_KINDS
+from gclstream.ensemble import ROUTING_MODES
 from gclstream.errors import ConfigError
+from gclstream.experts import MASK_KINDS, SPAWN_POLICIES
 from gclstream.harness import (
     SeedRunState, ablate, apply_overrides, checkpoint, config_from_dict,
     config_hash, config_to_dict, desk_config, resume, run, run_batch,
@@ -323,6 +329,74 @@ class TestCheckpointResume:
             np.savez(fh, **arrays)
         with pytest.raises(ConfigError):
             resume(path, config)
+
+
+def _interrupted(config, at, path):
+    """Run to batch ``at``, checkpoint, resume and run to the end."""
+    state = SeedRunState(config, 1)
+    cursor = state.cursor
+    for _ in range(at):
+        run_batch(state, cursor.next_batch())
+    checkpoint(state, path)
+    return run_seed(config, 1, state=resume(path, config))
+
+
+class TestResumeAnywhere:
+    @settings(max_examples=40, deadline=None)
+    @given(routing=st.sampled_from(ROUTING_MODES),
+           tracked=st.lists(st.sampled_from(BASELINE_KINDS), unique=True),
+           spawn_policy=st.sampled_from(SPAWN_POLICIES),
+           mask_kind=st.sampled_from(MASK_KINDS),
+           ema_decays=st.sampled_from([(), (0.9, 0.99)]),
+           track_oracle=st.booleans(),
+           data=st.data())
+    def test_resume_at_any_batch_boundary_is_bit_exact(
+            self, routing, tracked, spawn_policy, mask_kind, ema_decays,
+            track_oracle, data):
+        config = _fast(routing=routing, track_baselines=tuple(tracked),
+                       spawn_policy=spawn_policy, spawn_budget=40,
+                       mask_kind=mask_kind, ema_decays=ema_decays,
+                       track_oracle=track_oracle)
+        direct, direct_state = run_seed(config, 1)
+        at = data.draw(st.integers(0, len(direct_state.schedule.batches)),
+                       label="checkpoint batch")
+        with tempfile.TemporaryDirectory() as tmp:
+            resumed, resumed_state = _interrupted(config, at,
+                                                  Path(tmp) / "ck.npz")
+        assert resumed == direct
+        assert resumed_state.predictions_log == direct_state.predictions_log
+
+    def test_checkpoint_with_every_kinds_arrays_still_resumes(self, tmp_path):
+        """Checkpoints once stored every kind's arrays under every tracked
+        kind; a kind's load must read its own keys and ignore the rest."""
+        config = _fast(routing="kmeans", track_baselines=BASELINE_KINDS)
+        direct, _ = run_seed(config, 1)
+        state = SeedRunState(config, 1)
+        cursor = state.cursor
+        for _ in range(6):
+            run_batch(state, cursor.next_batch())
+        path = tmp_path / "ck.npz"
+        checkpoint(state, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: np.array(v) for k, v in data.items()}
+        experts = state.pool.num_experts
+        M = config.M
+        for kind in BASELINE_KINDS:
+            extra = {"counts": np.zeros(experts, dtype=np.int64),
+                     "means": np.zeros((experts, M)),
+                     "m2": np.zeros((experts, M)),
+                     "fill": np.zeros(experts, dtype=np.int64),
+                     "seen": np.zeros(experts, dtype=np.int64)}
+            extra.update({f"reservoir_{e}": np.zeros((512, M))
+                          for e in range(experts)})
+            for key, value in extra.items():
+                arrays.setdefault(f"baseline_{kind}_{key}", value)
+        assert "baseline_prototype_reservoir_0" in arrays
+        assert "baseline_kmeans_m2" in arrays
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        resumed, _ = run_seed(config, 1, state=resume(path, config))
+        assert resumed == direct
 
 
 class TestRunEmission:

@@ -12,7 +12,7 @@ G is symmetric, so only its lower triangle is stored: ``accumulate`` updates
 it with one in-place BLAS ``dsyrk`` (B*M^2 flops for a batch of B rows) and
 the Cholesky factorization in ``solve`` reads nothing else.  The upper
 triangle is not maintained; ``full_gram`` mirrors the lower one wherever a
-full matrix is needed (snapshots and checkpoints).
+full matrix is needed (``RouterState.state``, which checkpoints save).
 
 Experts are only ever added: growing from T to T+1 zero-pads Q with a new
 column, leaving everything already accumulated untouched.
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import NotSolvedError, NumericalError, ShapeError
+from .errors import NotSolvedError, NumericalError, ShapeError, check_shape
 from .expansion import ExpandedBatch, RandomExpansion
 
 # Tile edge for copying G's lower triangle into the Fortran-ordered
@@ -63,6 +63,18 @@ class RouterState:
     @property
     def num_experts(self) -> int:
         return self.proto.shape[1]
+
+    def state(self) -> dict:
+        return {"gram": full_gram(self), "proto": self.proto,
+                "samples_seen": self.samples_seen}
+
+    def load(self, snap: dict) -> None:
+        """Keeps G C-contiguous float64, as ``accumulate`` needs."""
+        self.gram = np.ascontiguousarray(
+            check_shape(snap, "gram", self.gram.shape), dtype=np.float64)
+        self.proto = np.array(check_shape(snap, "proto", self.proto.shape))
+        self.samples_seen = int(snap["samples_seen"])
+        self.solved = None
 
 
 def new_router_state(M: int, lam: float, num_experts: int = 1) -> RouterState:
@@ -206,21 +218,3 @@ def full_gram(state: RouterState) -> np.ndarray:
     full += np.tril(state.gram, -1).T
     return full
 
-
-def snapshot(state: RouterState) -> dict:
-    """Lossless field dict for checkpointing (versioned by the harness)."""
-    return {
-        "gram": full_gram(state),
-        "proto": state.proto,
-        "lam": np.float64(state.lam),
-        "samples_seen": np.int64(state.samples_seen),
-    }
-
-
-def restore(snap: dict) -> RouterState:
-    return RouterState(
-        gram=np.array(snap["gram"], dtype=np.float64, order="C"),
-        proto=np.array(snap["proto"], dtype=np.float64),
-        lam=float(snap["lam"]),
-        samples_seen=int(snap["samples_seen"]),
-    )

@@ -9,9 +9,9 @@ takes only its own parameters, behind one protocol: ``register_expert()``
 returns the new id, ``update(e, phi)`` folds in expert ``e``'s rows,
 ``finalize()`` fits what ``update`` leaves stale, ``route(phi)`` picks an
 expert per row (ties to the lowest id), and ``state()``/``load(dict)``
-checkpoint the arrays, ``load`` reading only its own keys.  The entry points
-``baseline_fit_update``, ``baseline_finalize`` and ``baseline_route`` hold the
-shared input checks.
+checkpoint the arrays (``load`` reads only its own keys, of this router's
+shapes).  The entry points ``baseline_fit_update``, ``baseline_finalize`` and
+``baseline_route`` hold the shared input checks.
 
 K-means fits lazily: ``baseline_route`` finalizes first, which runs Lloyd's
 iterations once per change of the reservoirs, as ``analytic_router.solve``
@@ -33,7 +33,7 @@ import inspect
 
 import numpy as np
 
-from .errors import NotSolvedError, NumericalError, ShapeError
+from .errors import NotSolvedError, NumericalError, ShapeError, check_shape
 from .expansion import ExpandedBatch, RandomExpansion
 
 TAG_RESERVOIR = 21
@@ -66,7 +66,8 @@ class _Baseline:
 
     def load(self, snap: dict) -> None:
         for key in self.STATE:
-            setattr(self, key, np.array(snap[key]))
+            setattr(self, key, np.array(
+                check_shape(snap, key, getattr(self, key).shape)))
 
 
 class PrototypeRouter(_Baseline):
@@ -251,10 +252,11 @@ class KMeansRouter(_Baseline):
                 **{f"reservoir_{e}": r for e, r in enumerate(self.reservoirs)}}
 
     def load(self, snap: dict) -> None:
-        self.fill = [int(v) for v in snap["fill"]]
-        self.seen = [int(v) for v in snap["seen"]]
-        self.reservoirs = [np.array(snap[f"reservoir_{e}"])
-                           for e in range(len(self.fill))]
+        E, row = (self.num_experts,), (self.reservoir_cap, self.M)
+        self.fill = [int(v) for v in check_shape(snap, "fill", E)]
+        self.seen = [int(v) for v in check_shape(snap, "seen", E)]
+        self.reservoirs = [np.array(check_shape(snap, f"reservoir_{e}", row))
+                           for e in range(self.num_experts)]
         self.centroids = None
         self.centroid_owner = None
 

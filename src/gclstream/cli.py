@@ -16,7 +16,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_router import RouterState, route
+from .analytic_router import route
 from .baselines import BASELINE_KINDS, baseline_route, oracle_route
 from .errors import ShapeError
 from .experts import EmaBank, ExpertAdapter, Head, LogitMask, masked_softmax

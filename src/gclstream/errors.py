@@ -5,6 +5,8 @@ distinct exit codes at the CLI (1 and 2 respectively), everything else is a
 plain ValueError.
 """
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration (CLI exit code 1)."""
@@ -12,6 +14,14 @@ class ConfigError(ValueError):
 
 class ShapeError(ValueError):
     """Array dimensions do not match the contract."""
+
+
+def check_shape(snap: dict, key: str, shape) -> np.ndarray:
+    """``snap[key]`` as an array; ShapeError unless its shape is ``shape``."""
+    value = np.asarray(snap[key])
+    if value.shape != tuple(shape):
+        raise ShapeError(f"{key} has shape {value.shape}, not {tuple(shape)}")
+    return value
 
 
 class NotSolvedError(RuntimeError):

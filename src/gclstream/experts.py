@@ -14,11 +14,11 @@ can be verified coordinate-by-coordinate against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import NumericalError, ShapeError, check_shape
 
 # Finite stand-in for -inf in logit masks. Added pre-softmax with
 # max-subtraction, then masked probabilities are clamped to exactly 0.
@@ -341,3 +341,43 @@ class ExpertPool:
         """Record a trained batch under the active expert."""
         self.trained_classes[-1].update(int(c) for c in labels)
         self.samples_under_current += len(labels)
+
+    def state(self) -> dict:
+        """Online head; adapters and EMA heads stacked over the experts."""
+        snap = {"online_w": self.online.weights, "online_b": self.online.bias,
+                "num_experts": self.num_experts,
+                "samples_under_current": self.samples_under_current,
+                "trained_classes": [sorted(s) for s in self.trained_classes]}
+        if self.adapters:
+            snap["adapter_scale"] = np.array([a.scale for a in self.adapters])
+            snap["adapter_shift"] = np.array([a.shift for a in self.adapters])
+            snap["adapter_frozen"] = np.array([a.frozen for a in self.adapters])
+        if self.adapters and self.decays:
+            heads = [bank.heads for bank in self.banks]
+            snap["bank_w"] = np.array([[h.weights for h in hs] for hs in heads])
+            snap["bank_b"] = np.array([[h.bias for h in hs] for hs in heads])
+        return snap
+
+    def load(self, snap: dict) -> None:
+        """Rebuild from a ``state()`` of this d, class count and decays;
+        ``trained_classes`` holds one entry per expert."""
+        classes = snap["trained_classes"]
+        n, k, C, d = len(classes), len(self.decays), self.num_classes, self.d
+        self.online = Head(np.array(check_shape(snap, "online_w", (C, d))),
+                           np.array(check_shape(snap, "online_b", (C,))))
+        if n:
+            scale = np.array(check_shape(snap, "adapter_scale", (n, d)))
+            shift = np.array(check_shape(snap, "adapter_shift", (n, d)))
+            frozen = check_shape(snap, "adapter_frozen", (n,))
+        if n and k:
+            bank_w = np.array(check_shape(snap, "bank_w", (n, k, C, d)))
+            bank_b = np.array(check_shape(snap, "bank_b", (n, k, C)))
+        self.adapters, self.banks = [], []
+        for e in range(n):
+            self.adapters.append(ExpertAdapter(e, scale[e], shift[e]))
+            if frozen[e]:
+                self.adapters[e].freeze()
+            self.banks.append(EmaBank(self.decays, [
+                Head(bank_w[e, j], bank_b[e, j]) for j in range(k)]))
+        self.trained_classes = [set(c) for c in classes]
+        self.samples_under_current = int(snap["samples_under_current"])

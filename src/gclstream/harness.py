@@ -12,7 +12,9 @@ representation-similarity probe.
 
 Everything stochastic is keyed by (seed, purpose tag, counters), never by a
 shared sequential generator, so a checkpoint is just arrays and counters and
-resuming reproduces the remainder of the run bit for bit.  Outputs live in
+resuming reproduces the remainder of the run bit for bit.  The router, the
+expert pool, the ledger and each baseline checkpoint their own ``state()``;
+their ``load()`` refuses a shape the config would not build.  Outputs live in
 ``<outdir>/<run-id>/`` where the run id is a config-hash prefix; repeated
 runs of an equal config overwrite the same files with identical bytes
 (wall-clock timings go to a separate file outside that contract).
@@ -32,16 +34,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic_router import (RouterState, accumulate, full_gram, grow,
-                              new_router_state, route, solve)
+from .analytic_router import accumulate, grow, new_router_state, solve
 from .baselines import (BASELINE_KINDS, baseline_fit_update, baseline_route,
                         new_baseline)
 from .ensemble import (AGGREGATIONS, ROUTING_MODES, EnsembleConfig,
                        full_inference)
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError, check_shape
 from .expansion import ExpandedBatch, RandomExpansion
-from .experts import (MASK_KINDS, SPAWN_POLICIES, EmaBank, ExpertAdapter,
-                      ExpertPool, Head, LogitMask, build_mask, train_step)
+from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, LogitMask,
+                      build_mask, train_step)
 from .metrics import (MetricsLedger, a_auc, a_avg, a_last, accuracy, bwt,
                       f_last, linear_cka, routing_accuracy, session_row)
 from .stream import StreamConfig, StreamCursor, build_stream
@@ -53,9 +54,6 @@ TAG_MASK = 32
 TAG_CKA = 33
 
 CHECKPOINT_VERSION = 1
-
-ABLATION_AXES = ("components", "aggregation", "decays", "mask", "routing_alg",
-                 "M_sweep", "lambda_sweep", "rd_sweep", "rb_sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +236,12 @@ class SeedRunState:
         return cur
 
 
-def _spawn(state: SeedRunState) -> int:
-    new_id = state.pool.spawn()
-    if new_id >= state.router.num_experts:
-        grow(state.router, new_id + 1)
+def _grow_routers(state: SeedRunState, experts: int) -> None:
+    if experts > state.router.num_experts:
+        grow(state.router, experts)
     for baseline in state.baselines.values():
-        if new_id >= baseline.num_experts:
+        while baseline.num_experts < experts:
             baseline.register_expert()
-    return new_id
 
 
 def _seen_mask(state: SeedRunState) -> LogitMask:
@@ -297,7 +293,7 @@ def run_batch(state: SeedRunState, batch) -> None:
     if state.pool.num_experts == 0 or (
             config.multi_expert and state.pool.should_spawn(
                 config.spawn_policy, is_start, config.spawn_budget)):
-        _spawn(state)
+        _grow_routers(state, state.pool.spawn() + 1)
 
     if state.streamed[ids].any():
         raise AssertionError("single-pass violation: sample replayed")
@@ -433,49 +429,25 @@ def run_seed(config: RunConfig, seed: int,
 # checkpointing
 # ---------------------------------------------------------------------------
 
+def _components(state: SeedRunState) -> list:
+    """(entry prefix, component) for everything with ``state``/``load``."""
+    return [("", state.pool), ("", state.router), ("", state.ledger)] + [
+        (f"baseline_{kind}_", b) for kind, b in state.baselines.items()]
+
+
 def checkpoint(state: SeedRunState, path) -> None:
-    """Write a lossless batch-boundary snapshot of a seed's run."""
-    pool = state.pool
-    n_decays = len(pool.decays)
-    arrays = {
-        "gram": full_gram(state.router),
-        "proto": state.router.proto,
-        "online_w": pool.online.weights,
-        "online_b": pool.online.bias,
-        "streamed": np.packbits(state.streamed),
-        "session_matrix": state.ledger.session_matrix,
-        "anytime": np.array(state.ledger.anytime, dtype=np.float64),
-    }
-    if pool.num_experts:
-        arrays["adapter_scale"] = np.stack([a.scale for a in pool.adapters])
-        arrays["adapter_shift"] = np.stack([a.shift for a in pool.adapters])
-        arrays["adapter_frozen"] = np.array(
-            [a.frozen for a in pool.adapters], dtype=bool)
-        if n_decays:
-            arrays["bank_w"] = np.stack(
-                [np.stack([h.weights for h in bank.heads])
-                 for bank in pool.banks])
-            arrays["bank_b"] = np.stack(
-                [np.stack([h.bias for h in bank.heads])
-                 for bank in pool.banks])
-    for kind, baseline in state.baselines.items():
-        for key, value in baseline.state().items():
-            arrays[f"baseline_{kind}_{key}"] = value
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "config_hash": config_hash(state.config),
-        "seed": state.seed,
-        "batch_index": state.batch_index,
-        "samples_seen": state.router.samples_seen,
-        "num_experts": pool.num_experts,
-        "samples_under_current": pool.samples_under_current,
-        "seen": sorted(state.seen),
-        "trained_classes": [sorted(s) for s in pool.trained_classes],
-        "routing_hits": state.ledger.routing_hits,
-        "routing_attempts": state.ledger.routing_attempts,
-        "predictions_log": state.predictions_log,
-        "streamed_len": int(state.streamed.size),
-    }
+    """Write a lossless batch-boundary snapshot of a seed's run: array
+    values of each ``state()`` as npz entries, the rest in ``meta``."""
+    arrays = {"streamed": np.packbits(state.streamed)}
+    meta = {"version": CHECKPOINT_VERSION,
+            "config_hash": config_hash(state.config), "seed": state.seed,
+            "batch_index": state.batch_index, "seen": sorted(state.seen),
+            "predictions_log": state.predictions_log,
+            "streamed_len": int(state.streamed.size)}
+    for prefix, component in _components(state):
+        for key, value in component.state().items():
+            target = arrays if isinstance(value, np.ndarray) else meta
+            target[prefix + key] = value
     with open(path, "wb") as fh:
         np.savez(fh, meta=json.dumps(meta, sort_keys=True), **arrays)
 
@@ -483,8 +455,8 @@ def checkpoint(state: SeedRunState, path) -> None:
 def resume(path, config: RunConfig) -> SeedRunState:
     """Rebuild a SeedRunState from a snapshot; config must hash-match.
 
-    A checkpoint that cannot be read, or that lacks an entry the config
-    needs, raises ConfigError.
+    A checkpoint that cannot be read, lacks an entry or has a shape the
+    config would not build raises ConfigError.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -494,8 +466,9 @@ def resume(path, config: RunConfig) -> SeedRunState:
         raise ConfigError(f"{path}: unreadable checkpoint ({err})") from err
     try:
         return _restore(meta, arrays, config)
-    except KeyError as err:
-        raise ConfigError(f"{path}: checkpoint has no entry {err}") from err
+    except (KeyError, ShapeError) as err:
+        what = "no entry" if isinstance(err, KeyError) else "an unfit shape"
+        raise ConfigError(f"{path}: checkpoint has {what}: {err}") from err
 
 
 def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
@@ -511,46 +484,20 @@ def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
 
     state = SeedRunState(config, int(meta["seed"]))
     state.batch_index = int(meta["batch_index"])
-    state.router.gram = np.ascontiguousarray(arrays["gram"],
-                                             dtype=np.float64)
-    state.router.proto = arrays["proto"]
-    state.router.samples_seen = int(meta["samples_seen"])
-    state.router.solved = None
-
-    pool = state.pool
-    pool.online.weights = arrays["online_w"]
-    pool.online.bias = arrays["online_b"]
-    for e in range(int(meta["num_experts"])):
-        adapter = ExpertAdapter(
-            e, arrays["adapter_scale"][e].copy(),
-            arrays["adapter_shift"][e].copy())
-        if arrays["adapter_frozen"][e]:
-            adapter.freeze()
-        pool.adapters.append(adapter)
-        if pool.decays:
-            heads = [Head(arrays["bank_w"][e][j].copy(),
-                          arrays["bank_b"][e][j].copy())
-                     for j in range(len(pool.decays))]
-            pool.banks.append(EmaBank(pool.decays, heads))
-        else:
-            pool.banks.append(EmaBank([], []))
-        pool.trained_classes.append(set(meta["trained_classes"][e]))
-    pool.samples_under_current = int(meta["samples_under_current"])
-    if pool.num_experts > state.router.proto.shape[1]:
-        raise ConfigError("checkpoint expert count exceeds router width")
-
     state.seen = set(meta["seen"])
-    state.streamed = np.unpackbits(
-        arrays["streamed"], count=meta["streamed_len"]).astype(bool)
-    state.ledger.session_matrix = arrays["session_matrix"]
-    state.ledger.anytime = [float(v) for v in arrays["anytime"]]
-    state.ledger.routing_hits = int(meta["routing_hits"])
-    state.ledger.routing_attempts = int(meta["routing_attempts"])
     state.predictions_log = list(meta["predictions_log"])
-    for kind, baseline in state.baselines.items():
-        prefix = f"baseline_{kind}_"
-        baseline.load({k[len(prefix):]: v for k, v in arrays.items()
-                       if k.startswith(prefix)})
+    n = state.streamed.size
+    if meta["streamed_len"] != n:
+        raise ShapeError(f"streamed_len {meta['streamed_len']} != {n} samples")
+    state.streamed = np.unpackbits(check_shape(
+        arrays, "streamed", ((n + 7) // 8,)), count=n).astype(bool)
+
+    entries = {**meta, **arrays}
+    for prefix, component in _components(state):
+        component.load({k[len(prefix):]: v for k, v in entries.items()
+                        if k.startswith(prefix)})
+        # the pool loads first and sizes the routers before they load
+        _grow_routers(state, state.pool.num_experts)
     return state
 
 
@@ -578,6 +525,16 @@ class RunResult:
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+def _metric_rows(lead: str, seeds, per_seed, mean, std) -> list[str]:
+    """CSV rows ``<lead><seed|mean|std>,metric,value``."""
+    lines = [f"{lead}{seed},{key},{_fmt(value)}"
+             for seed in seeds for key, value in per_seed[seed].items()]
+    for key in mean:
+        lines.append(f"{lead}mean,{key},{_fmt(mean[key])}")
+        lines.append(f"{lead}std,{key},{_fmt(std[key])}")
+    return lines
 
 
 def _aggregate(per_seed: dict) -> tuple[dict, dict]:
@@ -610,14 +567,8 @@ def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
     (run_dir / "config.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    mean, std = _aggregate(per_seed)
-    lines = ["seed,metric,value"]
-    for seed in config.seeds:
-        for key, value in per_seed[seed].items():
-            lines.append(f"{seed},{key},{_fmt(value)}")
-    for key in mean:
-        lines.append(f"mean,{key},{_fmt(mean[key])}")
-        lines.append(f"std,{key},{_fmt(std[key])}")
+    lines = ["seed,metric,value",
+             *_metric_rows("", config.seeds, per_seed, *_aggregate(per_seed))]
     (run_dir / "metrics.csv").write_text("\n".join(lines) + "\n")
 
     T = config.stream.sessions
@@ -694,58 +645,46 @@ def _component_cells(config: RunConfig):
     ]
 
 
+def _sweep(key: str, values, name=str):
+    """Cells ``(name(v), config with key = v)``, ``stream.`` keys too."""
+    def cell(config: RunConfig, v) -> RunConfig:
+        if key.startswith("stream."):
+            v = replace(config.stream, **{key[len("stream."):]: v})
+        return replace(config, **{key.split(".")[0]: v})
+    return lambda config: [(name(v), cell(config, v)) for v in values]
+
+
+ABLATIONS = {
+    "components": _component_cells,
+    "aggregation": _sweep("aggregation", AGGREGATIONS),
+    "decays": _sweep("ema_decays", ((), (0.9,), (0.99,), (0.999,), (0.9, 0.99),
+                                    (0.9, 0.99, 0.999)),
+                     lambda bank: "+".join(map(str, bank)) or "online_only"),
+    "mask": _sweep("mask_kind", MASK_KINDS),
+    "routing_alg": _sweep("routing", ("ridge", *BASELINE_KINDS, "oracle")),
+    "M_sweep": _sweep("M", (64, 256, 1024, 4096), "M{}".format),
+    "lambda_sweep": _sweep("lam", (1e2, 1e3, 1e4, 1e5), "lam{:g}".format),
+    "rd_sweep": _sweep("stream.disjoint_ratio", (0.0, 0.5, 1.0),
+                       "rd{:g}".format),
+    "rb_sweep": _sweep("stream.blurry_ratio", (0.0, 0.1, 0.3, 0.5),
+                       "rb{:g}".format),
+}
+ABLATION_AXES = tuple(ABLATIONS)
+
+
 def ablate(config: RunConfig, axis: str):
     """Sweep one axis with everything else fixed; emits a combined CSV."""
-    if axis not in ABLATION_AXES:
+    if axis not in ABLATIONS:
         raise ConfigError(
             f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
     base_out = Path(config.outdir) / f"ablate_{axis}"
-    cells: list[tuple[str, RunConfig]]
-    if axis == "components":
-        cells = _component_cells(config)
-    elif axis == "aggregation":
-        cells = [(agg, replace(config, aggregation=agg))
-                 for agg in AGGREGATIONS]
-    elif axis == "decays":
-        banks = [(), (0.9,), (0.99,), (0.999,), (0.9, 0.99),
-                 (0.9, 0.99, 0.999)]
-        cells = [("online_only" if not b else "+".join(str(a) for a in b),
-                  replace(config, ema_decays=b)) for b in banks]
-    elif axis == "mask":
-        cells = [(kind, replace(config, mask_kind=kind))
-                 for kind in MASK_KINDS]
-    elif axis == "routing_alg":
-        modes = ("ridge", *BASELINE_KINDS, "oracle")
-        cells = [(mode, replace(config, routing=mode)) for mode in modes]
-    elif axis == "M_sweep":
-        cells = [(f"M{m}", replace(config, M=m))
-                 for m in (64, 256, 1024, 4096)]
-    elif axis == "lambda_sweep":
-        cells = [(f"lam{lam:g}", replace(config, lam=lam))
-                 for lam in (1e2, 1e3, 1e4, 1e5)]
-    elif axis == "rd_sweep":
-        cells = [(f"rd{r:g}",
-                  replace(config, stream=replace(config.stream,
-                                                 disjoint_ratio=r)))
-                 for r in (0.0, 0.5, 1.0)]
-    else:
-        cells = [(f"rb{r:g}",
-                  replace(config, stream=replace(config.stream,
-                                                 blurry_ratio=r)))
-                 for r in (0.0, 0.1, 0.3, 0.5)]
-
     results = []
     lines = ["cell,seed,metric,value"]
-    for name, cell_config in cells:
-        cell_config = replace(cell_config, outdir=str(base_out))
-        result = run(cell_config)
+    for name, cell_config in ABLATIONS[axis](config):
+        result = run(replace(cell_config, outdir=str(base_out)))
         results.append((name, result))
-        for seed in cell_config.seeds:
-            for key, value in result.per_seed[seed].items():
-                lines.append(f"{name},{seed},{key},{_fmt(value)}")
-        for key in result.mean:
-            lines.append(f"{name},mean,{key},{_fmt(result.mean[key])}")
-            lines.append(f"{name},std,{key},{_fmt(result.std[key])}")
+        lines += _metric_rows(f"{name},", result.config.seeds,
+                              result.per_seed, result.mean, result.std)
         log.info("ablation %s cell %s: %s", axis, name, result.summary())
     base_out.mkdir(parents=True, exist_ok=True)
     (base_out / f"ablate_{axis}.csv").write_text("\n".join(lines) + "\n")

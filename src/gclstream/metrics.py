@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_shape
+
 
 def _require_complete(row: np.ndarray, what: str) -> None:
     if np.isnan(row).any():
@@ -158,6 +160,19 @@ class MetricsLedger:
         self.routing_hits += sum(
             1 for e, y in zip(selections, true_labels)
             if int(y) in history[int(e)])
+
+    def state(self) -> dict:
+        return {"session_matrix": self.session_matrix,
+                "anytime": np.array(self.anytime, dtype=np.float64),
+                "routing_hits": self.routing_hits,
+                "routing_attempts": self.routing_attempts}
+
+    def load(self, snap: dict) -> None:
+        self.session_matrix = np.array(check_shape(
+            snap, "session_matrix", self.session_matrix.shape))
+        self.anytime = [float(v) for v in snap["anytime"]]
+        self.routing_hits = int(snap["routing_hits"])
+        self.routing_attempts = int(snap["routing_attempts"])
 
     @property
     def streamed_routing_accuracy(self) -> float:

@@ -19,7 +19,7 @@ never enter the stream and feed all evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

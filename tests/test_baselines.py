@@ -5,7 +5,7 @@ import pytest
 
 import gclstream.baselines as baselines_mod
 from gclstream.baselines import (
-    BASELINE_KINDS, NB_EPS, TAG_KMEANS, KMeansRouter, NaiveBayesRouter,
+    BASELINE_KINDS, TAG_KMEANS, KMeansRouter, NaiveBayesRouter,
     PrototypeRouter, ShallowRouter, baseline_finalize, baseline_fit_update,
     baseline_route, new_baseline, oracle_route, _sq_dists,
 )
@@ -401,6 +401,9 @@ class TestLifecycle:
             _feed(router, rng.standard_normal((30, 3)), 0)
             _feed(router, rng.standard_normal((30, 3)) + 2.0, 1)
             copy = new_baseline(kind, 3, seed=0, reservoir_cap=8)
+            with pytest.raises(ShapeError):  # one expert short
+                copy.load(router.state())
+            copy.register_expert()
             copy.load(router.state())
             assert copy.num_experts == 2
             more = rng.standard_normal((20, 3))

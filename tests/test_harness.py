@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,9 @@ from gclstream.ensemble import ROUTING_MODES
 from gclstream.errors import ConfigError
 from gclstream.experts import MASK_KINDS, SPAWN_POLICIES
 from gclstream.harness import (
-    SeedRunState, ablate, apply_overrides, checkpoint, config_from_dict,
-    config_hash, config_to_dict, desk_config, resume, run, run_batch,
-    run_seed, _component_cells,
+    ABLATION_AXES, ABLATIONS, SeedRunState, ablate, apply_overrides,
+    checkpoint, config_from_dict, config_hash, config_to_dict, desk_config,
+    resume, run, run_batch, run_seed, _component_cells,
 )
 
 from oracles import accuracy_ref, routing_accuracy_ref, session_metrics_ref
@@ -316,7 +317,9 @@ class TestCheckpointResume:
         with pytest.raises(ConfigError):
             resume(path, config)
 
-    @pytest.mark.parametrize("key", ["meta", "gram", "baseline_kmeans_fill"])
+    @pytest.mark.parametrize("key", ["meta", "gram", "baseline_kmeans_fill",
+                                     "adapter_scale", "bank_w",
+                                     "session_matrix"])
     def test_checkpoint_missing_an_entry_is_refused(self, tmp_path, key):
         config = _fast(track_baselines=("kmeans",))
         state = SeedRunState(config, 1)
@@ -331,13 +334,98 @@ class TestCheckpointResume:
             resume(path, config)
 
 
-def _interrupted(config, at, path):
-    """Run to batch ``at``, checkpoint, resume and run to the end."""
+def _checkpoint_at(config, at, path):
+    """Run seed 1 to batch ``at`` and checkpoint it."""
     state = SeedRunState(config, 1)
     cursor = state.cursor
     for _ in range(at):
         run_batch(state, cursor.next_batch())
     checkpoint(state, path)
+    return state
+
+
+def _shrink_cols(key, cols):
+    return lambda meta, arrays: arrays.update({key: arrays[key][:, :cols]})
+
+
+# Each edit leaves a checkpoint that still reads and hash-matches but whose
+# shapes do not fit the config below: M=64, d=8, 6 classes, 3 sessions and,
+# at batch 7, two experts.
+TAMPERED = {
+    "gram_32x32": lambda meta, arrays: arrays.update(
+        gram=np.zeros((32, 32))),
+    "proto_10_rows": lambda meta, arrays: arrays.update(
+        proto=arrays["proto"][:10]),
+    "online_w_d3": _shrink_cols("online_w", 3),
+    "adapter_scale_d3": _shrink_cols("adapter_scale", 3),
+    "session_matrix_2x2": lambda meta, arrays: arrays.update(
+        session_matrix=arrays["session_matrix"][:2, :2]),
+    "prototype_means_width_7": _shrink_cols("baseline_prototype_means", 7),
+    "prototype_one_expert_short": lambda meta, arrays: arrays.update(
+        {key: arrays[key][:-1] for key in ("baseline_prototype_counts",
+                                           "baseline_prototype_means")}),
+    "streamed_len_5": lambda meta, arrays: meta.update(streamed_len=5),
+}
+
+
+@pytest.mark.parametrize("case", TAMPERED)
+def test_checkpoint_that_does_not_fit_the_config_is_refused(tmp_path, case):
+    config = _fast(track_baselines=("prototype",))
+    path = tmp_path / "ck.npz"
+    assert _checkpoint_at(config, 7, path).pool.num_experts == 2
+    with np.load(path, allow_pickle=False) as data:
+        meta = json.loads(str(data["meta"]))
+        arrays = {k: np.array(v) for k, v in data.items() if k != "meta"}
+    TAMPERED[case](meta, arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=json.dumps(meta), **arrays)
+    with pytest.raises(ConfigError, match="ck.npz"):
+        resume(path, config)
+
+
+def test_checkpoint_format_is_pinned(tmp_path):
+    """The v1 entries of a mid-stream checkpoint with two experts, an EMA
+    bank of two heads and every baseline tracked."""
+    path = tmp_path / "ck.npz"
+    _checkpoint_at(_fast(track_baselines=BASELINE_KINDS), 7, path)
+    with np.load(path, allow_pickle=False) as data:
+        entries = {k: (data[k].dtype.str, data[k].shape) for k in data.files}
+        meta = json.loads(str(data["meta"]))
+    M, d, C = 64, 8, 6
+    f8, i8 = "<f8", "<i8"
+    assert {k: v for k, v in entries.items() if k != "meta"} == {
+        "gram": (f8, (M, M)), "proto": (f8, (M, 2)),
+        "online_w": (f8, (C, d)), "online_b": (f8, (C,)),
+        "streamed": ("|u1", (23,)),
+        "session_matrix": (f8, (3, 3)), "anytime": (f8, (1,)),
+        "adapter_scale": (f8, (2, d)), "adapter_shift": (f8, (2, d)),
+        "adapter_frozen": ("|b1", (2,)),
+        "bank_w": (f8, (2, 2, C, d)), "bank_b": (f8, (2, 2, C)),
+        "baseline_prototype_counts": (i8, (2,)),
+        "baseline_prototype_means": (f8, (2, M)),
+        "baseline_naive_bayes_counts": (i8, (2,)),
+        "baseline_naive_bayes_means": (f8, (2, M)),
+        "baseline_naive_bayes_m2": (f8, (2, M)),
+        "baseline_kmeans_fill": (i8, (2,)),
+        "baseline_kmeans_seen": (i8, (2,)),
+        "baseline_kmeans_reservoir_0": (f8, (512, M)),
+        "baseline_kmeans_reservoir_1": (f8, (512, M)),
+        "baseline_trained_shallow_W1": (f8, (512, M)),
+        "baseline_trained_shallow_b1": (f8, (512,)),
+        "baseline_trained_shallow_W2": (f8, (2, 512)),
+        "baseline_trained_shallow_b2": (f8, (2,)),
+    }
+    assert set(meta) == {
+        "version", "config_hash", "seed", "batch_index", "samples_seen",
+        "num_experts", "samples_under_current", "seen", "trained_classes",
+        "routing_hits", "routing_attempts", "predictions_log",
+        "streamed_len"}
+    assert meta["version"] == 1 and meta["num_experts"] == 2
+
+
+def _interrupted(config, at, path):
+    """Run to batch ``at``, checkpoint, resume and run to the end."""
+    _checkpoint_at(config, at, path)
     return run_seed(config, 1, state=resume(path, config))
 
 
@@ -482,3 +570,35 @@ class TestAblate:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError):
             ablate(_fast(), "optimizer")
+
+    def test_every_axis_lists_its_cells_without_running(self):
+        config = _fast()
+        cells = {axis: ABLATIONS[axis](config) for axis in ABLATION_AXES}
+        assert {axis: [name for name, _ in c]
+                for axis, c in cells.items()} == {
+            "components": ["single", "single_ema", "multi_latest",
+                           "multi_latest_ema", "multi_ridge", "full"],
+            "aggregation": ["mean", "max_prob", "min_entropy",
+                            "softmax_mean", "softmax_max",
+                            "softmax_min_entropy"],
+            "decays": ["online_only", "0.9", "0.99", "0.999", "0.9+0.99",
+                       "0.9+0.99+0.999"],
+            "mask": ["none", "random", "seen_class", "batch_seen_class"],
+            "routing_alg": ["ridge", "prototype", "naive_bayes", "kmeans",
+                            "trained_shallow", "oracle"],
+            "M_sweep": ["M64", "M256", "M1024", "M4096"],
+            "lambda_sweep": ["lam100", "lam1000", "lam10000", "lam100000"],
+            "rd_sweep": ["rd0", "rd0.5", "rd1"],
+            "rb_sweep": ["rb0", "rb0.1", "rb0.3", "rb0.5"],
+        }
+        swept = {"aggregation": "aggregation", "decays": "ema_decays",
+                 "mask": "mask_kind", "routing_alg": "routing", "M_sweep": "M",
+                 "lambda_sweep": "lam", "rd_sweep": "stream",
+                 "rb_sweep": "stream"}
+        for axis, key in swept.items():
+            for name, cell in cells[axis]:
+                assert replace(cell, **{key: getattr(config, key)}) == config
+        assert dict(cells["decays"])["0.9+0.99"].ema_decays == (0.9, 0.99)
+        assert dict(cells["rd_sweep"])["rd0.5"].stream.disjoint_ratio == 0.5
+        assert dict(cells["rb_sweep"])["rb0.3"].stream.blurry_ratio == 0.3
+        assert dict(cells["lambda_sweep"])["lam1000"].lam == 1e3

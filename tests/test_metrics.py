@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gclstream.errors import ShapeError
 from gclstream.metrics import (
     MetricsLedger, a_auc, a_avg, a_last, accuracy, bwt, f_last, linear_cka,
     routing_accuracy,
@@ -198,3 +199,19 @@ class TestLedger:
     def test_empty_routing_history_raises(self):
         with pytest.raises(ValueError):
             MetricsLedger(1).streamed_routing_accuracy
+
+    def test_state_load_round_trip(self):
+        ledger = MetricsLedger(2)
+        ledger.record_anytime(0.25)
+        ledger.record_session_row(0, [0.9])
+        ledger.record_routing([0, 1, 1], [0, 2, 3], [{0}, {2}])
+        copy = MetricsLedger(2)
+        copy.load(ledger.state())
+        np.testing.assert_array_equal(copy.session_matrix,
+                                      ledger.session_matrix)
+        assert copy.anytime == [0.25]
+        assert (copy.routing_hits, copy.routing_attempts) == (2, 3)
+        copy.record_session_row(1, [0.7, 0.8])
+        assert np.isnan(ledger.session_matrix[1]).all()
+        with pytest.raises(ShapeError):
+            MetricsLedger(3).load(ledger.state())

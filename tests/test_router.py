@@ -5,8 +5,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from gclstream.analytic_router import (
-    RouterState, new_router_state, accumulate, solve, route, grow,
-    full_gram, snapshot, restore,
+    new_router_state, accumulate, solve, route, grow, full_gram,
 )
 from gclstream.expansion import ExpandedBatch, RandomExpansion
 from gclstream.errors import NotSolvedError, NumericalError, ShapeError
@@ -268,14 +267,36 @@ class TestSnapshotRestore:
     def test_round_trip_preserves_solution(self):
         rng = np.random.default_rng(9)
         state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
-        snap = snapshot(state)
+        snap = state.state()
         np.testing.assert_array_equal(snap["gram"], snap["gram"].T)
-        copy = restore(snap)
+        snap["gram"] = np.asfortranarray(snap["gram"])
+        copy = new_router_state(5, 1.0, num_experts=2)
+        copy.load(snap)
+        assert copy.gram.flags.c_contiguous and copy.gram.dtype == np.float64
         np.testing.assert_array_equal(full_gram(copy), full_gram(state))
         np.testing.assert_array_equal(copy.proto, state.proto)
-        assert copy.lam == state.lam
         assert copy.samples_seen == state.samples_seen
-        np.testing.assert_allclose(solve(copy), solve(state), atol=1e-15)
+        np.testing.assert_array_equal(solve(copy), solve(state))
+
+    def test_load_drops_a_stale_solution(self):
+        rng = np.random.default_rng(9)
+        state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
+        copy = new_router_state(5, 1.0, num_experts=2)
+        solve(copy)
+        copy.load(state.state())
+        assert copy.solved is None
+        np.testing.assert_array_equal(solve(copy), solve(state))
+
+    @pytest.mark.parametrize("key, shape", [("gram", (4, 4)),
+                                            ("proto", (5, 3)),
+                                            ("proto", (4, 2))])
+    def test_load_refuses_another_width_or_expert_count(self, key, shape):
+        rng = np.random.default_rng(9)
+        state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
+        snap = state.state()
+        snap[key] = np.zeros(shape)
+        with pytest.raises(ShapeError):
+            new_router_state(5, 1.0, num_experts=2).load(snap)
 
 
 class TestConstruction:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import NotSolvedError, NumericalError, ShapeError, check_shape
-from .expansion import ExpandedBatch, RandomExpansion
+from .expansion import ExpandedBatch
 
 # Tile edge for copying G's lower triangle into the Fortran-ordered
 # factorization buffer: whole-matrix C -> F copies miss cache on every element.
@@ -172,29 +172,23 @@ def _copy_lower(dst: np.ndarray, src: np.ndarray) -> None:
             dst[i:i + t, j:j + t] = src[i:i + t, j:j + t]
 
 
-def route(features: np.ndarray, expansion: RandomExpansion,
-          router: RouterState | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Score experts for each row and pick the argmax (lowest id on ties).
+def route(phi: np.ndarray,
+          state: RouterState) -> tuple[np.ndarray, np.ndarray]:
+    """Score experts for each expanded row and pick the argmax (lowest id on
+    ties).
 
-    ``router`` may be a solved U matrix or a RouterState whose solve() has
-    already run; passing an unsolved state is an error so that stale scores
-    can never leak into an evaluation.
+    ``state`` must be solved: an unsolved state is an error so that stale
+    scores can never leak into an evaluation.
     """
-    if isinstance(router, RouterState):
-        if router.solved is None:
-            raise NotSolvedError(
-                "router has unsolved updates; call solve(state) first"
-            )
-        weights = router.solved
-    else:
-        weights = np.asarray(router, dtype=np.float64)
-    if weights.shape[1] != expansion.M:
-        raise ShapeError(
-            f"router width {weights.shape[1]} does not match expansion "
-            f"width {expansion.M}"
+    if state.solved is None:
+        raise NotSolvedError(
+            "router has unsolved updates; call solve(state) first"
         )
-    phi = expansion(np.atleast_2d(features))
-    scores = phi @ weights.T
+    phi = np.atleast_2d(phi)
+    if phi.shape[1] != state.M:
+        raise ShapeError(
+            f"row width {phi.shape[1]} does not match router width {state.M}")
+    scores = phi @ state.solved.T
     selections = np.argmax(scores, axis=1)  # first occurrence == lowest id
     return scores, selections
 

@@ -34,7 +34,7 @@ import inspect
 import numpy as np
 
 from .errors import NotSolvedError, NumericalError, ShapeError, check_shape
-from .expansion import ExpandedBatch, RandomExpansion
+from .expansion import ExpandedBatch
 
 TAG_RESERVOIR = 21
 TAG_KMEANS = 22
@@ -368,14 +368,9 @@ def baseline_finalize(router):
     return router
 
 
-def baseline_route(router, features: np.ndarray, expansion: RandomExpansion,
-                   phi: np.ndarray | None = None) -> np.ndarray:
-    """Select an expert per row (ties to the lowest id, as everywhere).
-
-    ``phi``, when given, is ``expansion(features)`` already computed.
-    """
-    if phi is None:
-        phi = expansion(np.atleast_2d(features))
+def baseline_route(router, phi: np.ndarray) -> np.ndarray:
+    """Select an expert per expanded row (ties to the lowest id, as
+    everywhere)."""
     baseline_finalize(router)
     return router.route(np.atleast_2d(phi))
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_router import route
-from .baselines import BASELINE_KINDS, baseline_route, oracle_route
 from .errors import ShapeError
 from .experts import EmaBank, ExpertAdapter, Head, LogitMask, masked_softmax
 
@@ -30,8 +28,6 @@ AGGREGATIONS = (
     "mean", "max_prob", "min_entropy",
     "softmax_mean", "softmax_max", "softmax_min_entropy",
 )
-
-ROUTING_MODES = ("ridge", "latest", "oracle", *BASELINE_KINDS)
 
 
 @dataclass
@@ -100,55 +96,17 @@ class InferenceResult:
     selections: np.ndarray           # routed expert per sample
     predictions: np.ndarray          # predicted class per sample
     scores: np.ndarray               # combined score vectors, B x C
-    routing_scores: np.ndarray | None = None   # B x T when ridge-routed
-    oracle_fallbacks: int = 0
 
 
-def full_inference(features: np.ndarray, expansion, router, pool, mask,
-                   config: EnsembleConfig, *, routing: str = "ridge",
-                   true_labels=None, history=None,
-                   baseline=None) -> InferenceResult:
-    """Route every sample to an expert, then ensemble-predict per expert.
-
-    routing modes: ``ridge`` — the solved analytic router; ``latest`` —
-    always the newest expert (router disabled); ``oracle`` — lowest-id expert
-    that trained the true label, falling back to ridge for labels no expert
-    trained (fallbacks counted); baseline kinds — delegate to the baseline
-    router, which fits on demand.
-    """
-    if routing not in ROUTING_MODES:
-        raise ValueError(
-            f"unknown routing mode {routing!r}; choose from {ROUTING_MODES}"
-        )
+def full_inference(features: np.ndarray, selections: np.ndarray, pool,
+                   mask: LogitMask, config: EnsembleConfig) -> InferenceResult:
+    """Ensemble-predict every row with the expert selected for it."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     B = features.shape[0]
     if pool.num_experts < 1:
         raise ValueError("no experts have been spawned")
-
-    routing_scores = None
-    fallbacks = 0
-    if routing == "ridge":
-        routing_scores, selections = route(features, expansion, router)
-    elif routing == "latest":
-        selections = np.full(B, pool.current, dtype=np.int64)
-    elif routing == "oracle":
-        if true_labels is None or history is None:
-            raise ValueError("oracle routing needs true labels and history")
-        selections = np.empty(B, dtype=np.int64)
-        ridge_sel = None
-        for i, label in enumerate(np.asarray(true_labels)):
-            choice = oracle_route(int(label), history)
-            if choice is None:
-                if ridge_sel is None:
-                    routing_scores, ridge_sel = route(features, expansion,
-                                                      router)
-                choice = int(ridge_sel[i])
-                fallbacks += 1
-            selections[i] = choice
-    else:
-        if baseline is None:
-            raise ValueError(f"routing {routing!r} needs a fitted baseline")
-        selections = baseline_route(baseline, features, expansion)
+    if len(selections) != B:
+        raise ShapeError(f"{len(selections)} selections for {B} rows")
 
     scores = np.empty((B, pool.num_classes))
     predictions = np.empty(B, dtype=np.int64)
@@ -158,7 +116,5 @@ def full_inference(features: np.ndarray, expansion, router, pool, mask,
             features[idx], pool.adapters[expert_id], pool.banks[expert_id],
             pool.online, mask, config)
 
-    return InferenceResult(
-        selections=selections, predictions=predictions, scores=scores,
-        routing_scores=routing_scores, oracle_fallbacks=fallbacks,
-    )
+    return InferenceResult(selections=selections, predictions=predictions,
+                           scores=scores)

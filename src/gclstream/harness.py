@@ -4,11 +4,12 @@ multi-seed aggregation, checkpoint/resume, and CSV/JSONL emission.
 A run executes, per seed: build the stream; for every batch — spawn an expert
 if the policy says so, build the logit mask, take k masked-CE gradient steps
 with EMA updates, expand the (adapted) features and fold them into the
-router's statistics — then every eval_interval batches solve the router
-lazily and measure accuracy on held-out samples of the classes seen so far;
-at every session end fill one row of the session accuracy matrix; after the
-stream, run the final inference, routing-accuracy comparisons, and the
-representation-similarity probe.
+router's statistics — then every eval_interval batches and at every session
+end run one inference on held-out samples of the classes seen so far: select
+an expert per row (``_select``, which solves the router lazily for ridge
+routing), ensemble-predict, and record the anytime accuracy and/or one row of
+the session accuracy matrix; after the stream, run the final inference,
+routing-accuracy comparisons, and the representation-similarity probe.
 
 Everything stochastic is keyed by (seed, purpose tag, counters), never by a
 shared sequential generator, so a checkpoint is just arrays and counters and
@@ -34,15 +35,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic_router import accumulate, grow, new_router_state, solve
+from .analytic_router import accumulate, grow, new_router_state, route, solve
 from .baselines import (BASELINE_KINDS, baseline_fit_update, baseline_route,
-                        new_baseline)
-from .ensemble import (AGGREGATIONS, ROUTING_MODES, EnsembleConfig,
-                       full_inference)
+                        new_baseline, oracle_route)
+from .ensemble import AGGREGATIONS, EnsembleConfig, full_inference
 from .errors import ConfigError, ShapeError, check_shape
 from .expansion import ExpandedBatch, RandomExpansion
-from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, LogitMask,
-                      build_mask, train_step)
+from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
+                      train_step)
 from .metrics import (MetricsLedger, a_auc, a_avg, a_last, accuracy, bwt,
                       f_last, linear_cka, routing_accuracy, session_row)
 from .stream import StreamConfig, StreamCursor, build_stream
@@ -59,6 +59,9 @@ CHECKPOINT_VERSION = 1
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+ROUTING_MODES = ("ridge", "latest", "oracle", *BASELINE_KINDS)
+
 
 @dataclass
 class RunConfig:
@@ -214,8 +217,7 @@ class SeedRunState:
         self.ledger = MetricsLedger(config.stream.sessions)
         self.seen: set[int] = set()
         self.batch_index = 0
-        total = sum(len(ids) for ids in self.source.class_ids().values())
-        self.streamed = np.zeros(total, dtype=bool)
+        self.streamed = np.zeros(len(self.source.labels), dtype=bool)
         self.predictions_log: list[dict] = []
 
         # fixed evaluation pools
@@ -244,31 +246,52 @@ def _grow_routers(state: SeedRunState, experts: int) -> None:
             baseline.register_expert()
 
 
-def _seen_mask(state: SeedRunState) -> LogitMask:
-    values = np.full(state.source.num_classes, -1e30)
-    values[sorted(state.seen)] = 0.0
-    return LogitMask(values, "seen_class")
-
-
 def _eval_pool(state: SeedRunState, classes) -> np.ndarray:
     wanted = np.isin(state.holdout_y, sorted(classes))
     return np.nonzero(wanted)[0]
 
 
+def _ridge(state: SeedRunState, X: np.ndarray) -> np.ndarray:
+    """The analytic router's expert per row: solve first, then expand."""
+    solve(state.router)
+    return route(state.expansion(X), state.router)[1]
+
+
+def _select(state: SeedRunState, X: np.ndarray, y: np.ndarray,
+            routing: str) -> np.ndarray:
+    """One expert per held-out row.
+
+    ``latest`` — the current expert; a baseline kind — that baseline's
+    choice; ``ridge`` — the solved analytic router; ``oracle`` — the
+    lowest-id expert that trained the row's label, the ridge choice for
+    labels no expert trained.
+    """
+    if routing == "latest":
+        return np.full(len(X), state.pool.current, dtype=np.int64)
+    if routing in BASELINE_KINDS:
+        return baseline_route(state.baselines[routing], state.expansion(X))
+    if routing == "ridge":
+        return _ridge(state, X)
+    if routing != "oracle":
+        raise ValueError(
+            f"unknown routing mode {routing!r}; choose from {ROUTING_MODES}")
+    picks = [oracle_route(int(label), state.pool.trained_classes)
+             for label in y]
+    if None in picks:
+        ridge = _ridge(state, X)
+        picks = [ridge[i] if e is None else e for i, e in enumerate(picks)]
+    return np.array(picks, dtype=np.int64)
+
+
 def _infer(state: SeedRunState, rows: np.ndarray, routing: str):
     """Inference on holdout rows with the seen-class mask."""
-    config = state.config
     X = state.holdout_X[rows]
     y = state.holdout_y[rows]
-    mask = _seen_mask(state)
-    if routing in ("ridge", "oracle"):
-        solve(state.router)
-    return full_inference(
-        X, state.expansion, state.router, state.pool, mask,
-        EnsembleConfig(config.aggregation), routing=routing, true_labels=y,
-        history=state.pool.trained_classes,
-        baseline=state.baselines.get(routing),
-    ), y
+    selections = _select(state, X, y, routing)
+    mask = build_mask(state.seen, state.seen, "seen_class",
+                      state.source.num_classes)
+    return full_inference(X, selections, state.pool, mask,
+                          EnsembleConfig(state.config.aggregation)), y
 
 
 def _log_predictions(state: SeedRunState, phase: str, step, rows, y, result):
@@ -321,19 +344,19 @@ def run_batch(state: SeedRunState, batch) -> None:
 
     state.batch_index += 1
 
-    if state.batch_index % config.stream.eval_interval == 0:
-        rows = _eval_pool(state, state.seen)
-        result, y_eval = _infer(state, rows, config.routing)
-        acc = accuracy(result.predictions, y_eval)
-        state.ledger.record_anytime(acc)
+    anytime = state.batch_index % config.stream.eval_interval == 0
+    last = state.session_last_batch[session] == state.batch_index - 1
+    session_end = config.eval_session_matrix and last
+    if not (anytime or session_end):
+        return
+    rows = _eval_pool(state, state.seen)
+    result, y_eval = _infer(state, rows, config.routing)
+    if anytime:
+        state.ledger.record_anytime(accuracy(result.predictions, y_eval))
         _log_predictions(state, "anytime",
                          state.batch_index // config.stream.eval_interval,
                          rows, y_eval, result)
-
-    if (config.eval_session_matrix
-            and state.session_last_batch[session] == state.batch_index - 1):
-        rows = _eval_pool(state, state.seen)
-        result, y_eval = _infer(state, rows, config.routing)
+    if session_end:
         state.ledger.record_session_row(session, session_row(
             result.predictions, y_eval,
             state.schedule.session_classes[:session + 1]))
@@ -372,7 +395,9 @@ def finish_seed(state: SeedRunState) -> dict:
                                               y_eval)
         metrics["oracle_routing_accuracy"] = routing_accuracy(
             oracle_result.selections, y_eval, state.pool.trained_classes)
-        metrics["oracle_fallbacks"] = float(oracle_result.oracle_fallbacks)
+        metrics["oracle_fallbacks"] = float(sum(
+            oracle_route(int(label), state.pool.trained_classes) is None
+            for label in y_eval))
         if config.eval_session_matrix:
             metrics["oracle_a_last"] = float(np.mean(session_row(
                 oracle_result.predictions, y_eval,
@@ -382,8 +407,7 @@ def finish_seed(state: SeedRunState) -> dict:
     X = state.holdout_X[rows]
     phi = state.expansion(X) if state.baselines else None
     for kind in sorted(state.baselines):
-        selections = baseline_route(state.baselines[kind], X,
-                                    state.expansion, phi=phi)
+        selections = baseline_route(state.baselines[kind], phi)
         metrics[f"routing_accuracy_{kind}"] = routing_accuracy(
             selections, y_eval, state.pool.trained_classes)
 
@@ -494,8 +518,11 @@ def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
 
     entries = {**meta, **arrays}
     for prefix, component in _components(state):
-        component.load({k[len(prefix):]: v for k, v in entries.items()
-                        if k.startswith(prefix)})
+        try:
+            component.load({k[len(prefix):]: v for k, v in entries.items()
+                            if k.startswith(prefix)})
+        except (KeyError, ShapeError) as err:  # name the full entry
+            raise type(err)(f"{prefix}{err.args[0]}") from err
         # the pool loads first and sizes the routers before they load
         _grow_routers(state, state.pool.num_experts)
     return state

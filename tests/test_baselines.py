@@ -10,17 +10,9 @@ from gclstream.baselines import (
     baseline_route, new_baseline, oracle_route, _sq_dists,
 )
 from gclstream.errors import NotSolvedError, ShapeError
-from gclstream.expansion import ExpandedBatch, RandomExpansion
+from gclstream.expansion import ExpandedBatch
 
 from oracles import lloyd_ref, two_pass_moments
-
-
-def _identity_expansion(M):
-    exp = RandomExpansion(M, M, seed=0, activation="identity")
-    eye = np.eye(M)
-    eye.setflags(write=False)
-    exp._weights = eye
-    return exp
 
 
 def _feed(router, rows, expert, chunk=3):
@@ -64,31 +56,28 @@ class TestStreamingMoments:
 class TestPrototypeRouting:
     def test_two_separated_clusters_route_cleanly(self):
         rng = np.random.default_rng(1)
-        exp = _identity_expansion(2)
         router = PrototypeRouter(2, num_experts=2)
         a = rng.standard_normal((40, 2)) * 1e-3 + np.array([4.0, 0.0])
         b = rng.standard_normal((40, 2)) * 1e-3 + np.array([-4.0, 0.0])
         _feed(router, a, 0)
         _feed(router, b, 1)
-        picks = baseline_route(router, np.vstack([a[:5], b[:5]]), exp)
+        picks = baseline_route(router, np.vstack([a[:5], b[:5]]))
         np.testing.assert_array_equal(picks, [0] * 5 + [1] * 5)
 
     def test_unfed_expert_is_never_selected(self):
-        exp = _identity_expansion(2)
         router = PrototypeRouter(2, num_experts=2)
         _feed(router, np.array([[1.0, 0.0]]), 0)
-        picks = baseline_route(router, np.array([[0.0, 1.0]]), exp)
+        picks = baseline_route(router, np.array([[0.0, 1.0]]))
         assert picks[0] == 0
 
     def test_cosine_ignores_magnitude_euclidean_does_not(self):
         """A probe aligned with a far-away prototype: cosine follows the
         direction, where the nearest mean would follow the distance."""
-        exp = _identity_expansion(2)
         router = PrototypeRouter(2, num_experts=2)
         _feed(router, np.array([[100.0, 0.0]]), 0)
         _feed(router, np.array([[0.0, 1.0]]), 1)
         probe = np.array([[3.0, 0.0]])
-        assert baseline_route(router, probe, exp)[0] == 0
+        assert baseline_route(router, probe)[0] == 0
         assert np.argmin(_sq_dists(probe, router.means)[0]) == 1
 
 
@@ -96,18 +85,16 @@ class TestNaiveBayes:
     def test_variance_aware_routing_beats_mean_distance(self):
         """A broad cluster explains a far point better than a pinpoint one
         even when the pinpoint mean is slightly closer."""
-        exp = _identity_expansion(1)
         router = NaiveBayesRouter(1, num_experts=2)
         _feed(router, np.array([[0.9], [1.1]]), 0)      # tight around 1
         _feed(router, np.array([[-4.0], [8.0]]), 1)     # broad around 2
-        picks = baseline_route(router, np.array([[3.0]]), exp)
+        picks = baseline_route(router, np.array([[3.0]]))
         assert picks[0] == 1
 
     def test_smoothing_keeps_degenerate_variances_finite(self):
-        exp = _identity_expansion(2)
         router = NaiveBayesRouter(2, num_experts=1)
         _feed(router, np.array([[1.0, 2.0], [1.0, 2.0]]), 0)  # zero variance
-        picks = baseline_route(router, np.array([[1.0, 2.0]]), exp)
+        picks = baseline_route(router, np.array([[1.0, 2.0]]))
         assert picks[0] == 0
 
 
@@ -130,13 +117,12 @@ class TestKmeans:
     def test_route_with_no_rows_raises(self):
         router = KMeansRouter(2, seed=0, num_experts=2)
         with pytest.raises(NotSolvedError):
-            baseline_route(router, np.ones((1, 2)), _identity_expansion(2))
+            baseline_route(router, np.ones((1, 2)))
 
     def test_baseline_route_fits_lazily(self, monkeypatch):
         """The entry point finalizes first, and refits only after the
         reservoirs change."""
         rng = np.random.default_rng(7)
-        exp = _identity_expansion(2)
         lazy = KMeansRouter(2, seed=0, num_experts=2, K=3)
         eager = KMeansRouter(2, seed=0, num_experts=2, K=3)
         a = rng.standard_normal((30, 2)) + 3.0
@@ -146,15 +132,14 @@ class TestKmeans:
             _feed(router, b, 1)
         baseline_finalize(eager)
         probe = rng.standard_normal((10, 2)) * 3.0
-        np.testing.assert_array_equal(baseline_route(lazy, probe, exp),
+        np.testing.assert_array_equal(baseline_route(lazy, probe),
                                       eager.route(probe))
         np.testing.assert_array_equal(lazy.centroids, eager.centroids)
         calls = _count_distance_passes(monkeypatch)
-        baseline_route(lazy, probe, exp)
+        baseline_route(lazy, probe)
         assert calls == [len(probe)]
 
     def test_single_centroid_reduces_to_the_mean(self):
-        exp = _identity_expansion(2)
         router = KMeansRouter(2, seed=0, num_experts=1, K=1)
         rows = np.array([[1.0, 0.0], [3.0, 0.0], [5.0, 0.0]])
         _feed(router, rows, 0)
@@ -163,14 +148,13 @@ class TestKmeans:
 
     def test_two_cluster_routing(self):
         rng = np.random.default_rng(2)
-        exp = _identity_expansion(2)
         router = KMeansRouter(2, seed=0, num_experts=2, K=3)
         a = rng.standard_normal((60, 2)) * 0.1 + np.array([4.0, 0.0])
         b = rng.standard_normal((60, 2)) * 0.1 + np.array([-4.0, 0.0])
         _feed(router, a, 0)
         _feed(router, b, 1)
         baseline_finalize(router)
-        picks = baseline_route(router, np.vstack([a[:4], b[:4]]), exp)
+        picks = baseline_route(router, np.vstack([a[:4], b[:4]]))
         np.testing.assert_array_equal(picks, [0] * 4 + [1] * 4)
 
     def test_reservoir_capacity_and_determinism(self):
@@ -202,12 +186,11 @@ class TestKmeans:
         assert 0.35 < fraction < 0.65
 
     def test_fewer_rows_than_k_still_finalizes(self):
-        exp = _identity_expansion(2)
         router = KMeansRouter(2, seed=0, num_experts=1, K=10)
         _feed(router, np.array([[1.0, 0.0], [2.0, 0.0]]), 0)
         baseline_finalize(router)
         assert router.centroids.shape[0] == 2
-        picks = baseline_route(router, np.array([[1.5, 0.0]]), exp)
+        picks = baseline_route(router, np.array([[1.5, 0.0]]))
         assert picks[0] == 0
 
 
@@ -330,7 +313,6 @@ class TestLloydFixedPoint:
 class TestTrainedShallow:
     def test_learns_two_separated_clusters(self):
         rng = np.random.default_rng(4)
-        exp = _identity_expansion(2)
         router = ShallowRouter(2, seed=1, num_experts=2,
                                 hidden=32, lr=0.05, iters=2)
         a = rng.standard_normal((50, 2)) * 0.2 + np.array([3.0, 0.0])
@@ -338,7 +320,7 @@ class TestTrainedShallow:
         for i in range(50):
             _feed(router, a[i], 0, chunk=1)
             _feed(router, b[i], 1, chunk=1)
-        picks = baseline_route(router, np.vstack([a[:6], b[:6]]), exp)
+        picks = baseline_route(router, np.vstack([a[:6], b[:6]]))
         np.testing.assert_array_equal(picks, [0] * 6 + [1] * 6)
 
     def test_hidden_layer_init_is_seed_keyed(self):
@@ -412,8 +394,7 @@ class TestLifecycle:
             saved = copy.state()
             for key, value in router.state().items():
                 np.testing.assert_array_equal(saved[key], value)
-            exp = _identity_expansion(3)
             probe = rng.standard_normal((10, 3))
             np.testing.assert_array_equal(
-                baseline_route(router, probe, exp),
-                baseline_route(copy, probe, exp))
+                baseline_route(router, probe),
+                baseline_route(copy, probe))

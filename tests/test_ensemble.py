@@ -1,9 +1,12 @@
-"""Head-bank aggregation rules and routed whole-pool inference."""
+"""Head-bank aggregation rules and whole-pool inference over given
+selections."""
 
 import numpy as np
 import pytest
 
-from gclstream.analytic_router import accumulate, new_router_state, solve
+from gclstream.analytic_router import (
+    accumulate, new_router_state, route, solve,
+)
 from gclstream.ensemble import (
     AGGREGATIONS, EnsembleConfig, ensemble_predict, full_inference,
 )
@@ -145,54 +148,8 @@ def _two_expert_pool(rng, d=2, C=4):
 class TestFullInference:
     def setup_method(self):
         self.rng = np.random.default_rng(42)
-        self.pool = _two_expert_pool(self.rng)
-        self.expansion = RandomExpansion(2, 16, seed=7)
-        self.router = new_router_state(16, 1.0, num_experts=2)
-        self.X0 = self.rng.standard_normal((20, 2)) + np.array([4.0, 0.0])
-        self.X1 = self.rng.standard_normal((20, 2)) + np.array([-4.0, 0.0])
-        accumulate(self.router, ExpandedBatch(self.expansion(self.X0), 0))
-        accumulate(self.router, ExpandedBatch(self.expansion(self.X1), 1))
-        solve(self.router)
         self.mask = _open_mask(4)
         self.config = EnsembleConfig("softmax_max")
-
-    def test_ridge_routing_separates_the_clusters(self):
-        result = full_inference(np.vstack([self.X0[:5], self.X1[:5]]),
-                                self.expansion, self.router, self.pool,
-                                self.mask, self.config)
-        np.testing.assert_array_equal(result.selections,
-                                      [0] * 5 + [1] * 5)
-        assert result.routing_scores.shape == (10, 2)
-
-    def test_latest_routing_ignores_the_router(self):
-        result = full_inference(self.X0[:6], self.expansion, self.router,
-                                self.pool, self.mask, self.config,
-                                routing="latest")
-        np.testing.assert_array_equal(result.selections, [1] * 6)
-        assert result.routing_scores is None
-
-    def test_oracle_routing_uses_history_and_counts_fallbacks(self):
-        X = np.vstack([self.X0[:2], self.X1[:1]])
-        labels = np.array([0, 3, 0])
-        history = [{0, 1}, {2, 3}]
-        result = full_inference(X, self.expansion, self.router, self.pool,
-                                self.mask, self.config, routing="oracle",
-                                true_labels=labels, history=history)
-        np.testing.assert_array_equal(result.selections[:2], [0, 1])
-        assert result.oracle_fallbacks == 0
-        # a label nobody trained falls back to the ridge selection
-        result = full_inference(X, self.expansion, self.router, self.pool,
-                                self.mask, self.config, routing="oracle",
-                                true_labels=np.array([0, 3, 9]),
-                                history=history)
-        assert result.oracle_fallbacks == 1
-        assert result.selections[2] == 1  # ridge routes the X1 row to 1
-
-    def test_oracle_routing_requires_labels_and_history(self):
-        with pytest.raises(ValueError):
-            full_inference(self.X0[:2], self.expansion, self.router,
-                           self.pool, self.mask, self.config,
-                           routing="oracle")
 
     def test_single_expert_is_a_plain_linear_classifier(self):
         """With one expert and no bank the whole pipeline collapses to
@@ -202,29 +159,38 @@ class TestFullInference:
         pool.spawn()
         pool.online.weights[:] = rng.standard_normal((4, 2))
         X = rng.standard_normal((12, 2))
-        result = full_inference(X, self.expansion, self.router, pool,
-                                self.mask, self.config, routing="latest")
+        result = full_inference(X, np.zeros(12, dtype=np.int64), pool,
+                                self.mask, self.config)
         direct = pool.online.logits(pool.adapters[0].adapted(X))
         np.testing.assert_array_equal(result.predictions,
                                       np.argmax(direct, axis=1))
 
-    def test_unknown_routing_mode_raises(self):
-        with pytest.raises(ValueError):
-            full_inference(self.X0[:2], self.expansion, self.router,
-                           self.pool, self.mask, self.config,
-                           routing="roulette")
+    def test_each_row_is_predicted_by_its_selected_expert(self):
+        pool = _two_expert_pool(self.rng)
+        X = self.rng.standard_normal((6, 2))
+        selections = np.array([1, 0, 1, 1, 0, 0])
+        result = full_inference(X, selections, pool, self.mask, self.config)
+        np.testing.assert_array_equal(result.selections, selections)
+        for e in (0, 1):
+            rows = selections == e
+            scores, predictions = ensemble_predict(
+                X[rows], pool.adapters[e], pool.banks[e], pool.online,
+                self.mask, self.config)
+            np.testing.assert_array_equal(result.scores[rows], scores)
+            np.testing.assert_array_equal(result.predictions[rows],
+                                          predictions)
+
+    def test_selections_must_cover_every_row(self):
+        pool = _two_expert_pool(self.rng)
+        with pytest.raises(ShapeError):
+            full_inference(np.zeros((3, 2)), np.zeros(2, dtype=np.int64),
+                           pool, self.mask, self.config)
 
     def test_empty_pool_raises(self):
         empty = ExpertPool(d=2, num_classes=4, decays=(), rng=self.rng)
         with pytest.raises(ValueError):
-            full_inference(self.X0[:2], self.expansion, self.router, empty,
-                           self.mask, self.config)
-
-    def test_baseline_routing_requires_a_fitted_baseline(self):
-        with pytest.raises(ValueError):
-            full_inference(self.X0[:2], self.expansion, self.router,
-                           self.pool, self.mask, self.config,
-                           routing="prototype")
+            full_inference(np.zeros((2, 2)), np.zeros(2, dtype=np.int64),
+                           empty, self.mask, self.config)
 
 
 class TestGoldenMiniPipeline:
@@ -257,7 +223,8 @@ class TestGoldenMiniPipeline:
                        ExpandedBatch(expansion(pool.adapters[-1].adapted(X)),
                                      e))
         solve(router)
-        return full_inference(probe, expansion, router, pool,
+        _, selections = route(expansion(probe), router)
+        return full_inference(probe, selections, pool,
                               LogitMask(np.zeros(2), "none"),
                               EnsembleConfig("softmax_max"))
 

@@ -4,20 +4,25 @@ import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gclstream.baselines import BASELINE_KINDS
-from gclstream.ensemble import ROUTING_MODES
+import gclstream.harness as harness
+from gclstream.analytic_router import accumulate, new_router_state
+from gclstream.baselines import (BASELINE_KINDS, baseline_fit_update,
+                                 baseline_route, new_baseline)
 from gclstream.errors import ConfigError
-from gclstream.experts import MASK_KINDS, SPAWN_POLICIES
+from gclstream.expansion import ExpandedBatch, RandomExpansion
+from gclstream.experts import MASK_KINDS, SPAWN_POLICIES, ExpertPool
 from gclstream.harness import (
-    ABLATION_AXES, ABLATIONS, SeedRunState, ablate, apply_overrides,
-    checkpoint, config_from_dict, config_hash, config_to_dict, desk_config,
-    resume, run, run_batch, run_seed, _component_cells,
+    ABLATION_AXES, ABLATIONS, ROUTING_MODES, SeedRunState, ablate,
+    apply_overrides, checkpoint, config_from_dict, config_hash,
+    config_to_dict, desk_config, resume, run, run_batch, run_seed,
+    _component_cells, _select,
 )
 
 from oracles import accuracy_ref, routing_accuracy_ref, session_metrics_ref
@@ -233,6 +238,80 @@ class TestSeedRuns:
         assert metrics["oracle_routing_accuracy"] >= \
             metrics["routing_accuracy"] - 1e-12
 
+    def test_eval_batch_that_ends_a_session_infers_once(self, monkeypatch):
+        """An anytime point that is also its session's last batch feeds one
+        inference to both the anytime record and the session row."""
+        config = _fast(stream={"eval_interval": 1})
+        state = SeedRunState(config, 1)
+        cursor = state.cursor
+        for _ in range(state.session_last_batch[0]):
+            run_batch(state, cursor.next_batch())
+        calls = []
+        infer = harness.full_inference
+        monkeypatch.setattr(harness, "full_inference",
+                            lambda *a: calls.append(1) or infer(*a))
+        run_batch(state, cursor.next_batch())
+        assert len(calls) == 1
+        anytime, session = state.predictions_log[-2:]
+        assert (anytime["phase"], session["phase"]) == ("anytime", "session")
+        assert anytime["predictions"] == session["predictions"]
+        assert not np.isnan(state.ledger.session_matrix[0, 0])
+
+
+class TestSelect:
+    """Expert selection per routing mode: two experts trained on classes
+    {0, 1} and {2, 3}, whose rows sit in two separated clusters."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(42)
+        pool = ExpertPool(d=2, num_classes=4, decays=(0.9,), rng=rng)
+        for classes in ([0, 1], [2, 3]):
+            pool.spawn()
+            pool.observe(classes)
+        expansion = RandomExpansion(2, 16, seed=7)
+        router = new_router_state(16, 1.0, num_experts=2)
+        prototype = new_baseline("prototype", 16, num_experts=2)
+        self.X0 = rng.standard_normal((20, 2)) + np.array([4.0, 0.0])
+        self.X1 = rng.standard_normal((20, 2)) + np.array([-4.0, 0.0])
+        for e, X in enumerate((self.X0, self.X1)):
+            batch = ExpandedBatch(expansion(X), e)
+            accumulate(router, batch)
+            baseline_fit_update(prototype, batch)
+        self.state = SimpleNamespace(pool=pool, expansion=expansion,
+                                     router=router,
+                                     baselines={"prototype": prototype})
+        self.X = np.vstack([self.X0[:5], self.X1[:5]])
+
+    def test_ridge_separates_the_clusters(self):
+        picks = _select(self.state, self.X, np.zeros(10, int), "ridge")
+        np.testing.assert_array_equal(picks, [0] * 5 + [1] * 5)
+        assert self.state.router.solved is not None  # solved on demand
+
+    def test_latest_ignores_the_router(self):
+        picks = _select(self.state, self.X0[:6], np.zeros(6, int), "latest")
+        np.testing.assert_array_equal(picks, [1] * 6)
+        assert self.state.router.solved is None
+
+    def test_oracle_uses_history_and_falls_back_to_ridge(self):
+        X = np.vstack([self.X0[:2], self.X1[:1]])
+        picks = _select(self.state, X, np.array([0, 3, 0]), "oracle")
+        np.testing.assert_array_equal(picks, [0, 1, 0])
+        assert self.state.router.solved is None  # no fallback, no solve
+        # a label nobody trained falls back to the ridge selection
+        picks = _select(self.state, X, np.array([0, 3, 9]), "oracle")
+        np.testing.assert_array_equal(picks[:2], [0, 1])
+        assert picks[2] == 1  # ridge routes the X1 row to 1
+
+    def test_a_baseline_kind_routes_by_that_baseline(self):
+        picks = _select(self.state, self.X, np.zeros(10, int), "prototype")
+        np.testing.assert_array_equal(picks, [0] * 5 + [1] * 5)
+        np.testing.assert_array_equal(picks, baseline_route(
+            self.state.baselines["prototype"], self.state.expansion(self.X)))
+
+    def test_unknown_routing_mode_raises(self):
+        with pytest.raises(ValueError):
+            _select(self.state, self.X, np.zeros(10, int), "roulette")
+
 
 class TestCheckpointResume:
     def test_immediate_checkpoint_equals_fresh_run(self, tmp_path):
@@ -330,7 +409,7 @@ class TestCheckpointResume:
             arrays = {k: np.array(v) for k, v in data.items() if k != key}
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=key):
             resume(path, config)
 
 
@@ -350,21 +429,25 @@ def _shrink_cols(key, cols):
 
 # Each edit leaves a checkpoint that still reads and hash-matches but whose
 # shapes do not fit the config below: M=64, d=8, 6 classes, 3 sessions and,
-# at batch 7, two experts.
+# at batch 7, two experts.  Each case names the entry the refusal must name.
 TAMPERED = {
-    "gram_32x32": lambda meta, arrays: arrays.update(
-        gram=np.zeros((32, 32))),
-    "proto_10_rows": lambda meta, arrays: arrays.update(
-        proto=arrays["proto"][:10]),
-    "online_w_d3": _shrink_cols("online_w", 3),
-    "adapter_scale_d3": _shrink_cols("adapter_scale", 3),
-    "session_matrix_2x2": lambda meta, arrays: arrays.update(
-        session_matrix=arrays["session_matrix"][:2, :2]),
-    "prototype_means_width_7": _shrink_cols("baseline_prototype_means", 7),
-    "prototype_one_expert_short": lambda meta, arrays: arrays.update(
-        {key: arrays[key][:-1] for key in ("baseline_prototype_counts",
-                                           "baseline_prototype_means")}),
-    "streamed_len_5": lambda meta, arrays: meta.update(streamed_len=5),
+    "gram_32x32": ("gram", lambda meta, arrays: arrays.update(
+        gram=np.zeros((32, 32)))),
+    "proto_10_rows": ("proto", lambda meta, arrays: arrays.update(
+        proto=arrays["proto"][:10])),
+    "online_w_d3": ("online_w", _shrink_cols("online_w", 3)),
+    "adapter_scale_d3": ("adapter_scale", _shrink_cols("adapter_scale", 3)),
+    "session_matrix_2x2": ("session_matrix", lambda meta, arrays:
+                           arrays.update(session_matrix=arrays[
+                               "session_matrix"][:2, :2])),
+    "prototype_means_width_7": ("baseline_prototype_means", _shrink_cols(
+        "baseline_prototype_means", 7)),
+    "prototype_one_expert_short": (
+        "baseline_prototype_counts", lambda meta, arrays: arrays.update(
+            {key: arrays[key][:-1] for key in ("baseline_prototype_counts",
+                                               "baseline_prototype_means")})),
+    "streamed_len_5": ("streamed_len",
+                       lambda meta, arrays: meta.update(streamed_len=5)),
 }
 
 
@@ -376,10 +459,11 @@ def test_checkpoint_that_does_not_fit_the_config_is_refused(tmp_path, case):
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         arrays = {k: np.array(v) for k, v in data.items() if k != "meta"}
-    TAMPERED[case](meta, arrays)
+    entry, edit = TAMPERED[case]
+    edit(meta, arrays)
     with open(path, "wb") as fh:
         np.savez(fh, meta=json.dumps(meta), **arrays)
-    with pytest.raises(ConfigError, match="ck.npz"):
+    with pytest.raises(ConfigError, match=rf"ck\.npz: .*\b{entry}\b"):
         resume(path, config)
 
 

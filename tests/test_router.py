@@ -196,18 +196,16 @@ class TestSolve:
 
 class TestRoute:
     def test_requires_solved_state(self):
-        exp = RandomExpansion(3, 8, seed=0)
         state = new_router_state(8, 1.0)
         accumulate(state, ExpandedBatch(np.ones((1, 8)), 0))
         with pytest.raises(NotSolvedError):
-            route(np.ones((1, 3)), exp, state)
+            route(np.ones((1, 8)), state)
 
     def test_tie_breaks_to_lowest_id(self):
-        exp = RandomExpansion(2, 2, seed=0)
-        exp._weights = np.eye(2)
+        state = new_router_state(2, 1.0, num_experts=3)
         # U maps phi to scores [0.2, 0.9, 0.9]: experts 1 and 2 tie.
-        U = np.array([[0.2, 0.0], [0.9, 0.0], [0.9, 0.0]])
-        scores, picks = route(np.array([[1.0, 0.0]]), exp, U)
+        state.solved = np.array([[0.2, 0.0], [0.9, 0.0], [0.9, 0.0]])
+        scores, picks = route(np.array([[1.0, 0.0]]), state)
         np.testing.assert_allclose(scores, [[0.2, 0.9, 0.9]])
         assert picks[0] == 1
 
@@ -217,13 +215,14 @@ class TestRoute:
         state = new_router_state(8, 1.0, num_experts=1)
         accumulate(state, ExpandedBatch(rng.standard_normal((10, 8)), 0))
         solve(state)
-        _, picks = route(rng.standard_normal((6, 3)), exp, state)
+        _, picks = route(exp(rng.standard_normal((6, 3))), state)
         np.testing.assert_array_equal(picks, np.zeros(6, dtype=np.int64))
 
     def test_width_mismatch_raises(self):
-        exp = RandomExpansion(3, 8, seed=1)
+        state = new_router_state(8, 1.0, num_experts=2)
+        solve(state)
         with pytest.raises(ShapeError):
-            route(np.ones((1, 3)), exp, np.zeros((2, 9)))
+            route(np.ones((1, 9)), state)
 
 
 class TestGrow:

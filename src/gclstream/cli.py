@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -199,6 +200,10 @@ def main(argv=None) -> int:
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("gclstream").info(
+            "BLAS: %s", " ".join(
+                f"{name}={os.environ.get(name, 'unset')}" for name in
+                ("OPENBLAS_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")))
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -404,12 +404,15 @@ def finish_seed(state: SeedRunState) -> dict:
                 state.schedule.session_classes)))
         _log_predictions(state, "oracle", None, rows, y_eval, oracle_result)
 
-    X = state.holdout_X[rows]
-    phi = state.expansion(X) if state.baselines else None
+    others = set(state.baselines) - {config.routing}
+    phi = state.expansion(state.holdout_X[rows]) if others else None
     for kind in sorted(state.baselines):
-        selections = baseline_route(state.baselines[kind], phi)
+        if kind == config.routing:  # it chose the final selections above
+            metrics[f"routing_accuracy_{kind}"] = metrics["routing_accuracy"]
+            continue
         metrics[f"routing_accuracy_{kind}"] = routing_accuracy(
-            selections, y_eval, state.pool.trained_classes)
+            baseline_route(state.baselines[kind], phi), y_eval,
+            state.pool.trained_classes)
 
     if state.pool.num_experts > 1 and config.cka_probe > 0:
         probe_rng = np.random.default_rng(

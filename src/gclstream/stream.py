@@ -19,6 +19,7 @@ never enter the stream and feed all evaluations.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,11 +112,11 @@ def load_feature_file(path) -> FeatureSource:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if not raw.strip():
+    if not raw or raw.isspace():
         raise ConfigError(f"{path}: empty feature file")
-    offset = 0
-    lines = raw.split(b"\n")
-    header = lines[0].decode("ascii", errors="replace").strip()
+    newline = raw.find(b"\n")
+    body = len(raw) + 1 if newline < 0 else newline + 1
+    header = raw[:body - 1].decode("ascii", errors="replace").strip()
     parts = header.split()
     keys = [p.split("=", 1) for p in parts if "=" in p]
     fields = {k: v for k, v in keys}
@@ -128,13 +129,59 @@ def load_feature_file(path) -> FeatureSource:
             f"{path}: malformed header at byte 0: {header!r} "
             f"(expected 'd=<int> classes=<int> rows=<int>')"
         )
-    offset = len(lines[0]) + 1
+    labels, X, offsets = (_parse_rows(raw, body, d, num_classes, rows)
+                          or _walk_rows(path, raw, body, d, num_classes, rows))
+    if not np.isfinite(X).all():
+        bad = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ConfigError(f"{path}: non-finite value in row {bad} at byte "
+                          f"{offsets[bad]}")
+    return FeatureSource(d, num_classes, labels, X)
 
+
+def _parse_rows(raw: bytes, start: int, d: int, num_classes: int, rows: int):
+    """The body in one numpy pass: (labels, X, line offsets), or None
+    unless it is exactly ``rows`` lines of a digit label below
+    ``num_classes`` and ``d`` values.  The line walk reads anything else
+    and names the byte offset of a bad line."""
+    end = len(raw)
+    while end > start and raw[end - 1] == ord("\n"):
+        end -= 1
+    if d < 1 or end <= start:
+        return None
+    breaks = np.flatnonzero(
+        np.frombuffer(raw, np.uint8, end - start, start) == ord("\n"))
+    if len(breaks) != rows - 1:
+        return None
+    starts = np.concatenate(([start], start + breaks + 1))
+    for s, e in zip(starts.tolist(), [*(start + breaks).tolist(), end]):
+        comma = raw.find(b",", s, e)
+        if raw.count(b",", s, e) != d or not raw[s:comma].isdigit():
+            return None
+    with warnings.catch_warnings():
+        # numpy < 2.3 warns, instead of raising, on a cell it cannot parse
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            cells = np.fromstring(raw[start:end].replace(b"\n", b","),
+                                  sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if cells.size != rows * (d + 1):
+        return None
+    table = cells.reshape(rows, d + 1)
+    if not (table[:, 0] < num_classes).all():
+        return None
+    return (table[:, 0].astype(np.int64), np.ascontiguousarray(table[:, 1:]),
+            starts)
+
+
+def _walk_rows(path, raw: bytes, offset: int, d: int, num_classes: int,
+               rows: int):
+    """The body line by line, refusing the first bad line by byte offset."""
     labels = np.empty(rows, dtype=np.int64)
     X = np.empty((rows, d), dtype=np.float64)
     offsets = np.empty(rows, dtype=np.int64)
     row = 0
-    for line in lines[1:]:
+    for line in raw[offset:].split(b"\n"):
         text = line.decode("ascii", errors="replace").strip()
         if not text:
             offset += len(line) + 1
@@ -163,11 +210,7 @@ def load_feature_file(path) -> FeatureSource:
         offset += len(line) + 1
     if row != rows:
         raise ConfigError(f"{path}: found {row} rows, header declared {rows}")
-    if not np.isfinite(X).all():
-        bad = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise ConfigError(f"{path}: non-finite value in row {bad} at byte "
-                          f"{offsets[bad]}")
-    return FeatureSource(d, num_classes, labels, X)
+    return labels, X, offsets
 
 
 def write_feature_file(path, source) -> None:

@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, overrides, and exit codes."""
 
 import json
+import logging
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import gclstream
 from gclstream.cli import main
 from gclstream.stream import load_feature_file
 
@@ -60,6 +64,62 @@ class TestRunCommand:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "outputs:" in proc.stdout
+
+
+class TestBlasSettings:
+    """The engine's BLAS spin-wait default, checked in fresh interpreters
+    because OpenBLAS reads it only when numpy loads."""
+
+    @staticmethod
+    def _env(timeout):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_THREAD_TIMEOUT"}
+        if timeout is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+        src = str(Path(gclstream.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [env.get("PYTHONPATH")])])
+        return env
+
+    @pytest.mark.parametrize("given, kept", [(None, "22"), ("7", "7")])
+    def test_import_sets_the_default_and_keeps_a_given_value(self, given,
+                                                             kept):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, gclstream; "
+             "print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"],
+            capture_output=True, text=True, env=self._env(given))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == kept
+
+    def test_outputs_do_not_depend_on_the_timeout(self, tmp_path):
+        outputs = []
+        for timeout in (None, "28"):  # the engine's default, OpenBLAS's own
+            outdir = tmp_path / str(timeout)
+            proc = subprocess.run(
+                [sys.executable, "-m", "gclstream", "run", "--seeds", "1",
+                 "--outdir", str(outdir)],
+                capture_output=True, text=True, env=self._env(timeout))
+            assert proc.returncode == 0, proc.stderr
+            run_dir = next(outdir.glob("run-*"))
+            outputs.append({name: (run_dir / name).read_bytes() for name in (
+                "metrics.csv", "anytime.csv", "session_matrix.csv",
+                "predictions.jsonl")})
+        assert outputs[0] == outputs[1]
+
+    def test_verbose_logs_the_blas_settings(self, tmp_path, caplog,
+                                            monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "8")
+        caplog.set_level(logging.INFO, logger="gclstream")
+        rc = main(["-v", "gen-features", "--out",
+                   str(tmp_path / "features.csv"),
+                   "--set", "stream.num_classes=2",
+                   "--set", "stream.samples_per_class=5"])
+        assert rc == 0
+        blas = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("BLAS:")]
+        assert blas == ["BLAS: OPENBLAS_NUM_THREADS=2 "
+                        "OPENBLAS_THREAD_TIMEOUT=8"]
 
 
 class TestAblateCommand:

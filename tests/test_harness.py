@@ -164,6 +164,25 @@ class TestSeedRuns:
             assert key in metrics, key
         assert 0.0 <= metrics["routing_accuracy"] <= 1.0
 
+    @pytest.mark.parametrize("tracked, calls", [((), 1), (("prototype",), 2)])
+    def test_final_step_routes_the_routing_baseline_once(
+            self, monkeypatch, tracked, calls):
+        state = SeedRunState(_fast(routing="kmeans", track_baselines=tracked),
+                             1)
+        cursor = state.cursor
+        while (batch := cursor.next_batch()) is not None:
+            run_batch(state, batch)
+        routed = []
+
+        def counting_route(baseline, phi):
+            routed.append(baseline)
+            return baseline_route(baseline, phi)
+
+        monkeypatch.setattr(harness, "baseline_route", counting_route)
+        metrics = harness.finish_seed(state)
+        assert len(routed) == calls
+        assert metrics["routing_accuracy_kmeans"] == metrics["routing_accuracy"]
+
     def test_session_matrix_lower_triangle_is_complete(self):
         _, state = run_seed(_fast(), 1)
         R = state.ledger.session_matrix

@@ -7,6 +7,7 @@ from gclstream.errors import ConfigError
 from gclstream.stream import (
     StreamConfig, SyntheticBackbone, build_schedule, build_stream,
     load_feature_file, partition_classes, write_feature_file, StreamCursor,
+    _parse_rows, _walk_rows,
 )
 
 from oracles import expected_scatter, round_half_up_ref
@@ -258,6 +259,55 @@ class TestFeatureFile:
         schedule = build_schedule(config, source)
         sizes = [len(ids) for ids, _, _ in schedule.batches]
         assert sizes == [2, 1]
+
+    @staticmethod
+    def _both_parses(path):
+        raw = path.read_bytes()
+        header = raw.split(b"\n", 1)[0].decode()
+        fields = dict(p.split("=") for p in header.split())
+        args = (raw, len(header) + 1, int(fields["d"]),
+                int(fields["classes"]), int(fields["rows"]))
+        return _parse_rows(*args), _walk_rows(path, *args)
+
+    @pytest.mark.parametrize("extremes", [False, True])
+    def test_numpy_parse_is_bit_equal_to_the_line_walk(self, tmp_path,
+                                                       extremes):
+        path = tmp_path / "features.txt"
+        if extremes:  # subnormal, signed zero, largest finite, 17 digits
+            path.write_text(
+                "d=3 classes=12 rows=2\n"
+                "0,5e-324,-0,1.7976931348623157e+308\n"
+                "11,0.1,-2.2250738585072014e-308,123456789.12345679\n")
+        else:
+            write_feature_file(path, SyntheticBackbone(_tiny(d=16)))
+        fast, walked = self._both_parses(path)
+        assert fast is not None
+        for got, want in zip(fast, walked):  # labels, X, line offsets
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("body", [
+        "0,1.0,2.0\n\n1,3.0,4.0\n",          # blank line inside
+        "0,1.0,2.0\r\n1,3.0,4.0\r\n",       # CRLF line ends
+        " 0,1.0,2.0\n+1, 3.0 ,4.0\n",        # label the walk alone reads
+    ])
+    def test_irregular_but_valid_bodies_parse_the_same(self, tmp_path, body):
+        path = tmp_path / "odd.txt"
+        path.write_text("d=2 classes=2 rows=2\n" + body, newline="")
+        source = load_feature_file(path)
+        np.testing.assert_array_equal(source.labels, [0, 1])
+        np.testing.assert_array_equal(source.features([0, 1]),
+                                      [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_non_finite_cell_in_a_regular_body_names_the_byte_offset(
+            self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("d=2 classes=1 rows=3\n0,1.0,2.0\n"
+                        "0,3.0,nan\n0,5.0,6.0\n")
+        assert self._both_parses(path)[0] is not None
+        with pytest.raises(ConfigError) as err:
+            load_feature_file(path)
+        assert "row 1 at byte 31" in str(err.value)
 
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "empty.txt"

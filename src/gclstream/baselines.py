@@ -19,7 +19,12 @@ factors once per change of the Gram.  The iterations stop at their fixed
 point: once an assignment repeats the previous one, every later iteration
 would average the same members in the same order (an empty cluster keeps its
 centre), so the centres are bit-identical to those of the full 25
-iterations, which stay the cap for a reservoir that never settles.
+iterations, which stay the cap for a reservoir that never settles.  Each
+assignment, in Lloyd's iterations and in ``route``, comes from one GEMM
+(``_nearest``): a row whose nearest centre wins by more than the GEMM's
+rounding-error bound keeps it, and only a near or exact tie is settled by
+the exact blocked distances of ``_sq_dists``, so every assignment is the one
+those distances give, bit for bit.
 
 The oracle router is evaluation-only: given the true label it returns the
 lowest-id expert whose training data contained that label, or None if no
@@ -43,11 +48,13 @@ TAG_SHALLOW = 23
 NB_EPS = 1e-6  # variance smoothing against rectified-zero coordinates
 
 # Element budget of one block of the rows x centers x M difference tensor in
-# _sq_dists: 512 KB of float64, so each block's subtract, square and sum
-# passes stay in a 4 MB L2.  Timed on a 2-core Xeon at M=1024, 512 rows x 10
-# centers: 23.9 ms per call at 1 << 20, 11.7 ms at 1 << 16, 12.8 ms at
-# 1 << 15, 15.7 ms at 1 << 14.  The size is exact at any value: every entry
-# is one contiguous reduction over M, whichever block holds it.
+# _sq_dists, the exact path that settles the rows _nearest cannot certify
+# (and the reference it is tested against): 512 KB of float64, so each
+# block's subtract, square and sum passes stay in a 4 MB L2.  Timed on a
+# 2-core Xeon at M=1024, 512 rows x 10 centers: 23.9 ms per call at 1 << 20,
+# 11.7 ms at 1 << 16, 12.8 ms at 1 << 15, 15.7 ms at 1 << 14.  The size is
+# exact at any value: every entry is one contiguous reduction over M,
+# whichever block holds it.
 _DIST_BLOCK = 1 << 16
 
 LLOYD_MAX_ITERS = 25
@@ -159,6 +166,57 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centre: ``np.argmin(_sq_dists(x,
+    centers), axis=1)`` bit for bit, from one GEMM.
+
+    g = |x|^2 - 2 x.c + |c|^2 needs one len(x) x len(centers) GEMM where
+    ``_sq_dists`` broadcasts a difference tensor, but it rounds differently,
+    so it only proposes.  With width M and u = 2^-53, gamma_n = n u/(1 - n u)
+    bounds the relative error of an n-term dot product in any summation
+    order, with or without FMA (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1).  Let d be the exact squared distance:
+
+    - ``_sq_dists`` rounds each difference and square and sums M terms, so
+      |e - d| <= gamma_{M+2} d, and d <= (|x| + |c|)^2;
+    - g's three dot products err by at most gamma_M times |x|^2, 2|x||c| and
+      |c|^2, and its two additions round once each, so
+      |g - d| <= gamma_{M+2} (|x| + |c|)^2.
+
+    Hence |g - e| <= 2 gamma_{M+2} (|x| + |c|)^2.  ``eps`` doubles that (as
+    4 gamma_{M+8}), which covers the rounding of eps itself, of the square
+    roots and of g +- eps; its absolute term covers gradual underflow, where
+    a product may lose up to 2^-1075 outright.  Let b be the row's argmin of
+    g.  If g_b + eps_b < g_j - eps_j for every j != b, then
+    e_b <= g_b + eps_b < g_j - eps_j <= e_j, so b is the unique argmin of e.
+    Every other row -- a near or exact tie, or any NaN or inf, since a NaN
+    comparison is false -- is settled by ``_sq_dists`` and ``np.argmin``, so
+    ties still go to the lowest index.
+    """
+    M = x.shape[1]
+    nu = (M + 8) * 2.0 ** -53
+    gamma = nu / (1.0 - nu)
+    sq_x = np.einsum("ij,ij->i", x, x)
+    sq_c = np.einsum("ij,ij->i", centers, centers)
+    g = x @ centers.T
+    g *= -2.0
+    g += sq_x[:, None]
+    g += sq_c
+    eps = np.sqrt(sq_x)[:, None] + np.sqrt(sq_c)
+    np.square(eps, out=eps)
+    eps *= 4.0 * gamma
+    eps += (M + 8) * 2.0 ** -1070
+    best = np.argmin(g, axis=1)
+    rows = np.arange(len(x))
+    upper = g[rows, best] + eps[rows, best]
+    lower = np.subtract(g, eps, out=g)
+    lower[rows, best] = np.inf
+    exact = np.flatnonzero(~(lower.min(axis=1, initial=np.inf) > upper))
+    if len(exact):
+        best[exact] = np.argmin(_sq_dists(x[exact], centers), axis=1)
+    return best
+
+
 class KMeansRouter(_Baseline):
     """K centroids per expert, clustered from a uniform reservoir of its
     rows; a row routes to the owner of its nearest centroid."""
@@ -224,7 +282,7 @@ class KMeansRouter(_Baseline):
             centers = rows[rng.choice(len(rows), size=k, replace=False)].copy()
             previous = None
             for _ in range(LLOYD_MAX_ITERS):
-                assign = np.argmin(_sq_dists(rows, centers), axis=1)
+                assign = _nearest(rows, centers)
                 if previous is not None and np.array_equal(assign, previous):
                     break
                 previous = assign
@@ -243,8 +301,7 @@ class KMeansRouter(_Baseline):
         if self.centroids is None:
             raise NotSolvedError(
                 "kmeans baseline not finalized; call baseline_finalize first")
-        d2 = _sq_dists(phi, self.centroids)
-        return self.centroid_owner[np.argmin(d2, axis=1)]
+        return self.centroid_owner[_nearest(phi, self.centroids)]
 
     def state(self) -> dict:
         return {"fill": np.array(self.fill, dtype=np.int64),
@@ -263,7 +320,13 @@ class KMeansRouter(_Baseline):
 
 class ShallowRouter(_Baseline):
     """A ReLU hidden layer and a linear expert scorer trained online by
-    softmax cross-entropy, each batch labelled with its expert."""
+    softmax cross-entropy, each batch labelled with its expert.
+
+    ``grad_buf`` is the hidden-weight gradient's H x M workspace, allocated
+    on the first update and never checkpointed: a fresh one per iteration
+    (4 MiB at the desk preset) would page-fault its memory in anew each
+    time.
+    """
 
     STATE = ("W1", "b1", "W2", "b2")
 
@@ -278,6 +341,7 @@ class ShallowRouter(_Baseline):
         self.b1 = np.zeros(hidden)
         self.W2 = np.zeros((num_experts, hidden))
         self.b2 = np.zeros(num_experts)
+        self.grad_buf: np.ndarray | None = None
 
     @property
     def num_experts(self) -> int:
@@ -295,6 +359,8 @@ class ShallowRouter(_Baseline):
 
     def update(self, e: int, phi: np.ndarray) -> None:
         B = phi.shape[0]
+        if self.grad_buf is None:
+            self.grad_buf = np.empty_like(self.W1)
         for _ in range(self.iters):
             z1, a1, logits = self._forward(phi)
             logits -= logits.max(axis=1, keepdims=True)
@@ -307,7 +373,7 @@ class ShallowRouter(_Baseline):
             gb2 = dlogits.sum(axis=0)
             da1 = dlogits @ self.W2
             dz1 = da1 * (z1 > 0.0)
-            gw1 = dz1.T @ phi
+            gw1 = np.matmul(dz1.T, phi, out=self.grad_buf)
             gb1 = dz1.sum(axis=0)
             if not (np.isfinite(gw1).all() and np.isfinite(gw2).all()):
                 raise NumericalError("non-finite gradient in shallow router")

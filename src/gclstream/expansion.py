@@ -20,11 +20,23 @@ ACTIVATIONS = ("relu", "identity", "tanh")
 
 
 def _gaussian_columns(d: int, M: int, seed: int) -> np.ndarray:
-    """Generate the d x M projection, one Philox stream per column."""
+    """Generate the d x M projection, one Philox stream per column.
+
+    Column j is the first d normals of the stream keyed by (seed, j).  One
+    generator serves every column: writing back its fresh state with the
+    column's key restarts it exactly as a new generator with that key would
+    start, without building a generator (and seeding it from OS entropy
+    only to override it) per column.
+    """
+    bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bg)
+    fresh = bg.state
+    key = fresh["state"]["key"]
     cols = np.empty((M, d), dtype=np.float64)
     for j in range(M):
-        bg = np.random.Philox(key=np.array([seed, j], dtype=np.uint64))
-        cols[j] = np.random.Generator(bg).standard_normal(d)
+        key[1] = j
+        bg.state = fresh
+        gen.standard_normal(out=cols[j])
     return cols.T
 
 

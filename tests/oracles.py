@@ -34,6 +34,21 @@ def batch_ridge(phi: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the random expansion, one generator per column
+# ---------------------------------------------------------------------------
+
+def gaussian_columns_ref(d: int, M: int, seed: int) -> np.ndarray:
+    """The d x M projection with a new Philox generator keyed by
+    (seed, j) built for every column j."""
+    W = np.empty((d, M))
+    for j in range(M):
+        key = np.array([seed, j], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        W[:, j] = gen.standard_normal(d)
+    return W
+
+
+# ---------------------------------------------------------------------------
 # gradients by central finite differences
 # ---------------------------------------------------------------------------
 
@@ -182,6 +197,35 @@ def lloyd_ref(rows: np.ndarray, centers: np.ndarray,
             if len(members):
                 centers[j] = members.mean(axis=0)
     return centers
+
+
+# ---------------------------------------------------------------------------
+# the shallow gating network, every gradient in a fresh array
+# ---------------------------------------------------------------------------
+
+def shallow_update_ref(params, e: int, phi: np.ndarray, lr: float,
+                       iters: int) -> tuple:
+    """``iters`` softmax cross-entropy steps towards expert ``e`` on one
+    batch, in the arithmetic and order of the streaming router but with no
+    array reused; takes and returns (W1, b1, W2, b2) without touching the
+    inputs."""
+    W1, b1, W2, b2 = (np.array(p, dtype=np.float64) for p in params)
+    B = phi.shape[0]
+    for _ in range(iters):
+        z1 = phi @ W1.T + b1
+        a1 = np.maximum(z1, 0.0)
+        logits = a1 @ W2.T + b2
+        logits = logits - logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p = p / p.sum(axis=1, keepdims=True)
+        p[:, e] -= 1.0
+        dlogits = p / B
+        dz1 = (dlogits @ W2) * (z1 > 0.0)
+        W2 = W2 - lr * (dlogits.T @ a1)
+        b2 = b2 - lr * dlogits.sum(axis=0)
+        W1 = W1 - lr * (dz1.T @ phi)
+        b1 = b1 - lr * dz1.sum(axis=0)
+    return W1, b1, W2, b2
 
 
 # ---------------------------------------------------------------------------

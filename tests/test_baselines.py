@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gclstream.baselines as baselines_mod
 from gclstream.baselines import (
     BASELINE_KINDS, TAG_KMEANS, KMeansRouter, NaiveBayesRouter,
     PrototypeRouter, ShallowRouter, baseline_finalize, baseline_fit_update,
-    baseline_route, new_baseline, oracle_route, _sq_dists,
+    baseline_route, new_baseline, oracle_route, _nearest, _sq_dists,
 )
 from gclstream.errors import NotSolvedError, ShapeError
 from gclstream.expansion import ExpandedBatch
 
-from oracles import lloyd_ref, two_pass_moments
+from oracles import lloyd_ref, shallow_update_ref, two_pass_moments
 
 
 def _feed(router, rows, expert, chunk=3):
@@ -194,6 +196,74 @@ class TestKmeans:
         assert picks[0] == 0
 
 
+_ACTIVATIONS = {"relu": lambda z: np.maximum(z, 0.0),
+                "identity": lambda z: z, "tanh": np.tanh}
+
+
+@st.composite
+def _rows_and_centres(draw):
+    """Rows and centres built to land on or near argmin ties: rows that
+    copy a centre or sit at the midpoint of two, duplicated centres, signed
+    entries, and one magnitude anywhere from 1e-100 to 1e100."""
+    M = draw(st.sampled_from([1, 7, 1024]))
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    act = _ACTIVATIONS[draw(st.sampled_from(sorted(_ACTIVATIONS)))]
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    centers = act(rng.standard_normal((k, M))) * scale
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                            st.integers(0, k - 1)),
+                                  max_size=3)):
+        centers[dst] = centers[src]
+    rows = []
+    for kind, a, b in draw(st.lists(
+            st.tuples(st.sampled_from(["free", "centre", "midpoint"]),
+                      st.integers(0, k - 1), st.integers(0, k - 1)),
+            min_size=1, max_size=12)):
+        if kind == "free":
+            rows.append(act(rng.standard_normal(M)) * scale)
+        elif kind == "centre":
+            rows.append(centers[a].copy())
+        else:
+            rows.append((centers[a] + centers[b]) / 2.0)
+    return np.array(rows), centers
+
+
+class TestCertifiedAssignment:
+    """``_nearest`` takes its answer from one GEMM only where a rounding-
+    error margin proves it, so it must agree with the exact blocked
+    distances bit for bit, ties to the lowest index included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_rows_and_centres())
+    def test_equals_the_exact_argmin(self, case):
+        x, centers = case
+        np.testing.assert_array_equal(
+            _nearest(x, centers), np.argmin(_sq_dists(x, centers), axis=1))
+
+    def test_exact_tie_sends_only_the_tied_rows_to_the_exact_path(
+            self, monkeypatch):
+        centers = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 10.0]])
+        x = np.array([[1.0, 0.0], [10.0, 9.0], [0.1, 0.0], [1.0, 0.0]])
+        passed = []
+
+        def recording(rows, c):
+            passed.append(rows.copy())
+            return _sq_dists(rows, c)
+
+        monkeypatch.setattr(baselines_mod, "_sq_dists", recording)
+        np.testing.assert_array_equal(_nearest(x, centers), [0, 2, 0, 0])
+        assert len(passed) == 1
+        np.testing.assert_array_equal(passed[0], x[[0, 3]])
+
+    def test_separated_blobs_never_take_the_exact_path(self, monkeypatch):
+        router = _separated_router(5)
+        exact = _count_distance_passes(monkeypatch, "_sq_dists")
+        baseline_route(router, router.reservoirs[1][:20])
+        assert router.centroids is not None
+        assert exact == []
+
+
 def _lloyd_reference(router):
     """Centroids and owners from 25 full Lloyd iterations per expert, seeded
     as ``baseline_finalize`` seeds its initial centres."""
@@ -224,14 +294,17 @@ def _separated_router(seed):
     return router
 
 
-def _count_distance_passes(monkeypatch):
+def _count_distance_passes(monkeypatch, name="_nearest"):
+    """Record the row count of every call to the module's ``name``: the
+    assignment helper by default, or its exact path ``_sq_dists``."""
     calls = []
+    real = getattr(baselines_mod, name)
 
     def counting(x, centers):
         calls.append(len(x))
-        return _sq_dists(x, centers)
+        return real(x, centers)
 
-    monkeypatch.setattr(baselines_mod, "_sq_dists", counting)
+    monkeypatch.setattr(baselines_mod, name, counting)
     return calls
 
 
@@ -329,6 +402,40 @@ class TestTrainedShallow:
         c = ShallowRouter(4, seed=2)
         np.testing.assert_array_equal(a.W1, b.W1)
         assert np.abs(a.W1 - c.W1).max() > 1e-6
+
+    def test_gradient_workspace_keeps_the_plain_update(self):
+        """The reused H x M gradient buffer leaves W1, b1, W2 and b2 equal
+        to updates that allocate afresh, across an expert registration and
+        a state()/load() round trip, and stays out of the checkpoint."""
+        rng = np.random.default_rng(8)
+        router = ShallowRouter(24, seed=3, num_experts=2, hidden=16,
+                               lr=0.05, iters=3)
+        ref = tuple(np.array(getattr(router, k)) for k in ShallowRouter.STATE)
+
+        def step(r, ref, e):
+            phi = np.maximum(rng.standard_normal((10, 24)) + e, 0.0)
+            r.update(e, phi)
+            ref = shallow_update_ref(ref, e, phi, r.lr, r.iters)
+            for key, want in zip(ShallowRouter.STATE, ref):
+                np.testing.assert_array_equal(getattr(r, key), want)
+            return ref
+
+        for e in (0, 1, 0):
+            ref = step(router, ref, e)
+        buf = router.grad_buf
+        assert buf.shape == router.W1.shape
+        router.register_expert()
+        ref = ref[:2] + (np.vstack([ref[2], np.zeros((1, 16))]),
+                         np.append(ref[3], 0.0))
+        for e in (2, 1):
+            ref = step(router, ref, e)
+        assert router.grad_buf is buf
+        assert set(router.state()) == set(ShallowRouter.STATE)
+        copy = ShallowRouter(24, seed=3, num_experts=3, hidden=16,
+                             lr=0.05, iters=3)
+        copy.load(router.state())
+        for e in (0, 2):
+            ref = step(copy, ref, e)
 
 
 class TestOracle:

@@ -6,6 +6,8 @@ import pytest
 from gclstream.expansion import RandomExpansion
 from gclstream.errors import ShapeError
 
+from oracles import gaussian_columns_ref
+
 
 def _with_weights(weights: np.ndarray, activation: str = "relu"):
     """An expansion whose projection is pinned to a hand-written matrix."""
@@ -71,6 +73,15 @@ class TestExpansionKeying:
         small = RandomExpansion(5, 8, seed=11)
         large = RandomExpansion(5, 64, seed=11)
         np.testing.assert_array_equal(large.weights[:, :8], small.weights)
+
+    @pytest.mark.parametrize("d, M, seed", [
+        (1, 1, 0), (3, 1, 9), (16, 40, 12345), (5, 7, 2**63 - 1),
+        (4, 3, 2**63 + 11), (2, 5, 2**64 - 1)])
+    def test_weights_equal_one_generator_per_column(self, d, M, seed):
+        """Re-keying one generator per column draws what a new generator
+        per column draws."""
+        np.testing.assert_array_equal(RandomExpansion(d, M, seed).weights,
+                                      gaussian_columns_ref(d, M, seed))
 
     def test_weights_are_read_only(self):
         exp = RandomExpansion(3, 4, seed=0)

@@ -322,10 +322,30 @@ class ShallowRouter(_Baseline):
     """A ReLU hidden layer and a linear expert scorer trained online by
     softmax cross-entropy, each batch labelled with its expert.
 
+    ``update`` runs ``iters`` gradient steps on one batch in kernel form.
+    Every step reads the same B x M rows Phi, and the hidden-weight
+    gradient of step k is dz1_k^T Phi, so with K = Phi Phi^T (B x B) the
+    next step's pre-activation is, exactly in real arithmetic,
+
+        z1_{k+1} = z1_k - lr K dz1_k - lr gb1_k,    gb1_k = sum_rows dz1_k,
+
+    and W1 ends at W1 - (lr sum_k dz1_k)^T Phi.  One forward GEMM
+    Phi W1^T, one K, ``iters - 1`` products K dz1 and one gradient GEMM
+    replace ``iters`` of each large GEMM: at the desk preset (B=64, M=1024,
+    H=512, iters=3) a batch costs ~151 MFLOP instead of 403, and W1 and its
+    gradient are each passed over once instead of three times.  W2, b2 and
+    b1 still step every iteration.  Rounding differs from the plain steps
+    at ulp level only.  A non-finite gradient raises ``NumericalError``
+    before its step writes: W2, b2 and b1 keep the batch's earlier steps,
+    W1 none of them.
+
     ``grad_buf`` is the hidden-weight gradient's H x M workspace, allocated
-    on the first update and never checkpointed: a fresh one per iteration
+    on the first update and never checkpointed: a fresh one per batch
     (4 MiB at the desk preset) would page-fault its memory in anew each
-    time.
+    time.  Subtracting the gradient with an in-place ``blas.dgemm`` into
+    ``W1.T`` (beta=1) instead writes W1 before the gradient can be checked,
+    and measured slower than this GEMM and one pass: 0.14-0.22 s against
+    0.12-0.15 s of updates per desk seed (2-core Xeon).
     """
 
     STATE = ("W1", "b1", "W2", "b2")
@@ -352,17 +372,20 @@ class ShallowRouter(_Baseline):
         self.b2 = np.append(self.b2, 0.0)
         return self.num_experts - 1
 
-    def _forward(self, phi):
-        z1 = phi @ self.W1.T + self.b1
+    def _head(self, z1):
         a1 = np.maximum(z1, 0.0)
-        return z1, a1, a1 @ self.W2.T + self.b2
+        return a1, a1 @ self.W2.T + self.b2
 
     def update(self, e: int, phi: np.ndarray) -> None:
         B = phi.shape[0]
+        lr = self.lr
         if self.grad_buf is None:
             self.grad_buf = np.empty_like(self.W1)
-        for _ in range(self.iters):
-            z1, a1, logits = self._forward(phi)
+        z1 = phi @ self.W1.T + self.b1
+        K = phi @ phi.T if self.iters > 1 else None
+        dz_sum = np.zeros_like(z1)
+        for k in range(self.iters):
+            a1, logits = self._head(z1)
             logits -= logits.max(axis=1, keepdims=True)
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
@@ -370,21 +393,25 @@ class ShallowRouter(_Baseline):
             dlogits[:, e] -= 1.0
             dlogits /= B
             gw2 = dlogits.T @ a1
-            gb2 = dlogits.sum(axis=0)
-            da1 = dlogits @ self.W2
-            dz1 = da1 * (z1 > 0.0)
-            gw1 = np.matmul(dz1.T, phi, out=self.grad_buf)
-            gb1 = dz1.sum(axis=0)
-            if not (np.isfinite(gw1).all() and np.isfinite(gw2).all()):
+            dz1 = (dlogits @ self.W2) * (z1 > 0.0)
+            if not (np.isfinite(dz1).all() and np.isfinite(gw2).all()):
                 raise NumericalError("non-finite gradient in shallow router")
-            self.W2 -= self.lr * gw2
-            self.b2 -= self.lr * gb2
-            gw1 *= self.lr
-            self.W1 -= gw1
-            self.b1 -= self.lr * gb1
+            gb1 = dz1.sum(axis=0)
+            self.W2 -= lr * gw2
+            self.b2 -= lr * dlogits.sum(axis=0)
+            self.b1 -= lr * gb1
+            dz_sum += dz1
+            if k + 1 < self.iters:
+                z1 -= lr * (K @ dz1)
+                z1 -= lr * gb1
+        dz_sum *= lr
+        gw1 = np.matmul(dz_sum.T, phi, out=self.grad_buf)
+        if not np.isfinite(gw1).all():
+            raise NumericalError("non-finite gradient in shallow router")
+        self.W1 -= gw1
 
     def route(self, phi: np.ndarray) -> np.ndarray:
-        _, _, logits = self._forward(phi)
+        _, logits = self._head(phi @ self.W1.T + self.b1)
         return np.argmax(logits, axis=1)
 
 

@@ -228,6 +228,36 @@ def shallow_update_ref(params, e: int, phi: np.ndarray, lr: float,
     return W1, b1, W2, b2
 
 
+def shallow_update_kernel_ref(params, e: int, phi: np.ndarray, lr: float,
+                              iters: int) -> tuple:
+    """The same ``iters`` steps in kernel form, in the arithmetic and order
+    of the streaming router but with no array reused: the pre-activation
+    steps through K = phi phi^T as z1 - lr K dz1 - lr gb1, and W1 takes one
+    step by the summed gradient (lr sum dz1)^T phi at the end."""
+    W1, b1, W2, b2 = (np.array(p, dtype=np.float64) for p in params)
+    B = phi.shape[0]
+    K = phi @ phi.T
+    z1 = phi @ W1.T + b1
+    dz_sum = np.zeros_like(z1)
+    for k in range(iters):
+        a1 = np.maximum(z1, 0.0)
+        logits = a1 @ W2.T + b2
+        logits = logits - logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p = p / p.sum(axis=1, keepdims=True)
+        p[:, e] -= 1.0
+        dlogits = p / B
+        dz1 = (dlogits @ W2) * (z1 > 0.0)
+        gb1 = dz1.sum(axis=0)
+        W2 = W2 - lr * (dlogits.T @ a1)
+        b2 = b2 - lr * dlogits.sum(axis=0)
+        b1 = b1 - lr * gb1
+        dz_sum = dz_sum + dz1
+        z1 = z1 - lr * (K @ dz1) - lr * gb1
+    W1 = W1 - (lr * dz_sum).T @ phi
+    return W1, b1, W2, b2
+
+
 # ---------------------------------------------------------------------------
 # linear CKA through double-centered Gram matrices
 # ---------------------------------------------------------------------------

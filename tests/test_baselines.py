@@ -11,10 +11,12 @@ from gclstream.baselines import (
     PrototypeRouter, ShallowRouter, baseline_finalize, baseline_fit_update,
     baseline_route, new_baseline, oracle_route, _nearest, _sq_dists,
 )
-from gclstream.errors import NotSolvedError, ShapeError
+from gclstream.errors import NotSolvedError, NumericalError, ShapeError
 from gclstream.expansion import ExpandedBatch
 
-from oracles import lloyd_ref, shallow_update_ref, two_pass_moments
+from oracles import (
+    lloyd_ref, shallow_update_kernel_ref, shallow_update_ref, two_pass_moments,
+)
 
 
 def _feed(router, rows, expert, chunk=3):
@@ -383,6 +385,19 @@ class TestLloydFixedPoint:
         self._assert_matches_reference(router)
 
 
+# the kernel-form update rounds differently from the plain steps; the
+# relative gap measured ~1e-15 of each array's largest entry
+SHALLOW_RTOL = 1e-12
+
+
+def _assert_shallow_matches(router, kernel, plain):
+    for key, k_ref, p_ref in zip(ShallowRouter.STATE, kernel, plain):
+        got = getattr(router, key)
+        np.testing.assert_array_equal(got, k_ref, err_msg=key)
+        scale = np.abs(p_ref).max(initial=0.0)
+        assert np.abs(got - p_ref).max(initial=0.0) <= SHALLOW_RTOL * scale, key
+
+
 class TestTrainedShallow:
     def test_learns_two_separated_clusters(self):
         rng = np.random.default_rng(4)
@@ -404,38 +419,102 @@ class TestTrainedShallow:
         assert np.abs(a.W1 - c.W1).max() > 1e-6
 
     def test_gradient_workspace_keeps_the_plain_update(self):
-        """The reused H x M gradient buffer leaves W1, b1, W2 and b2 equal
-        to updates that allocate afresh, across an expert registration and
-        a state()/load() round trip, and stays out of the checkpoint."""
+        """The kernel-form update leaves W1, b1, W2 and b2 bit-equal to its
+        reference with no array reused, and within SHALLOW_RTOL of the
+        plain steps, across an expert registration and a state()/load()
+        round trip; the H x M workspace stays out of the checkpoint."""
         rng = np.random.default_rng(8)
         router = ShallowRouter(24, seed=3, num_experts=2, hidden=16,
                                lr=0.05, iters=3)
         ref = tuple(np.array(getattr(router, k)) for k in ShallowRouter.STATE)
+        refs = (ref, ref)
 
-        def step(r, ref, e):
+        def step(r, refs, e):
             phi = np.maximum(rng.standard_normal((10, 24)) + e, 0.0)
             r.update(e, phi)
-            ref = shallow_update_ref(ref, e, phi, r.lr, r.iters)
-            for key, want in zip(ShallowRouter.STATE, ref):
-                np.testing.assert_array_equal(getattr(r, key), want)
-            return ref
+            kernel, plain = refs
+            kernel = shallow_update_kernel_ref(kernel, e, phi, r.lr, r.iters)
+            plain = shallow_update_ref(plain, e, phi, r.lr, r.iters)
+            _assert_shallow_matches(r, kernel, plain)
+            return kernel, plain
+
+        def grow(ref):
+            return ref[:2] + (np.vstack([ref[2], np.zeros((1, 16))]),
+                              np.append(ref[3], 0.0))
 
         for e in (0, 1, 0):
-            ref = step(router, ref, e)
+            refs = step(router, refs, e)
         buf = router.grad_buf
         assert buf.shape == router.W1.shape
         router.register_expert()
-        ref = ref[:2] + (np.vstack([ref[2], np.zeros((1, 16))]),
-                         np.append(ref[3], 0.0))
+        refs = tuple(grow(ref) for ref in refs)
         for e in (2, 1):
-            ref = step(router, ref, e)
+            refs = step(router, refs, e)
         assert router.grad_buf is buf
         assert set(router.state()) == set(ShallowRouter.STATE)
         copy = ShallowRouter(24, seed=3, num_experts=3, hidden=16,
                              lr=0.05, iters=3)
         copy.load(router.state())
         for e in (0, 2):
-            ref = step(copy, ref, e)
+            refs = step(copy, refs, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(B=st.sampled_from([1, 2, 7, 64]),
+           iters=st.sampled_from([1, 2, 3, 5]),
+           hidden=st.integers(1, 12), M=st.integers(1, 16),
+           relu=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_form_matches_the_plain_steps(self, B, iters, hidden, M,
+                                                 relu, seed):
+        """Bit-equal to the kernel-form reference and within SHALLOW_RTOL of
+        the plain steps over three batches, with and without ReLU zeros in
+        the rows."""
+        rng = np.random.default_rng(seed)
+        router = ShallowRouter(M, seed=seed, num_experts=3, hidden=hidden,
+                               lr=0.05, iters=iters)
+        kernel = plain = tuple(
+            np.array(getattr(router, k)) for k in ShallowRouter.STATE)
+        for e in (1, 0, 2):
+            phi = rng.standard_normal((B, M)) + 0.5 * e
+            if relu:
+                phi = np.maximum(phi, 0.0)
+            router.update(e, phi)
+            kernel = shallow_update_kernel_ref(kernel, e, phi, router.lr,
+                                               iters)
+            plain = shallow_update_ref(plain, e, phi, router.lr, iters)
+            _assert_shallow_matches(router, kernel, plain)
+
+    @pytest.mark.parametrize("key", ["W1", "W2"])
+    def test_overflowing_weights_raise_and_leave_the_router(self, key):
+        """Weights near the float64 maximum make the first step's gradient
+        non-finite: the update raises NumericalError before any write."""
+        rng = np.random.default_rng(2)
+        router = ShallowRouter(6, seed=0, num_experts=2, hidden=5)
+        if key == "W1":
+            router.W1[:] = 1e308
+        else:
+            router.W1[:] = 1.0
+            router.W2[:] = [[1e308], [-1e308]]
+        phi = np.abs(rng.standard_normal((4, 6))) + 1.0
+        before = {k: np.array(getattr(router, k)) for k in ShallowRouter.STATE}
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError):
+            _feed(router, phi, 1, chunk=4)
+        for k, want in before.items():
+            np.testing.assert_array_equal(getattr(router, k), want)
+
+    def test_overflowing_hidden_gradient_raises_before_w1_is_written(self):
+        """A finite step whose hidden-weight gradient overflows (caught by
+        the check after the gradient GEMM): NumericalError, and W1 is left
+        as it was."""
+        router = ShallowRouter(3, seed=0, num_experts=2, hidden=4, lr=0.5,
+                               iters=1)
+        router.W1 *= 1e-20
+        router.W2[:] = [[1e300], [-1e300]]
+        phi = np.full((8, 3), 1e10)
+        W1 = router.W1.copy()
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            _feed(router, phi, 1, chunk=8)
+        np.testing.assert_array_equal(router.W1, W1)
 
 
 class TestOracle:

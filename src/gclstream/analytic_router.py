@@ -207,8 +207,16 @@ def grow(state: RouterState, new_expert_count: int) -> RouterState:
 
 
 def full_gram(state: RouterState) -> np.ndarray:
-    """G as a full symmetric matrix: the stored lower triangle, mirrored."""
-    full = np.tril(state.gram)
-    full += np.tril(state.gram, -1).T
+    """G as a full symmetric matrix: the stored lower triangle, mirrored tile
+    by tile into one new M x M array; each entry is the stored one plus 0.0,
+    as in ``tril(G) + tril(G, -1).T``, but without that sum's temporaries."""
+    G, t = state.gram, _COPY_TILE
+    full = np.empty_like(G)
+    for i in range(0, state.M, t):
+        for j in range(0, i, t):
+            np.add(G[i:i + t, j:j + t], 0.0, out=full[i:i + t, j:j + t])
+            np.add(G[i:i + t, j:j + t].T, 0.0, out=full[j:j + t, i:i + t])
+        tile = G[i:i + t, i:i + t]
+        full[i:i + t, i:i + t] = np.tril(tile) + np.tril(tile, -1).T
     return full
 

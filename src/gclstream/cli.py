@@ -24,8 +24,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .harness import (ABLATION_AXES, RunConfig, ablate, apply_overrides,
                       config_from_dict, config_to_dict, desk_config, run)
-from .metrics import (a_auc, a_avg, a_last, accuracy, bwt, f_last,
-                      routing_accuracy, session_row)
+from .metrics import accuracy, seed_metrics, session_row
 from .stream import StreamConfig, SyntheticBackbone, write_feature_file
 
 
@@ -52,10 +51,8 @@ def _add_config_args(sub):
 
 
 def _build_config(args) -> RunConfig:
-    if args.preset == "desk":
-        base = config_to_dict(desk_config())
-    else:
-        base = config_to_dict(RunConfig())
+    base = config_to_dict(desk_config() if args.preset == "desk"
+                          else RunConfig())
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -107,13 +104,19 @@ def _cmd_metrics(args) -> int:
         raise ConfigError(f"no predictions.jsonl under {run_dir}")
     by_seed: dict[int, dict] = {}
     with open(pred_path) as fh:
-        for line in fh:
-            record = json.loads(line)
+        for number, line in enumerate(fh, start=1):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ConfigError(f"{pred_path}:{number}: not JSON ({err})")
             seed = record.get("seed")
             if record["phase"] == "meta":
-                by_seed[record["seed"]] = {"meta": record, "records": []}
-            else:
+                by_seed[seed] = {"meta": record, "records": []}
+            elif seed in by_seed:
                 by_seed[seed]["records"].append(record)
+            else:
+                raise ConfigError(
+                    f"{pred_path}:{number}: seed {seed} has no meta line")
 
     stored: dict[tuple, float] = {}
     metrics_path = run_dir / "metrics.csv"
@@ -126,11 +129,8 @@ def _cmd_metrics(args) -> int:
     for seed, data in sorted(by_seed.items()):
         meta = data["meta"]
         T = meta["sessions"]
-        history = [set(h) for h in meta["history"]]
-        session_classes = [set(s) for s in meta["session_classes"]]
         R = np.full((T, T), np.nan)
-        anytime = []
-        recomputed: dict[str, float] = {}
+        anytime, final = [], None
         for record in data["records"]:
             labels = np.array(record["labels"])
             predictions = np.array(record["predictions"])
@@ -139,19 +139,16 @@ def _cmd_metrics(args) -> int:
             elif record["phase"] == "session":
                 i = record["step"]
                 R[i, :i + 1] = session_row(predictions, labels,
-                                           session_classes[:i + 1])
+                                           meta["session_classes"][:i + 1])
             elif record["phase"] == "final":
-                recomputed["final_accuracy"] = accuracy(predictions, labels)
-                recomputed["routing_accuracy"] = routing_accuracy(
-                    record["selections"], labels, history)
-        if anytime:
-            recomputed["a_auc"] = a_auc(anytime)
-        if not np.isnan(R[-1]).any():
-            recomputed["a_last"] = a_last(R)
-            recomputed["a_avg"] = a_avg(R)
-            recomputed["f_last"] = f_last(R)
-            if T >= 2:
-                recomputed["bwt"] = bwt(R)
+                final = record
+        if final is None and data["records"]:
+            raise ConfigError(f"{pred_path}: seed {seed} has no final record")
+        if final is None:  # the run did not log its predictions
+            continue
+        recomputed = seed_metrics(
+            anytime, R, final["predictions"], final["selections"],
+            final["labels"], [set(h) for h in meta["history"]])
         for metric, value in recomputed.items():
             key = (str(seed), metric)
             if key in stored:

@@ -31,6 +31,7 @@ import time
 import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,12 +41,12 @@ from .baselines import (BASELINE_KINDS, baseline_fit_update, baseline_route,
                         new_baseline, oracle_route)
 from .ensemble import AGGREGATIONS, EnsembleConfig, full_inference
 from .errors import ConfigError, ShapeError, check_shape
-from .expansion import ExpandedBatch, RandomExpansion
+from .expansion import ACTIVATIONS, ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
                       train_step)
-from .metrics import (MetricsLedger, a_auc, a_avg, a_last, accuracy, bwt,
-                      f_last, linear_cka, routing_accuracy, session_row)
-from .stream import StreamConfig, StreamCursor, build_stream
+from .metrics import (MetricsLedger, accuracy, linear_cka, routing_accuracy,
+                      seed_metrics, session_row)
+from .stream import SessionSchedule, StreamConfig, StreamCursor, build_stream
 
 log = logging.getLogger("gclstream")
 
@@ -98,42 +99,39 @@ class RunConfig:
     cka_probe: int = 256
 
     def __post_init__(self):
-        if self.aggregation not in AGGREGATIONS:
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
-        if self.mask_kind not in MASK_KINDS:
-            raise ConfigError(f"unknown mask kind {self.mask_kind!r}")
-        if self.routing not in ROUTING_MODES:
-            raise ConfigError(f"unknown routing mode {self.routing!r}")
-        if self.spawn_policy not in SPAWN_POLICIES:
-            raise ConfigError(f"unknown spawn policy {self.spawn_policy!r}")
-        for kind in self.track_baselines:
-            if kind not in BASELINE_KINDS:
-                raise ConfigError(f"unknown baseline kind {kind!r}")
-        if self.M < 1 or self.lam <= 0 or self.lr <= 0 or self.iters < 1:
-            raise ConfigError("M, lambda, lr must be positive; iters >= 1")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
         self.ema_decays = tuple(float(a) for a in self.ema_decays)
         self.seeds = tuple(int(s) for s in self.seeds)
         self.track_baselines = tuple(self.track_baselines)
+        choices = [("activation", self.activation, ACTIVATIONS),
+                   ("aggregation", self.aggregation, AGGREGATIONS),
+                   ("mask kind", self.mask_kind, MASK_KINDS),
+                   ("routing mode", self.routing, ROUTING_MODES),
+                   ("spawn policy", self.spawn_policy, SPAWN_POLICIES),
+                   *(("baseline kind", kind, BASELINE_KINDS)
+                     for kind in self.track_baselines)]
+        for what, value, allowed in choices:
+            if value not in allowed:
+                raise ConfigError(f"unknown {what} {value!r}")
+        if self.M < 1 or self.lam <= 0 or self.lr <= 0 or self.iters < 1:
+            raise ConfigError("M, lambda, lr must be positive; iters >= 1")
+        bounded = (0.0, *self.ema_decays, 1.0)
+        if not all(a < b for a, b in zip(bounded, bounded[1:])):
+            raise ConfigError("ema_decays must increase strictly inside "
+                              f"(0, 1), got {list(self.ema_decays)}")
+        if self.spawn_budget < 1 or (self.expansion_seed or 0) < 0:
+            raise ConfigError("spawn_budget must be >= 1; expansion_seed >= 0")
+        if not self.seeds:
+            raise ConfigError("need at least one seed")
 
 
 def desk_config(**overrides) -> RunConfig:
     """Desk-scale preset: synthetic d=32 stream with a 1024-wide expansion."""
-    stream_overrides = overrides.pop("stream", {})
-    if isinstance(stream_overrides, StreamConfig):
-        stream = stream_overrides
-    else:
-        stream = StreamConfig(**stream_overrides)
-    return RunConfig(stream=stream, M=overrides.pop("M", 1024), **overrides)
+    return config_from_dict({"M": 1024, **overrides})
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["ema_decays"] = list(config.ema_decays)
-    d["seeds"] = list(config.seeds)
-    d["track_baselines"] = list(config.track_baselines)
-    return d
+    """The config as plain data; its tuples serialize as JSON lists."""
+    return dataclasses.asdict(config)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -194,8 +192,8 @@ class SeedRunState:
     def __init__(self, config: RunConfig, seed: int):
         self.config = config
         self.seed = seed
-        stream_cfg = replace(config.stream, seed=seed)
-        self.source, self.schedule = build_stream(stream_cfg)
+        self.source, self.schedule = build_stream(
+            replace(config.stream, seed=seed))
         exp_seed = (config.expansion_seed
                     if config.expansion_seed is not None else seed)
         self.expansion = RandomExpansion(self.source.d, config.M, exp_seed,
@@ -206,16 +204,11 @@ class SeedRunState:
         self.pool = ExpertPool(self.source.d, self.source.num_classes,
                                config.ema_decays, adapter_rng,
                                reset_head_at_spawn=config.reset_head_at_spawn)
-        kinds = set(config.track_baselines)
-        if config.routing in BASELINE_KINDS:
-            kinds.add(config.routing)
+        kinds = {*config.track_baselines, config.routing} & {*BASELINE_KINDS}
         self.baselines = {
             kind: new_baseline(kind, config.M, seed=seed, lr=config.lr,
-                               iters=config.iters)
-            for kind in sorted(kinds)
-        }
+                               iters=config.iters) for kind in sorted(kinds)}
         self.ledger = MetricsLedger(config.stream.sessions)
-        self.seen: set[int] = set()
         self.batch_index = 0
         self.streamed = np.zeros(len(self.source.labels), dtype=bool)
         self.predictions_log: list[dict] = []
@@ -226,10 +219,13 @@ class SeedRunState:
         self.holdout_ids = np.concatenate(hold) if hold else np.array([], int)
         self.holdout_X = self.source.features(self.holdout_ids)
         self.holdout_y = self.source.labels[self.holdout_ids]
-        last = {}
-        for i, (_, session, _) in enumerate(self.schedule.batches):
-            last[session] = i
-        self.session_last_batch = last
+        self.session_last_batch = {session: i for i, (_, session, _)
+                                   in enumerate(self.schedule.batches)}
+
+    @property
+    def seen(self) -> set[int]:
+        """The classes trained so far: those of every expert's window."""
+        return set().union(*self.pool.trained_classes)
 
     @property
     def cursor(self) -> StreamCursor:
@@ -246,15 +242,9 @@ def _grow_routers(state: SeedRunState, experts: int) -> None:
             baseline.register_expert()
 
 
-def _eval_pool(state: SeedRunState, classes) -> np.ndarray:
-    wanted = np.isin(state.holdout_y, sorted(classes))
-    return np.nonzero(wanted)[0]
-
-
-def _ridge(state: SeedRunState, X: np.ndarray) -> np.ndarray:
-    """The analytic router's expert per row: solve first, then expand."""
-    solve(state.router)
-    return route(state.expansion(X), state.router)[1]
+def _eval_pool(state: SeedRunState) -> np.ndarray:
+    """The held-out rows of the classes trained so far."""
+    return np.flatnonzero(np.isin(state.holdout_y, sorted(state.seen)))
 
 
 def _select(state: SeedRunState, X: np.ndarray, y: np.ndarray,
@@ -262,31 +252,27 @@ def _select(state: SeedRunState, X: np.ndarray, y: np.ndarray,
     """One expert per held-out row.
 
     ``latest`` — the current expert; a baseline kind — that baseline's
-    choice; ``ridge`` — the solved analytic router; ``oracle`` — the
-    lowest-id expert that trained the row's label, the ridge choice for
-    labels no expert trained.
+    choice; ``ridge`` — the analytic router, solved first; ``oracle`` — the
+    lowest-id expert that trained the row's label (held-out rows are drawn
+    from trained classes only).
     """
     if routing == "latest":
         return np.full(len(X), state.pool.current, dtype=np.int64)
     if routing in BASELINE_KINDS:
         return baseline_route(state.baselines[routing], state.expansion(X))
     if routing == "ridge":
-        return _ridge(state, X)
+        solve(state.router)
+        return route(state.expansion(X), state.router)[1]
     if routing != "oracle":
         raise ValueError(
             f"unknown routing mode {routing!r}; choose from {ROUTING_MODES}")
-    picks = [oracle_route(int(label), state.pool.trained_classes)
-             for label in y]
-    if None in picks:
-        ridge = _ridge(state, X)
-        picks = [ridge[i] if e is None else e for i, e in enumerate(picks)]
-    return np.array(picks, dtype=np.int64)
+    return np.array([oracle_route(int(label), state.pool.trained_classes)
+                     for label in y], dtype=np.int64)
 
 
 def _infer(state: SeedRunState, rows: np.ndarray, routing: str):
     """Inference on holdout rows with the seen-class mask."""
-    X = state.holdout_X[rows]
-    y = state.holdout_y[rows]
+    X, y = state.holdout_X[rows], state.holdout_y[rows]
     selections = _select(state, X, y, routing)
     mask = build_mask(state.seen, state.seen, "seen_class",
                       state.source.num_classes)
@@ -297,15 +283,14 @@ def _infer(state: SeedRunState, rows: np.ndarray, routing: str):
 def _log_predictions(state: SeedRunState, phase: str, step, rows, y, result):
     if not state.config.log_predictions:
         return
-    record = {
+    state.predictions_log.append({
         "phase": phase,
         "step": step,
         "ids": [int(i) for i in state.holdout_ids[rows]],
         "labels": [int(v) for v in y],
         "predictions": [int(v) for v in result.predictions],
         "selections": [int(v) for v in result.selections],
-    }
-    state.predictions_log.append(record)
+    })
 
 
 def run_batch(state: SeedRunState, batch) -> None:
@@ -322,7 +307,7 @@ def run_batch(state: SeedRunState, batch) -> None:
         raise AssertionError("single-pass violation: sample replayed")
     state.streamed[ids] = True
 
-    state.seen.update(int(c) for c in y)
+    state.pool.observe(y)
     mask_rng = None
     if config.mask_kind == "random":
         mask_rng = np.random.default_rng(np.random.SeedSequence(
@@ -333,7 +318,6 @@ def run_batch(state: SeedRunState, batch) -> None:
     bank = state.pool.banks[-1] if config.ema_decays else None
     train_step(state.pool.adapters[-1], state.pool.online, X, y, mask,
                config.lr, config.iters, bank)
-    state.pool.observe(y)
 
     feats = (state.pool.adapters[-1].adapted(X)
              if config.accumulate_adapted else X)
@@ -349,7 +333,7 @@ def run_batch(state: SeedRunState, batch) -> None:
     session_end = config.eval_session_matrix and last
     if not (anytime or session_end):
         return
-    rows = _eval_pool(state, state.seen)
+    rows = _eval_pool(state)
     result, y_eval = _infer(state, rows, config.routing)
     if anytime:
         state.ledger.record_anytime(accuracy(result.predictions, y_eval))
@@ -366,38 +350,21 @@ def run_batch(state: SeedRunState, batch) -> None:
 def finish_seed(state: SeedRunState) -> dict:
     """Final inference, paired comparisons, CKA probe; returns metric dict."""
     config = state.config
-    rows = _eval_pool(state, state.seen)
+    rows = _eval_pool(state)
     result, y_eval = _infer(state, rows, config.routing)
     state.ledger.record_routing(result.selections, y_eval,
                                 state.pool.trained_classes)
     _log_predictions(state, "final", None, rows, y_eval, result)
 
-    metrics: dict[str, float] = {}
-    R = state.ledger.session_matrix
-    try:
-        metrics["a_auc"] = a_auc(state.ledger.anytime)
-    except ValueError:
-        pass
-    if config.eval_session_matrix:
-        metrics["a_last"] = a_last(R)
-        metrics["a_avg"] = a_avg(R)
-        metrics["f_last"] = f_last(R)
-        if config.stream.sessions >= 2:
-            metrics["bwt"] = bwt(R)
-    metrics["final_accuracy"] = accuracy(result.predictions, y_eval)
-    metrics["routing_accuracy"] = routing_accuracy(
-        result.selections, y_eval, state.pool.trained_classes)
+    metrics = seed_metrics(state.ledger.anytime, state.ledger.session_matrix,
+                           result.predictions, result.selections, y_eval,
+                           state.pool.trained_classes)
     metrics["num_experts"] = float(state.pool.num_experts)
 
     if config.track_oracle and config.routing != "oracle":
         oracle_result, _ = _infer(state, rows, "oracle")
         metrics["oracle_accuracy"] = accuracy(oracle_result.predictions,
                                               y_eval)
-        metrics["oracle_routing_accuracy"] = routing_accuracy(
-            oracle_result.selections, y_eval, state.pool.trained_classes)
-        metrics["oracle_fallbacks"] = float(sum(
-            oracle_route(int(label), state.pool.trained_classes) is None
-            for label in y_eval))
         if config.eval_session_matrix:
             metrics["oracle_a_last"] = float(np.mean(session_row(
                 oracle_result.predictions, y_eval,
@@ -430,8 +397,7 @@ def finish_seed(state: SeedRunState) -> dict:
                     value = float("nan")
                 metrics[f"cka_{i}_{j}"] = value
                 pairs.append(value)
-        if pairs:
-            metrics["cka_mean"] = float(np.nanmean(pairs))
+        metrics["cka_mean"] = float(np.nanmean(pairs))
 
     for t, size in enumerate(state.schedule.session_sizes):
         metrics[f"session_size_{t}"] = float(size)
@@ -444,10 +410,7 @@ def run_seed(config: RunConfig, seed: int,
     if state is None:
         state = SeedRunState(config, seed)
     cursor = state.cursor
-    while True:
-        batch = cursor.next_batch()
-        if batch is None:
-            break
+    while (batch := cursor.next_batch()) is not None:
         run_batch(state, batch)
     return finish_seed(state), state
 
@@ -511,7 +474,6 @@ def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
 
     state = SeedRunState(config, int(meta["seed"]))
     state.batch_index = int(meta["batch_index"])
-    state.seen = set(meta["seen"])
     state.predictions_log = list(meta["predictions_log"])
     n = state.streamed.size
     if meta["streamed_len"] != n:
@@ -528,6 +490,9 @@ def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
             raise type(err)(f"{prefix}{err.args[0]}") from err
         # the pool loads first and sizes the routers before they load
         _grow_routers(state, state.pool.num_experts)
+    if set(meta["seen"]) != state.seen:
+        raise ConfigError(f"checkpoint seen classes {sorted(meta['seen'])} "
+                          f"are not those its experts trained")
     return state
 
 
@@ -568,19 +533,25 @@ def _metric_rows(lead: str, seeds, per_seed, mean, std) -> list[str]:
 
 
 def _aggregate(per_seed: dict) -> tuple[dict, dict]:
-    common = None
-    for metrics in per_seed.values():
-        keys = set(metrics)
-        common = keys if common is None else common & keys
+    """Mean and sample std of each metric every seed reports, in the first
+    seed's key order."""
+    common = set.intersection(*(set(m) for m in per_seed.values()))
     mean, std = {}, {}
-    first = next(iter(per_seed.values()))
-    for key in first:  # preserve insertion order
-        if key not in common:
-            continue
-        values = np.array([per_seed[s][key] for s in per_seed])
+    for key in [k for k in next(iter(per_seed.values())) if k in common]:
+        values = np.array([metrics[key] for metrics in per_seed.values()])
         mean[key] = float(np.mean(values))
         std[key] = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return mean, std
+
+
+class SeedRecord(NamedTuple):
+    """What emission reads of a finished seed.  A SeedRunState has the same
+    attributes, so ``_write_outputs`` takes either."""
+
+    schedule: SessionSchedule
+    pool: ExpertPool
+    ledger: MetricsLedger
+    predictions_log: list
 
 
 def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
@@ -603,17 +574,14 @@ def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
 
     T = config.stream.sessions
     lines = ["seed,row," + ",".join(f"s{j}" for j in range(T))]
-    for seed in config.seeds:
-        R = states[seed].ledger.session_matrix
-        for i in range(T):
-            cells = ",".join(_fmt(R[i, j]) for j in range(T))
-            lines.append(f"{seed},{i},{cells}")
+    lines += [f"{seed},{i}," + ",".join(map(_fmt, row))
+              for seed in config.seeds
+              for i, row in enumerate(states[seed].ledger.session_matrix)]
     (run_dir / "session_matrix.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["seed,step,accuracy"]
-    for seed in config.seeds:
-        for step, acc in enumerate(states[seed].ledger.anytime, start=1):
-            lines.append(f"{seed},{step},{_fmt(acc)}")
+    lines += [f"{seed},{step},{_fmt(acc)}" for seed in config.seeds
+              for step, acc in enumerate(states[seed].ledger.anytime, start=1)]
     (run_dir / "anytime.csv").write_text("\n".join(lines) + "\n")
 
     with open(run_dir / "predictions.jsonl", "w") as fh:
@@ -642,17 +610,18 @@ def run(config: RunConfig) -> RunResult:
     chash = config_hash(config)
     run_dir = Path(config.outdir) / f"run-{chash[:12]}"
     per_seed: dict[int, dict] = {}
-    states: dict[int, SeedRunState] = {}
+    records: dict[int, SeedRecord] = {}
     timing: dict[str, float] = {}
     for seed in config.seeds:
         started = time.perf_counter()
-        metrics, state = run_seed(config, seed)
+        per_seed[seed], state = run_seed(config, seed)
         timing[f"seed_{seed}_s"] = time.perf_counter() - started
-        per_seed[seed] = metrics
-        states[seed] = state
+        records[seed] = SeedRecord(state.schedule, state.pool, state.ledger,
+                                   state.predictions_log)
+        del state  # G and its factorization go before the next seed starts
         log.info("seed %d done in %.2fs", seed, timing[f"seed_{seed}_s"])
     mean, std = _aggregate(per_seed)
-    _write_outputs(config, per_seed, states, run_dir, timing)
+    _write_outputs(config, per_seed, records, run_dir, timing)
     return RunResult(config=config, per_seed=per_seed, mean=mean, std=std,
                      run_dir=str(run_dir), config_hash=chash,
                      code_hash=code_hash(), timing=timing)

@@ -9,8 +9,9 @@ Final/average accuracy, forgetting, and backward transfer read the matrix;
 the anytime mean summarizes the whole trajectory.  Routing accuracy counts a
 prediction as correctly routed when the chosen expert trained on the true
 class (a one-to-many correspondence: blurry classes have several correct
-experts).  Linear CKA compares per-expert residual representations on a
-shared probe set.
+experts).  ``seed_metrics`` derives the suite of one seed for both the harness
+and the ``metrics`` command.  Linear CKA compares per-expert residual
+representations on a shared probe set.
 """
 
 from __future__ import annotations
@@ -95,15 +96,38 @@ def session_row(predictions, labels, session_classes) -> list[float]:
     return [accuracy(predictions[m], labels[m]) for m in members]
 
 
-def routing_accuracy(selections, true_labels, history) -> float:
-    """Fraction routed to an expert that trained on the sample's true class."""
+def _routing_hits(selections, true_labels, history) -> int:
+    """Rows routed to an expert that trained on the row's true class."""
     selections = np.asarray(selections, dtype=np.int64)
     true_labels = np.asarray(true_labels, dtype=np.int64)
     if selections.shape != true_labels.shape:
         raise ValueError("selection/label length mismatch")
-    hits = sum(1 for e, y in zip(selections, true_labels)
+    return sum(1 for e, y in zip(selections, true_labels)
                if int(y) in history[int(e)])
-    return hits / len(selections)
+
+
+def routing_accuracy(selections, true_labels, history) -> float:
+    """Fraction routed to an expert that trained on the sample's true class."""
+    return _routing_hits(selections, true_labels, history) / len(selections)
+
+
+def seed_metrics(anytime, R, predictions, selections, labels,
+                 history) -> dict[str, float]:
+    """One seed's metric suite from its anytime history, its session matrix R
+    and its final inference.  ``a_auc`` needs an anytime point; the matrix
+    metrics need R's last row complete (``bwt`` two sessions too)."""
+    metrics = {}
+    if len(anytime):
+        metrics["a_auc"] = a_auc(anytime)
+    if not np.isnan(R[-1]).any():
+        metrics["a_last"] = a_last(R)
+        metrics["a_avg"] = a_avg(R)
+        metrics["f_last"] = f_last(R)
+        if len(R) >= 2:
+            metrics["bwt"] = bwt(R)
+    metrics["final_accuracy"] = accuracy(predictions, labels)
+    metrics["routing_accuracy"] = routing_accuracy(selections, labels, history)
+    return metrics
 
 
 def linear_cka(Z_a: np.ndarray, Z_b: np.ndarray) -> float:
@@ -154,12 +178,8 @@ class MetricsLedger:
             self.session_matrix[i, j] = acc
 
     def record_routing(self, selections, true_labels, history) -> None:
-        selections = np.asarray(selections, dtype=np.int64)
-        true_labels = np.asarray(true_labels, dtype=np.int64)
         self.routing_attempts += len(selections)
-        self.routing_hits += sum(
-            1 for e, y in zip(selections, true_labels)
-            if int(y) in history[int(e)])
+        self.routing_hits += _routing_hits(selections, true_labels, history)
 
     def state(self) -> dict:
         return {"session_matrix": self.session_matrix,

@@ -110,8 +110,11 @@ def load_feature_file(path) -> FeatureSource:
 
     Errors name the byte offset of the offending line.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as err:
+        raise ConfigError(f"{path}: unreadable feature file ({err})") from err
     if not raw or raw.isspace():
         raise ConfigError(f"{path}: empty feature file")
     newline = raw.find(b"\n")

@@ -183,6 +183,30 @@ class TestMetricsCommand:
         rc = main(["metrics", "--run-dir", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("bad, why", [
+        ("{not json", "not JSON"),
+        ('{"phase": "final", "seed": 9}', "seed 9 has no meta line")])
+    def test_bad_prediction_line_is_a_config_error_naming_its_line(
+            self, tmp_path, capsys, bad, why):
+        run_dir = self._run_once(tmp_path)
+        pred_path = run_dir / "predictions.jsonl"
+        lines = pred_path.read_text().splitlines()
+        lines.insert(2, bad)
+        pred_path.write_text("\n".join(lines) + "\n")
+        rc = main(["metrics", "--run-dir", str(run_dir)])
+        assert rc == 1
+        assert f"predictions.jsonl:3: {why}" in capsys.readouterr().err
+
+    def test_unlogged_run_recomputes_nothing(self, tmp_path, capsys):
+        rc = main(["run", *_tiny_overrides(), "--set", "log_predictions=false",
+                   "--outdir", str(tmp_path), "--seeds", "1,2"])
+        assert rc == 0
+        run_dir = next(tmp_path.glob("run-*"))
+        capsys.readouterr()
+        rc = main(["metrics", "--run-dir", str(run_dir)])
+        assert rc == 0
+        assert "recomputed" not in capsys.readouterr().out
+
 
 class TestExitCodes:
     def test_invalid_config_value_exits_one(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from gclstream.errors import ShapeError
 from gclstream.metrics import (
     MetricsLedger, a_auc, a_avg, a_last, accuracy, bwt, f_last, linear_cka,
-    routing_accuracy,
+    routing_accuracy, seed_metrics,
 )
 
 from oracles import (
@@ -98,6 +98,27 @@ class TestAccuracy:
             accuracy([], [])
         with pytest.raises(ValueError):
             accuracy([1], [1, 2])
+
+
+class TestSeedMetrics:
+    FINAL = dict(predictions=[0, 1, 1, 2], selections=[0, 0, 1, 1],
+                 labels=[0, 1, 2, 2], history=[{0, 1}, {2}])
+
+    def test_full_suite_in_key_order(self):
+        R = np.array([[0.9, nan], [0.7, 0.8]])
+        metrics = seed_metrics([0.5, 1.0], R, **self.FINAL)
+        assert list(metrics) == ["a_auc", "a_last", "a_avg", "f_last", "bwt",
+                                 "final_accuracy", "routing_accuracy"]
+        np.testing.assert_allclose(
+            list(metrics.values()), [0.75, 0.75, 0.85, 0.1, -0.2, 0.75, 1.0])
+
+    def test_unrecorded_parts_are_left_out(self):
+        """No anytime point: no a_auc; an incomplete last row: no matrix
+        metrics; one session: no backward transfer."""
+        missing = seed_metrics([], np.full((2, 2), nan), **self.FINAL)
+        assert list(missing) == ["final_accuracy", "routing_accuracy"]
+        single = seed_metrics([1.0], np.array([[0.8]]), **self.FINAL)
+        assert "bwt" not in single and single["a_last"] == 0.8
 
 
 class TestRoutingAccuracy:

@@ -1,5 +1,7 @@
 """Streaming ridge router: accumulation, closed-form solve, growth, routing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -94,6 +96,30 @@ class TestAccumulate:
             running += phi.T @ phi
             accumulate(state, ExpandedBatch(phi, 0))
         np.testing.assert_array_equal(np.tril(state.gram), np.tril(running))
+
+    @pytest.mark.parametrize("M", [1, 64, 200])
+    def test_full_gram_mirrors_the_lower_triangle_bit_for_bit(self, M):
+        """Equal, bits and signed zeros included, to the sum of the two
+        triangles; the upper triangle G holds does not matter."""
+        rng = np.random.default_rng(M)
+        state = new_router_state(M, 1.0)
+        state.gram = rng.standard_normal((M, M))
+        state.gram[rng.random((M, M)) < 0.1] = -0.0
+        want = np.tril(state.gram) + np.tril(state.gram, -1).T
+        got = full_gram(state)
+        assert got.tobytes() == want.tobytes()
+        assert (np.signbit(got) == np.signbit(want)).all()
+
+    def test_full_gram_allocates_one_m_by_m_array(self):
+        state = new_router_state(512, 1.0)
+        state.gram[...] = np.random.default_rng(3).standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            full_gram(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.gram.nbytes <= peak < 1.1 * state.gram.nbytes
 
     def test_gram_that_is_not_c_contiguous_is_refused(self):
         """dsyrk would update a copy of a non-C-contiguous G and drop the

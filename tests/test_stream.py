@@ -309,6 +309,12 @@ class TestFeatureFile:
             load_feature_file(path)
         assert "row 1 at byte 31" in str(err.value)
 
+    def test_missing_file_is_a_config_error_naming_the_path(self, tmp_path):
+        for path in (tmp_path / "absent.csv", tmp_path):  # a dir is unreadable
+            with pytest.raises(ConfigError) as err:
+                load_feature_file(path)
+            assert str(err.value).startswith(f"{path}: unreadable")
+
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

@@ -8,11 +8,13 @@ solve, (G + lambda*I) U^T = Q, performed lazily at evaluation time; the
 result is exactly the batch ridge regression onto one-hot expert labels, so a
 brute-force oracle can verify the streaming path.
 
-G is symmetric, so only its lower triangle is stored: ``accumulate`` updates
-it with one in-place BLAS ``dsyrk`` (B*M^2 flops for a batch of B rows) and
-the Cholesky factorization in ``solve`` reads nothing else.  The upper
-triangle is not maintained; ``full_gram`` mirrors the lower one wherever a
-full matrix is needed (``RouterState.state``, which checkpoints save).
+G is symmetric, so only its lower triangle is stored, in the Fortran order
+LAPACK factors it in: ``accumulate`` updates it with one in-place BLAS
+``dsyrk`` (B*M^2 flops for a batch of B rows), and ``solve`` copies it whole
+into its factorization buffer and factors the lower triangle.  The upper
+triangle is not maintained; ``full_gram`` mirrors the lower one into a
+C-ordered matrix wherever a full matrix is needed (``RouterState.state``,
+which checkpoints save).
 
 Experts are only ever added: growing from T to T+1 zero-pads Q with a new
 column, leaving everything already accumulated untouched.
@@ -28,8 +30,8 @@ from scipy.linalg import blas, lapack
 from .errors import NotSolvedError, NumericalError, ShapeError, check_shape
 from .expansion import ExpandedBatch
 
-# Tile edge for copying G's lower triangle into the Fortran-ordered
-# factorization buffer: whole-matrix C -> F copies miss cache on every element.
+# Tile edge for full_gram's mirror of the Fortran-ordered G into a C-ordered
+# matrix: whole-matrix F -> C copies miss cache on every element.
 _COPY_TILE = 64
 
 
@@ -37,7 +39,7 @@ _COPY_TILE = 64
 class RouterState:
     """Streaming statistics and the (lazily) solved routing matrix.
 
-    ``gram`` is a C-contiguous float64 M x M array whose lower triangle
+    ``gram`` is an F-contiguous float64 M x M array whose lower triangle
     (diagonal included) holds G; its upper triangle is not maintained and may
     hold anything -- read the full matrix through ``full_gram``.
 
@@ -69,8 +71,8 @@ class RouterState:
                 "samples_seen": self.samples_seen}
 
     def load(self, snap: dict) -> None:
-        """Keeps G C-contiguous float64, as ``accumulate`` needs."""
-        self.gram = np.ascontiguousarray(
+        """Keeps G F-contiguous float64, as ``accumulate`` needs."""
+        self.gram = np.asfortranarray(
             check_shape(snap, "gram", self.gram.shape), dtype=np.float64)
         self.proto = np.array(check_shape(snap, "proto", self.proto.shape))
         self.samples_seen = int(snap["samples_seen"])
@@ -85,7 +87,7 @@ def new_router_state(M: int, lam: float, num_experts: int = 1) -> RouterState:
     if num_experts < 1:
         raise ValueError(f"need at least one expert, got {num_experts}")
     return RouterState(
-        gram=np.zeros((M, M), dtype=np.float64),
+        gram=np.zeros((M, M), dtype=np.float64, order="F"),
         proto=np.zeros((M, num_experts), dtype=np.float64),
         lam=float(lam),
     )
@@ -109,13 +111,11 @@ def accumulate(state: RouterState, batch: ExpandedBatch) -> RouterState:
     if not np.isfinite(phi).all():
         raise NumericalError("non-finite values in expanded batch")
 
-    # gram.T is the F-ordered view of the C-ordered G, so its upper triangle
-    # is G's lower one.  A c that is not F-contiguous float64 would make scipy
-    # update a copy and silently drop the batch.
-    lower = state.gram.T
-    if blas.dsyrk(1.0, phi.T, beta=1.0, c=lower, lower=0,
-                  overwrite_c=1) is not lower:
-        raise ShapeError("router Gram must be a C-contiguous float64 array; "
+    # A c that is not F-contiguous float64 would make scipy update a copy
+    # and silently drop the batch.
+    if blas.dsyrk(1.0, phi.T, beta=1.0, c=state.gram, lower=1,
+                  overwrite_c=1) is not state.gram:
+        raise ShapeError("router Gram must be an F-contiguous float64 array; "
                          "the batch was not accumulated")
     state.proto[:, batch.expert_id] += phi.sum(axis=0)
     state.samples_seen += phi.shape[0]
@@ -142,7 +142,7 @@ def solve(state: RouterState) -> np.ndarray:
         # A failed dpotrf leaves buf half overwritten: start every attempt
         # from G.  lam and jitter are added one after the other, as two
         # separate roundings.
-        _copy_lower(buf, state.gram)
+        np.copyto(buf, state.gram)
         buf.flat[::M + 1] += state.lam
         buf.flat[::M + 1] += jitter
         factor, info = lapack.dpotrf(buf, lower=1, clean=0, overwrite_a=1)
@@ -158,18 +158,6 @@ def solve(state: RouterState) -> np.ndarray:
     state.solved = np.ascontiguousarray(ut.T)
     state.jitter_used = jitter
     return state.solved
-
-
-def _copy_lower(dst: np.ndarray, src: np.ndarray) -> None:
-    """Copy the lower triangle of ``src`` into ``dst`` one tile at a time.
-
-    The diagonal tiles also copy a few entries above the diagonal, which
-    lower-triangle readers ignore.
-    """
-    M, t = src.shape[0], _COPY_TILE
-    for i in range(0, M, t):
-        for j in range(0, i + 1, t):
-            dst[i:i + t, j:j + t] = src[i:i + t, j:j + t]
 
 
 def route(phi: np.ndarray,
@@ -208,10 +196,11 @@ def grow(state: RouterState, new_expert_count: int) -> RouterState:
 
 def full_gram(state: RouterState) -> np.ndarray:
     """G as a full symmetric matrix: the stored lower triangle, mirrored tile
-    by tile into one new M x M array; each entry is the stored one plus 0.0,
-    as in ``tril(G) + tril(G, -1).T``, but without that sum's temporaries."""
+    by tile into one new C-ordered M x M array; each entry is the stored one
+    plus 0.0, as in ``tril(G) + tril(G, -1).T``, but without that sum's
+    temporaries."""
     G, t = state.gram, _COPY_TILE
-    full = np.empty_like(G)
+    full = np.empty(G.shape)
     for i in range(0, state.M, t):
         for j in range(0, i, t):
             np.add(G[i:i + t, j:j + t], 0.0, out=full[i:i + t, j:j + t])

@@ -28,8 +28,8 @@ those distances give, bit for bit.
 
 The oracle router is evaluation-only: given the true label it returns the
 lowest-id expert whose training data contained that label, or None if no
-expert ever trained it (callers fall back to the analytic selection and count
-the fallback).
+expert trained it.  The harness evaluates only rows of trained classes, so it
+never receives None.
 """
 
 from __future__ import annotations

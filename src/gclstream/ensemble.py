@@ -7,7 +7,8 @@ apply the masked softmax per head and combine probabilities element-wise;
 the plain variants combine masked raw logits element-wise and softmax once.
 ``*min_entropy`` variants pick, per sample, the head whose masked softmax has
 minimal Shannon entropy (nats, unmasked support only), ties to the online
-head.
+head.  The two coincide: softmaxing the picked head's raw logits once gives
+that head's masked softmax, so both names take the same branch.
 
 The combined score vector is not necessarily a distribution (element-wise max
 of softmaxes does not sum to 1); the predicted class is its argmax with
@@ -76,17 +77,13 @@ def ensemble_predict(features: np.ndarray, adapter: ExpertAdapter,
         scores = probs.mean(axis=0)
     elif agg == "softmax_max":
         scores = probs.max(axis=0)
-    elif agg == "softmax_min_entropy":
-        pick = np.argmin(_entropy(probs), axis=0)            # ties -> head 0
-        scores = probs[pick, np.arange(features.shape[0])]
     elif agg == "mean":
         scores = masked_softmax(logits.mean(axis=0), mask.values)
     elif agg == "max_prob":
         scores = masked_softmax(logits.max(axis=0), mask.values)
-    else:  # min_entropy: entropy-selected head's logits, softmaxed once
-        pick = np.argmin(_entropy(probs), axis=0)
-        chosen = logits[pick, np.arange(features.shape[0])]
-        scores = masked_softmax(chosen, mask.values)
+    else:  # min_entropy and softmax_min_entropy
+        pick = np.argmin(_entropy(probs), axis=0)            # ties -> head 0
+        scores = probs[pick, np.arange(features.shape[0])]
 
     return scores, np.argmax(scores, axis=1)
 

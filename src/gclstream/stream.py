@@ -9,8 +9,8 @@ once, in seeded shuffled order, sliced into consecutive batches per session.
 
 Two feature sources implement the same contract: a synthetic Gaussian-
 prototype backbone (class prototypes and per-sample noise reproducible from
-the seed and sample id) and a loader for precomputed feature files, so real
-embeddings can be plugged in later.
+the seed and sample id) and a loader for precomputed feature files, one walk
+over their lines, so real embeddings can be plugged in later.
 
 A fixed fraction of every class is held out before scheduling; held-out rows
 never enter the stream and feed all evaluations.
@@ -108,7 +108,10 @@ class SyntheticBackbone(FeatureSource):
 def load_feature_file(path) -> FeatureSource:
     """Parse ``d=<int> classes=<int> rows=<int>`` + ``label,f1,...,fd`` lines.
 
-    Errors name the byte offset of the offending line.
+    One walk over the body: each line is a transient slice of the file's
+    bytes, its label is read by ``int()`` and its ``d`` cells by one
+    ``np.fromstring``.  Blank lines and whitespace around a line or a cell
+    are skipped.  Errors name the byte offset of the offending line.
     """
     try:
         with open(path, "rb") as fh:
@@ -118,8 +121,8 @@ def load_feature_file(path) -> FeatureSource:
     if not raw or raw.isspace():
         raise ConfigError(f"{path}: empty feature file")
     newline = raw.find(b"\n")
-    body = len(raw) + 1 if newline < 0 else newline + 1
-    header = raw[:body - 1].decode("ascii", errors="replace").strip()
+    at = len(raw) + 1 if newline < 0 else newline + 1
+    header = raw[:at - 1].decode("ascii", errors="replace").strip()
     parts = header.split()
     keys = [p.split("=", 1) for p in parts if "=" in p]
     fields = {k: v for k, v in keys}
@@ -127,93 +130,53 @@ def load_feature_file(path) -> FeatureSource:
         d = int(fields["d"])
         num_classes = int(fields["classes"])
         rows = int(fields["rows"])
+        labels = np.empty(rows, dtype=np.int64)  # a negative size raises
+        X = np.empty((rows, d), dtype=np.float64)
     except (KeyError, ValueError):
         raise ConfigError(
             f"{path}: malformed header at byte 0: {header!r} "
             f"(expected 'd=<int> classes=<int> rows=<int>')"
         )
-    labels, X, offsets = (_parse_rows(raw, body, d, num_classes, rows)
-                          or _walk_rows(path, raw, body, d, num_classes, rows))
+    offsets = np.empty(rows, dtype=np.int64)
+    row = 0
+    with warnings.catch_warnings():
+        # numpy < 2.3 warns, instead of raising, on a cell it cannot parse
+        warnings.simplefilter("error", DeprecationWarning)
+        while at < len(raw):
+            end = raw.find(b"\n", at)
+            end = len(raw) if end < 0 else end
+            line = raw[at:end].strip()
+            if line:
+                if row >= rows:
+                    raise ConfigError(f"{path}: more rows than the declared "
+                                      f"{rows} at byte {at}")
+                if (width := line.count(b",")) != d:
+                    raise ConfigError(f"{path}: row width {width} != declared "
+                                      f"d={d} at byte {at}")
+                label, _, cells = line.partition(b",")
+                try:
+                    label = int(label)
+                    values = np.fromstring(cells, sep=",")
+                except (ValueError, DeprecationWarning):
+                    values = None
+                if values is None or values.size != d:
+                    raise ConfigError(f"{path}: unparseable row at byte {at}")
+                if not 0 <= label < num_classes:
+                    raise ConfigError(
+                        f"{path}: label {label} outside [0, {num_classes}) "
+                        f"at byte {at}")
+                labels[row] = label
+                X[row] = values
+                offsets[row] = at
+                row += 1
+            at = end + 1
+    if row != rows:
+        raise ConfigError(f"{path}: found {row} rows, header declared {rows}")
     if not np.isfinite(X).all():
         bad = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise ConfigError(f"{path}: non-finite value in row {bad} at byte "
                           f"{offsets[bad]}")
     return FeatureSource(d, num_classes, labels, X)
-
-
-def _parse_rows(raw: bytes, start: int, d: int, num_classes: int, rows: int):
-    """The body in one numpy pass: (labels, X, line offsets), or None
-    unless it is exactly ``rows`` lines of a digit label below
-    ``num_classes`` and ``d`` values.  The line walk reads anything else
-    and names the byte offset of a bad line."""
-    end = len(raw)
-    while end > start and raw[end - 1] == ord("\n"):
-        end -= 1
-    if d < 1 or end <= start:
-        return None
-    breaks = np.flatnonzero(
-        np.frombuffer(raw, np.uint8, end - start, start) == ord("\n"))
-    if len(breaks) != rows - 1:
-        return None
-    starts = np.concatenate(([start], start + breaks + 1))
-    for s, e in zip(starts.tolist(), [*(start + breaks).tolist(), end]):
-        comma = raw.find(b",", s, e)
-        if raw.count(b",", s, e) != d or not raw[s:comma].isdigit():
-            return None
-    with warnings.catch_warnings():
-        # numpy < 2.3 warns, instead of raising, on a cell it cannot parse
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            cells = np.fromstring(raw[start:end].replace(b"\n", b","),
-                                  sep=",")
-        except (ValueError, DeprecationWarning):
-            return None
-    if cells.size != rows * (d + 1):
-        return None
-    table = cells.reshape(rows, d + 1)
-    if not (table[:, 0] < num_classes).all():
-        return None
-    return (table[:, 0].astype(np.int64), np.ascontiguousarray(table[:, 1:]),
-            starts)
-
-
-def _walk_rows(path, raw: bytes, offset: int, d: int, num_classes: int,
-               rows: int):
-    """The body line by line, refusing the first bad line by byte offset."""
-    labels = np.empty(rows, dtype=np.int64)
-    X = np.empty((rows, d), dtype=np.float64)
-    offsets = np.empty(rows, dtype=np.int64)
-    row = 0
-    for line in raw[offset:].split(b"\n"):
-        text = line.decode("ascii", errors="replace").strip()
-        if not text:
-            offset += len(line) + 1
-            continue
-        if row >= rows:
-            raise ConfigError(
-                f"{path}: more rows than the declared {rows} at byte {offset}")
-        cells = text.split(",")
-        if len(cells) != d + 1:
-            raise ConfigError(
-                f"{path}: row width {len(cells) - 1} != declared d={d} "
-                f"at byte {offset}")
-        try:
-            label = int(cells[0])
-            values = [float(v) for v in cells[1:]]
-        except ValueError:
-            raise ConfigError(f"{path}: unparseable row at byte {offset}")
-        if not 0 <= label < num_classes:
-            raise ConfigError(
-                f"{path}: label {label} outside [0, {num_classes}) "
-                f"at byte {offset}")
-        labels[row] = label
-        X[row] = values
-        offsets[row] = offset
-        row += 1
-        offset += len(line) + 1
-    if row != rows:
-        raise ConfigError(f"{path}: found {row} rows, header declared {rows}")
-    return labels, X, offsets
 
 
 def write_feature_file(path, source) -> None:

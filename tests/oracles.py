@@ -204,12 +204,19 @@ def lloyd_ref(rows: np.ndarray, centers: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def shallow_update_ref(params, e: int, phi: np.ndarray, lr: float,
-                       iters: int) -> tuple:
+                       iters: int, scales) -> tuple:
     """``iters`` softmax cross-entropy steps towards expert ``e`` on one
     batch, in the arithmetic and order of the streaming router but with no
-    array reused; takes and returns (W1, b1, W2, b2) without touching the
-    inputs."""
+    array reused; takes (W1, b1, W2, b2) without touching the inputs.
+
+    Returns the stepped parameters and their scales: each entry of
+    ``scales`` (pass the parameters before the first batch) in magnitude,
+    plus the magnitude of every term the steps add into that entry.  Rounding
+    errors follow these scales even where the terms cancel to a small
+    result."""
     W1, b1, W2, b2 = (np.array(p, dtype=np.float64) for p in params)
+    sW1, sb1, sW2, sb2 = (np.abs(np.asarray(s, dtype=np.float64))
+                          for s in scales)
     B = phi.shape[0]
     for _ in range(iters):
         z1 = phi @ W1.T + b1
@@ -221,11 +228,16 @@ def shallow_update_ref(params, e: int, phi: np.ndarray, lr: float,
         p[:, e] -= 1.0
         dlogits = p / B
         dz1 = (dlogits @ W2) * (z1 > 0.0)
+        mdz1 = (np.abs(dlogits) @ np.abs(W2)) * (z1 > 0.0)
         W2 = W2 - lr * (dlogits.T @ a1)
         b2 = b2 - lr * dlogits.sum(axis=0)
         W1 = W1 - lr * (dz1.T @ phi)
         b1 = b1 - lr * dz1.sum(axis=0)
-    return W1, b1, W2, b2
+        sW2 = sW2 + lr * (np.abs(dlogits).T @ a1)
+        sb2 = sb2 + lr * np.abs(dlogits).sum(axis=0)
+        sW1 = sW1 + lr * (mdz1.T @ np.abs(phi))
+        sb1 = sb1 + lr * mdz1.sum(axis=0)
+    return (W1, b1, W2, b2), (sW1, sb1, sW2, sb2)
 
 
 def shallow_update_kernel_ref(params, e: int, phi: np.ndarray, lr: float,
@@ -288,3 +300,20 @@ def expected_scatter(blurry_ratio: float, class_total: int, train_size: int,
 
 def round_half_up_ref(x: float) -> int:
     return int(math.floor(x + 0.5))
+
+
+# ---------------------------------------------------------------------------
+# feature files, read one cell at a time
+# ---------------------------------------------------------------------------
+
+def feature_file_ref(path) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, X) of a well-formed feature file: the header skipped, every
+    non-blank line split at its commas, the label read by ``int()`` and each
+    cell by ``float()``."""
+    with open(path) as fh:
+        lines = fh.read().split("\n")[1:]
+    rows = [line.strip().split(",") for line in lines if line.strip()]
+    labels = np.array([int(row[0]) for row in rows], dtype=np.int64)
+    X = np.array([[float(v) for v in row[1:]] for row in rows],
+                 dtype=np.float64)
+    return labels, X

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gclstream.baselines as baselines_mod
@@ -385,17 +385,20 @@ class TestLloydFixedPoint:
         self._assert_matches_reference(router)
 
 
-# the kernel-form update rounds differently from the plain steps; the
-# relative gap measured ~1e-15 of each array's largest entry
+# the kernel-form update rounds differently from the plain steps; the gap is
+# bounded relative to the largest magnitude of the terms summed into an array
+# (shallow_update_ref's scales), not to its value, which those terms can
+# cancel down to far less than their rounding
 SHALLOW_RTOL = 1e-12
 
 
-def _assert_shallow_matches(router, kernel, plain):
-    for key, k_ref, p_ref in zip(ShallowRouter.STATE, kernel, plain):
+def _assert_shallow_matches(router, kernel, plain, scales):
+    for key, k_ref, p_ref, scale in zip(ShallowRouter.STATE, kernel, plain,
+                                        scales):
         got = getattr(router, key)
         np.testing.assert_array_equal(got, k_ref, err_msg=key)
-        scale = np.abs(p_ref).max(initial=0.0)
-        assert np.abs(got - p_ref).max(initial=0.0) <= SHALLOW_RTOL * scale, key
+        bound = SHALLOW_RTOL * scale.max(initial=0.0)
+        assert np.abs(got - p_ref).max(initial=0.0) <= bound, key
 
 
 class TestTrainedShallow:
@@ -427,16 +430,17 @@ class TestTrainedShallow:
         router = ShallowRouter(24, seed=3, num_experts=2, hidden=16,
                                lr=0.05, iters=3)
         ref = tuple(np.array(getattr(router, k)) for k in ShallowRouter.STATE)
-        refs = (ref, ref)
+        refs = (ref, ref, ref)  # kernel form, plain steps, their scales
 
         def step(r, refs, e):
             phi = np.maximum(rng.standard_normal((10, 24)) + e, 0.0)
             r.update(e, phi)
-            kernel, plain = refs
+            kernel, plain, scales = refs
             kernel = shallow_update_kernel_ref(kernel, e, phi, r.lr, r.iters)
-            plain = shallow_update_ref(plain, e, phi, r.lr, r.iters)
-            _assert_shallow_matches(r, kernel, plain)
-            return kernel, plain
+            plain, scales = shallow_update_ref(plain, e, phi, r.lr, r.iters,
+                                               scales)
+            _assert_shallow_matches(r, kernel, plain, scales)
+            return kernel, plain, scales
 
         def grow(ref):
             return ref[:2] + (np.vstack([ref[2], np.zeros((1, 16))]),
@@ -459,6 +463,8 @@ class TestTrainedShallow:
             refs = step(copy, refs, e)
 
     @settings(max_examples=60, deadline=None)
+    # b1 cancels to -1.66e-6 here, 3.3e-18 from the plain steps
+    @example(B=64, iters=5, hidden=1, M=14, relu=True, seed=1)
     @given(B=st.sampled_from([1, 2, 7, 64]),
            iters=st.sampled_from([1, 2, 3, 5]),
            hidden=st.integers(1, 12), M=st.integers(1, 16),
@@ -471,7 +477,7 @@ class TestTrainedShallow:
         rng = np.random.default_rng(seed)
         router = ShallowRouter(M, seed=seed, num_experts=3, hidden=hidden,
                                lr=0.05, iters=iters)
-        kernel = plain = tuple(
+        kernel = plain = scales = tuple(
             np.array(getattr(router, k)) for k in ShallowRouter.STATE)
         for e in (1, 0, 2):
             phi = rng.standard_normal((B, M)) + 0.5 * e
@@ -480,8 +486,9 @@ class TestTrainedShallow:
             router.update(e, phi)
             kernel = shallow_update_kernel_ref(kernel, e, phi, router.lr,
                                                iters)
-            plain = shallow_update_ref(plain, e, phi, router.lr, iters)
-            _assert_shallow_matches(router, kernel, plain)
+            plain, scales = shallow_update_ref(plain, e, phi, router.lr,
+                                               iters, scales)
+            _assert_shallow_matches(router, kernel, plain, scales)
 
     @pytest.mark.parametrize("key", ["W1", "W2"])
     def test_overflowing_weights_raise_and_leave_the_router(self, key):

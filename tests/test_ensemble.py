@@ -123,6 +123,31 @@ class TestEnsembleProperties:
                                 EnsembleConfig("softmax_min_entropy"))
         np.testing.assert_allclose(z[0], [0.5, 0.5], atol=1e-12)
 
+    def test_min_entropy_names_give_bit_equal_scores(self):
+        """Both names take the picked head's masked softmax, which is bit
+        for bit the masked softmax of that head's raw logits."""
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            C, d, B = rng.integers(2, 8), rng.integers(1, 5), rng.integers(1, 9)
+            heads = [Head(rng.standard_normal((C, d)) * rng.uniform(0.1, 9),
+                          rng.standard_normal(C)) for _ in range(3)]
+            bank = EmaBank([0.9, 0.99], heads[1:])
+            adapter = ExpertAdapter(0, rng.standard_normal(d), np.zeros(d))
+            X = rng.standard_normal((B, d))
+            values = np.where(rng.random(C) < 0.3, MASK_NEG, 0.0)
+            values[rng.integers(C)] = 0.0
+            mask = LogitMask(values, "seen_class")
+            soft, picked = (ensemble_predict(X, adapter, bank, heads[0], mask,
+                                             EnsembleConfig(name))[0]
+                            for name in ("softmax_min_entropy", "min_entropy"))
+            assert soft.tobytes() == picked.tobytes()
+            logits = np.stack([h.logits(adapter.adapted(X)) for h in heads])
+            probs = np.stack([masked_softmax(z, values) for z in logits])
+            pick = np.argmin([[entropy_ref(p) for p in head] for head in probs],
+                             axis=0)
+            chosen = masked_softmax(logits[pick, np.arange(B)], values)
+            assert chosen.tobytes() == picked.tobytes()
+
     def test_unknown_aggregation_rejected_at_config_time(self):
         with pytest.raises(ValueError):
             EnsembleConfig("median")

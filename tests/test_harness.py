@@ -395,6 +395,25 @@ class TestCheckpointResume:
         resumed, _ = run_seed(config, 1, state=resume(path, config))
         assert resumed == direct
 
+    def test_c_ordered_full_gram_resumes_bit_exactly(self, tmp_path):
+        """A checkpoint stores the mirrored full G C-ordered, as checkpoints
+        written while the router kept G C-ordered did: resume takes it into
+        the F-ordered G, bit for bit, and finishes the seed as the
+        uninterrupted run does."""
+        config = _fast(track_baselines=("kmeans",))
+        direct, _ = run_seed(config, 1)
+        path = tmp_path / "ck.npz"
+        state = _checkpoint_at(config, 5, path)
+        with np.load(path, allow_pickle=False) as data:
+            stored = data["gram"]
+        assert stored.flags.c_contiguous and not stored.flags.f_contiguous
+        np.testing.assert_array_equal(stored, stored.T)
+        resumed = resume(path, config)
+        gram = resumed.router.gram
+        assert gram.flags.f_contiguous
+        assert np.tril(gram).tobytes() == np.tril(state.router.gram).tobytes()
+        assert run_seed(config, 1, state=resumed)[0] == direct
+
     def test_resumed_gram_updates_in_place_and_saves_symmetric(self, tmp_path):
         """resume normalises G whatever its stored layout, later batches
         update that very array, and checkpoint saves the mirrored full G."""

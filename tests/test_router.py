@@ -121,11 +121,11 @@ class TestAccumulate:
             tracemalloc.stop()
         assert state.gram.nbytes <= peak < 1.1 * state.gram.nbytes
 
-    def test_gram_that_is_not_c_contiguous_is_refused(self):
-        """dsyrk would update a copy of a non-C-contiguous G and drop the
+    def test_gram_that_is_not_f_contiguous_is_refused(self):
+        """dsyrk would update a copy of a non-F-contiguous G and drop the
         batch; accumulate must refuse instead, leaving the state as it was."""
         state = new_router_state(4, 1.0)
-        state.gram = np.asfortranarray(state.gram)
+        state.gram = np.ascontiguousarray(state.gram)
         with pytest.raises(ShapeError):
             accumulate(state, ExpandedBatch(np.ones((2, 4)), 0))
         assert state.samples_seen == 0
@@ -294,10 +294,10 @@ class TestSnapshotRestore:
         state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
         snap = state.state()
         np.testing.assert_array_equal(snap["gram"], snap["gram"].T)
-        snap["gram"] = np.asfortranarray(snap["gram"])
+        assert snap["gram"].flags.c_contiguous  # the checkpointed layout
         copy = new_router_state(5, 1.0, num_experts=2)
         copy.load(snap)
-        assert copy.gram.flags.c_contiguous and copy.gram.dtype == np.float64
+        assert copy.gram.flags.f_contiguous and copy.gram.dtype == np.float64
         np.testing.assert_array_equal(full_gram(copy), full_gram(state))
         np.testing.assert_array_equal(copy.proto, state.proto)
         assert copy.samples_seen == state.samples_seen

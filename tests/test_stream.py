@@ -1,5 +1,7 @@
 """Blurry-boundary stream: partition, scatter, holdout, batching, file IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,9 @@ from gclstream.errors import ConfigError
 from gclstream.stream import (
     StreamConfig, SyntheticBackbone, build_schedule, build_stream,
     load_feature_file, partition_classes, write_feature_file, StreamCursor,
-    _parse_rows, _walk_rows,
 )
 
-from oracles import expected_scatter, round_half_up_ref
+from oracles import expected_scatter, feature_file_ref, round_half_up_ref
 
 
 def _tiny(**overrides):
@@ -260,15 +261,6 @@ class TestFeatureFile:
         sizes = [len(ids) for ids, _, _ in schedule.batches]
         assert sizes == [2, 1]
 
-    @staticmethod
-    def _both_parses(path):
-        raw = path.read_bytes()
-        header = raw.split(b"\n", 1)[0].decode()
-        fields = dict(p.split("=") for p in header.split())
-        args = (raw, len(header) + 1, int(fields["d"]),
-                int(fields["classes"]), int(fields["rows"]))
-        return _parse_rows(*args), _walk_rows(path, *args)
-
     @pytest.mark.parametrize("extremes", [False, True])
     def test_numpy_parse_is_bit_equal_to_the_line_walk(self, tmp_path,
                                                        extremes):
@@ -280,9 +272,9 @@ class TestFeatureFile:
                 "11,0.1,-2.2250738585072014e-308,123456789.12345679\n")
         else:
             write_feature_file(path, SyntheticBackbone(_tiny(d=16)))
-        fast, walked = self._both_parses(path)
-        assert fast is not None
-        for got, want in zip(fast, walked):  # labels, X, line offsets
+        source = load_feature_file(path)
+        got = source.labels, source.features(np.arange(len(source.labels)))
+        for got, want in zip(got, feature_file_ref(path)):  # labels, X
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -304,7 +296,6 @@ class TestFeatureFile:
         path = tmp_path / "bad.txt"
         path.write_text("d=2 classes=1 rows=3\n0,1.0,2.0\n"
                         "0,3.0,nan\n0,5.0,6.0\n")
-        assert self._both_parses(path)[0] is not None
         with pytest.raises(ConfigError) as err:
             load_feature_file(path)
         assert "row 1 at byte 31" in str(err.value)
@@ -327,6 +318,46 @@ class TestFeatureFile:
         with pytest.raises(ConfigError) as err:
             load_feature_file(path)
         assert "byte" in str(err.value)
+
+    @pytest.mark.parametrize("row", [
+        "0,1.0,",      # d commas, d - 1 cells: the size guard refuses it
+        "0,1_0,2.0",   # float() reads 1_0 as 10; no writer emits it
+        "0,,2.0",
+    ])
+    def test_row_with_a_cell_numpy_cannot_read_names_the_byte_offset(
+            self, tmp_path, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"d=2 classes=1 rows=2\n0,1.0,2.0\n{row}\n")
+        with pytest.raises(ConfigError) as err:
+            load_feature_file(path)
+        assert str(err.value).endswith("unparseable row at byte 31")
+
+    @pytest.mark.parametrize("header", ["d=-1 classes=1 rows=1",
+                                        "d=2 classes=1 rows=-1"])
+    def test_negative_header_size_is_a_config_error(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_feature_file(path)
+        assert "malformed header at byte 0" in str(err.value)
+
+    def test_parse_peak_is_the_file_and_the_matrix(self, tmp_path):
+        """The walk holds one line at a time: its traced peak stays within
+        the file's bytes plus the parsed labels, rows and line offsets and
+        the rows' finiteness mask."""
+        path = tmp_path / "features.txt"
+        write_feature_file(path, SyntheticBackbone(
+            _tiny(d=64, samples_per_class=50)))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            source = load_feature_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows, d = len(source.labels), source.d
+        parsed = rows * (8 + 8 + 8 * d + d)  # labels, offsets, X, X's mask
+        assert peak < 1.1 * (size + parsed)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_names_the_byte_offset(self, tmp_path, cell):

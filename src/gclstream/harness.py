@@ -54,7 +54,7 @@ TAG_ADAPTER = 31
 TAG_MASK = 32
 TAG_CKA = 33
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------

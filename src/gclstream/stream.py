@@ -126,17 +126,24 @@ def load_feature_file(path) -> FeatureSource:
     parts = header.split()
     keys = [p.split("=", 1) for p in parts if "=" in p]
     fields = {k: v for k, v in keys}
+    malformed = ConfigError(
+        f"{path}: malformed header at byte 0: {header!r} "
+        f"(expected 'd=<int> classes=<int> rows=<int>')")
     try:
         d = int(fields["d"])
         num_classes = int(fields["classes"])
         rows = int(fields["rows"])
+    except (KeyError, ValueError):
+        raise malformed from None
+    lines = raw.count(b"\n")
+    if rows > lines:  # refused before its rows x d are allocated
+        raise ConfigError(f"{path}: header declares {rows} rows, more than "
+                          f"the file's {lines} lines")
+    try:
         labels = np.empty(rows, dtype=np.int64)  # a negative size raises
         X = np.empty((rows, d), dtype=np.float64)
-    except (KeyError, ValueError):
-        raise ConfigError(
-            f"{path}: malformed header at byte 0: {header!r} "
-            f"(expected 'd=<int> classes=<int> rows=<int>')"
-        )
+    except ValueError:
+        raise malformed from None
     offsets = np.empty(rows, dtype=np.int64)
     row = 0
     with warnings.catch_warnings():

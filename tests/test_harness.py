@@ -41,6 +41,11 @@ def _fast(**overrides):
     return desk_config(**base)
 
 
+# _fast's stream (M=64) after DUAL_SOLVED batches: the router is in the dual
+# form with 61 rows, 49 of them factored; after PAST_M batches it holds G.
+DUAL_SOLVED, PAST_M = 6, 7
+
+
 class TestConfigIdentity:
     def test_hash_is_stable_and_ignores_output_location(self):
         a = _fast(outdir="x")
@@ -396,14 +401,14 @@ class TestCheckpointResume:
         assert resumed == direct
 
     def test_c_ordered_full_gram_resumes_bit_exactly(self, tmp_path):
-        """A checkpoint stores the mirrored full G C-ordered, as checkpoints
-        written while the router kept G C-ordered did: resume takes it into
-        the F-ordered G, bit for bit, and finishes the seed as the
-        uninterrupted run does."""
+        """Past M rows a checkpoint stores the mirrored full G C-ordered, as
+        checkpoints written while the router kept G C-ordered did: resume
+        takes it into the F-ordered G, bit for bit, and finishes the seed as
+        the uninterrupted run does."""
         config = _fast(track_baselines=("kmeans",))
         direct, _ = run_seed(config, 1)
         path = tmp_path / "ck.npz"
-        state = _checkpoint_at(config, 5, path)
+        state = _checkpoint_at(config, PAST_M, path)
         with np.load(path, allow_pickle=False) as data:
             stored = data["gram"]
         assert stored.flags.c_contiguous and not stored.flags.f_contiguous
@@ -415,11 +420,12 @@ class TestCheckpointResume:
         assert run_seed(config, 1, state=resumed)[0] == direct
 
     def test_resumed_gram_updates_in_place_and_saves_symmetric(self, tmp_path):
-        """resume normalises G whatever its stored layout, later batches
-        update that very array, and checkpoint saves the mirrored full G."""
+        """Past M rows, resume normalises G whatever its stored layout, later
+        batches update that very array, and checkpoint saves the mirrored
+        full G."""
         config = _fast()
         state = SeedRunState(config, 1)
-        for _ in range(3):
+        for _ in range(PAST_M):
             run_batch(state, state.cursor.next_batch())
         path = tmp_path / "ck.npz"
         checkpoint(state, path)
@@ -487,13 +493,16 @@ class TestCheckpointResume:
         with pytest.raises(ConfigError):
             resume(path, config)
 
-    @pytest.mark.parametrize("key", ["meta", "gram", "baseline_kmeans_fill",
+    @pytest.mark.parametrize("key", ["meta", "gram", "rows", "row_expert",
+                                     "factor", "baseline_kmeans_fill",
                                      "adapter_scale", "bank_w",
                                      "session_matrix"])
     def test_checkpoint_missing_an_entry_is_refused(self, tmp_path, key):
+        """Each entry of a dual-form router checkpoint, or G past M rows."""
         config = _fast(track_baselines=("kmeans",))
         state = SeedRunState(config, 1)
-        run_batch(state, state.cursor.next_batch())
+        for _ in range(PAST_M if key == "gram" else DUAL_SOLVED):
+            run_batch(state, state.cursor.next_batch())
         path = tmp_path / "ck.npz"
         checkpoint(state, path)
         with np.load(path, allow_pickle=False) as data:
@@ -558,44 +567,66 @@ def test_checkpoint_that_does_not_fit_the_config_is_refused(tmp_path, case):
         resume(path, config)
 
 
-def test_checkpoint_format_is_pinned(tmp_path):
-    """The v1 entries of a mid-stream checkpoint with two experts, an EMA
-    bank of two heads and every baseline tracked."""
+def _pinned_entries(tmp_path, at):
+    """(array entries as (dtype, shape), meta) of a checkpoint at batch
+    ``at`` with two experts, an EMA bank of two heads and every baseline
+    tracked."""
     path = tmp_path / "ck.npz"
-    _checkpoint_at(_fast(track_baselines=BASELINE_KINDS), 7, path)
+    _checkpoint_at(_fast(track_baselines=BASELINE_KINDS), at, path)
     with np.load(path, allow_pickle=False) as data:
         entries = {k: (data[k].dtype.str, data[k].shape) for k in data.files}
         meta = json.loads(str(data["meta"]))
-    M, d, C = 64, 8, 6
-    f8, i8 = "<f8", "<i8"
-    assert {k: v for k, v in entries.items() if k != "meta"} == {
-        "gram": (f8, (M, M)), "proto": (f8, (M, 2)),
-        "online_w": (f8, (C, d)), "online_b": (f8, (C,)),
-        "streamed": ("|u1", (23,)),
-        "session_matrix": (f8, (3, 3)), "anytime": (f8, (1,)),
-        "adapter_scale": (f8, (2, d)), "adapter_shift": (f8, (2, d)),
-        "adapter_frozen": ("|b1", (2,)),
-        "bank_w": (f8, (2, 2, C, d)), "bank_b": (f8, (2, 2, C)),
-        "baseline_prototype_counts": (i8, (2,)),
-        "baseline_prototype_means": (f8, (2, M)),
-        "baseline_naive_bayes_counts": (i8, (2,)),
-        "baseline_naive_bayes_means": (f8, (2, M)),
-        "baseline_naive_bayes_m2": (f8, (2, M)),
-        "baseline_kmeans_fill": (i8, (2,)),
-        "baseline_kmeans_seen": (i8, (2,)),
-        "baseline_kmeans_reservoir_0": (f8, (512, M)),
-        "baseline_kmeans_reservoir_1": (f8, (512, M)),
-        "baseline_trained_shallow_W1": (f8, (512, M)),
-        "baseline_trained_shallow_b1": (f8, (512,)),
-        "baseline_trained_shallow_W2": (f8, (2, 512)),
-        "baseline_trained_shallow_b2": (f8, (2,)),
-    }
-    assert set(meta) == {
-        "version", "config_hash", "seed", "batch_index", "samples_seen",
-        "num_experts", "samples_under_current", "seen", "trained_classes",
-        "routing_hits", "routing_attempts", "predictions_log",
-        "streamed_len"}
-    assert meta["version"] == 1 and meta["num_experts"] == 2
+    del entries["meta"]
+    assert meta["version"] == 2 and meta["num_experts"] == 2
+    return entries, meta
+
+
+# The entries besides the router's: M=64, d=8, 6 classes, two experts.
+PINNED_ENTRIES = {
+    "proto": ("<f8", (64, 2)),
+    "online_w": ("<f8", (6, 8)), "online_b": ("<f8", (6,)),
+    "streamed": ("|u1", (23,)),
+    "session_matrix": ("<f8", (3, 3)), "anytime": ("<f8", (1,)),
+    "adapter_scale": ("<f8", (2, 8)), "adapter_shift": ("<f8", (2, 8)),
+    "adapter_frozen": ("|b1", (2,)),
+    "bank_w": ("<f8", (2, 2, 6, 8)), "bank_b": ("<f8", (2, 2, 6)),
+    "baseline_prototype_counts": ("<i8", (2,)),
+    "baseline_prototype_means": ("<f8", (2, 64)),
+    "baseline_naive_bayes_counts": ("<i8", (2,)),
+    "baseline_naive_bayes_means": ("<f8", (2, 64)),
+    "baseline_naive_bayes_m2": ("<f8", (2, 64)),
+    "baseline_kmeans_fill": ("<i8", (2,)),
+    "baseline_kmeans_seen": ("<i8", (2,)),
+    "baseline_kmeans_reservoir_0": ("<f8", (512, 64)),
+    "baseline_kmeans_reservoir_1": ("<f8", (512, 64)),
+    "baseline_trained_shallow_W1": ("<f8", (512, 64)),
+    "baseline_trained_shallow_b1": ("<f8", (512,)),
+    "baseline_trained_shallow_W2": ("<f8", (2, 512)),
+    "baseline_trained_shallow_b2": ("<f8", (2,)),
+}
+PINNED_META = {
+    "version", "config_hash", "seed", "batch_index", "samples_seen",
+    "num_experts", "samples_under_current", "seen", "trained_classes",
+    "routing_hits", "routing_attempts", "predictions_log", "streamed_len"}
+
+
+def test_checkpoint_format_is_pinned(tmp_path):
+    """The v2 entries of a checkpoint past M rows: the router stores G."""
+    entries, meta = _pinned_entries(tmp_path, PAST_M)
+    assert entries == {**PINNED_ENTRIES, "gram": ("<f8", (64, 64))}
+    assert set(meta) == PINNED_META
+
+
+def test_dual_checkpoint_format_is_pinned(tmp_path):
+    """The v2 entries of a checkpoint in the dual form: the router stores
+    its 61 rows, their experts, the factor of the 49 rows its last solve saw
+    and that factor's jitter."""
+    entries, meta = _pinned_entries(tmp_path, DUAL_SOLVED)
+    assert entries == {**PINNED_ENTRIES, "rows": ("<f8", (61, 64)),
+                       "row_expert": ("<i8", (61,)),
+                       "factor": ("<f8", (49, 49))}
+    assert set(meta) == PINNED_META | {"jitter_used"}
+    assert meta["samples_seen"] == 61 and meta["jitter_used"] == 0.0
 
 
 def _interrupted(config, at, path):
@@ -628,6 +659,26 @@ class TestResumeAnywhere:
                                                   Path(tmp) / "ck.npz")
         assert resumed == direct
         assert resumed_state.predictions_log == direct_state.predictions_log
+
+    def test_resume_at_every_batch_boundary_across_the_fold(self, tmp_path):
+        """Solving every other batch, the router's checkpoints hold the dual
+        form with no factor, a factor of all its rows and one of fewer rows,
+        then G; each resumes bit-exactly."""
+        config = _fast(stream={"eval_interval": 2})
+        direct, direct_state = run_seed(config, 1)
+        forms = set()
+        for at in range(len(direct_state.schedule.batches) + 1):
+            path = tmp_path / f"ck{at}.npz"
+            router = _checkpoint_at(config, at, path).router
+            whole = (router.factored == router.samples_seen
+                     if router.factored else None)
+            forms.add((router.dual, whole))
+            resumed, resumed_state = run_seed(config, 1,
+                                              state=resume(path, config))
+            assert resumed == direct, f"resumed at batch {at}"
+            assert resumed_state.predictions_log == direct_state.predictions_log
+        assert forms == {(True, None), (True, True), (True, False),
+                         (False, None)}
 
     def test_checkpoint_with_every_kinds_arrays_still_resumes(self, tmp_path):
         """Checkpoints once stored every kind's arrays under every tracked

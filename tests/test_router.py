@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from gclstream.analytic_router import (
@@ -36,22 +38,35 @@ class TestAccumulate:
     """G and Q are exact sums over the stream, order independent."""
 
     def test_single_row_outer_product_by_hand(self):
+        """The dual form stores the row and its expert; G is their outer
+        product, and stays so once a batch folds it into the primal G."""
         state = new_router_state(3, 1.0, num_experts=2)
         accumulate(state, ExpandedBatch(np.array([[1.0, 0.0, 2.0]]), 0))
+        np.testing.assert_array_equal(state.gram[:, 0], [1, 0, 2])
+        np.testing.assert_array_equal(state.row_expert, [0])
         np.testing.assert_array_equal(
             full_gram(state), [[1, 0, 2], [0, 0, 0], [2, 0, 4]])
         np.testing.assert_array_equal(state.proto[:, 0], [1, 0, 2])
         np.testing.assert_array_equal(state.proto[:, 1], [0, 0, 0])
         assert state.samples_seen == 1
+        accumulate(state, ExpandedBatch(np.array([[0.0, 1.0, 0.0]] * 3), 1))
+        assert not state.dual and len(state.row_expert) == 0
+        np.testing.assert_array_equal(
+            full_gram(state), [[1, 0, 2], [0, 3, 0], [2, 0, 4]])
+        np.testing.assert_array_equal(state.proto[:, 1], [0, 3, 0])
 
     def test_two_identical_rows_double_the_outer_product(self):
+        """In the dual form (1 and 2 rows of M=3) and the primal (4 and 8)."""
         row = np.array([[1.0, 0.0, 2.0]])
-        once = new_router_state(3, 1.0)
-        accumulate(once, ExpandedBatch(row, 0))
-        twice = new_router_state(3, 1.0)
-        accumulate(twice, ExpandedBatch(np.vstack([row, row]), 0))
-        np.testing.assert_array_equal(twice.gram, 2 * once.gram)
-        np.testing.assert_array_equal(twice.proto, 2 * once.proto)
+        for copies in (1, 4):
+            once = new_router_state(3, 1.0)
+            accumulate(once, ExpandedBatch(np.repeat(row, copies, 0), 0))
+            twice = new_router_state(3, 1.0)
+            accumulate(twice, ExpandedBatch(np.repeat(row, 2 * copies, 0), 0))
+            assert once.dual == twice.dual == (copies == 1)
+            np.testing.assert_array_equal(full_gram(twice),
+                                          2 * full_gram(once))
+            np.testing.assert_array_equal(twice.proto, 2 * once.proto)
 
     def test_empty_batch_is_a_no_op(self):
         state = new_router_state(3, 1.0)
@@ -86,13 +101,14 @@ class TestAccumulate:
 
     def test_lower_triangle_is_bit_exact_at_a_blocked_size(self):
         """At a width where BLAS blocks the update, the stored lower triangle
-        still equals the numpy running sum bit for bit."""
+        still equals the numpy running sum bit for bit.  The first batch is
+        wider than M, so the state is primal from the start."""
         rng = np.random.default_rng(5)
         M = 576
         state = new_router_state(M, 1.0)
         running = np.zeros((M, M))
-        for _ in range(4):
-            phi = rng.standard_normal((64, M))
+        for rows in (M + 64, 64, 64, 64):
+            phi = rng.standard_normal((rows, M))
             running += phi.T @ phi
             accumulate(state, ExpandedBatch(phi, 0))
         np.testing.assert_array_equal(np.tril(state.gram), np.tril(running))
@@ -123,11 +139,12 @@ class TestAccumulate:
 
     def test_gram_that_is_not_f_contiguous_is_refused(self):
         """dsyrk would update a copy of a non-F-contiguous G and drop the
-        batch; accumulate must refuse instead, leaving the state as it was."""
+        batch; accumulate must refuse instead, leaving the state as it was.
+        The batch is wider than M, so it goes to G."""
         state = new_router_state(4, 1.0)
         state.gram = np.ascontiguousarray(state.gram)
         with pytest.raises(ShapeError):
-            accumulate(state, ExpandedBatch(np.ones((2, 4)), 0))
+            accumulate(state, ExpandedBatch(np.ones((5, 4)), 0))
         assert state.samples_seen == 0
         np.testing.assert_array_equal(state.proto, np.zeros((4, 1)))
 
@@ -200,24 +217,121 @@ class TestSolve:
 
     def test_jitter_rescues_near_singular_gram(self):
         """A rank-one Gram with a tiny ridge fails the first factorization;
-        the retry must start again from G (not from the buffer the failed
-        attempt left half overwritten) and solve G + (lam + jitter) I."""
+        the retry must start again from the matrix (not from the buffer the
+        failed attempt left half overwritten) and solve G + (lam + jitter) I.
+        Primal (17 rows of M=16); dual, with K factored whole (8 rows) and
+        with 7 rows appended to a factored one, whose new block fails and
+        sends the solve to a rebuild."""
         M, lam = 16, 1e-12
-        state = new_router_state(M, lam, num_experts=1)
-        row = np.ones((1, M))
-        accumulate(state, ExpandedBatch(row * 1e8, 0))
-        weights = solve(state)
-        assert state.jitter_used > 0
-        shifted = full_gram(state) + (lam + state.jitter_used) * np.eye(M)
-        expected = cho_solve(cho_factor(shifted, lower=True), state.proto).T
-        np.testing.assert_allclose(weights, expected, rtol=1e-9)
+        # rows whose rounded kernel leaves the appended block nonzero (for
+        # some rows, all-ones among them, it cancels to lam * I and factors)
+        row = np.arange(1.0, M + 1)[None, :] * 1e8
+        for batches in ([17], [8], [1, 7]):
+            state = new_router_state(M, lam, num_experts=1)
+            for rows in batches:
+                accumulate(state, ExpandedBatch(np.repeat(row, rows, 0), 0))
+                weights = solve(state)
+            assert state.dual == (batches != [17])
+            assert state.jitter_used > 0
+            # the reference solves in the same form: the other one is
+            # conditioned differently
+            phi, ridge = np.repeat(row, sum(batches), 0), lam + state.jitter_used
+            if state.dual:
+                kernel = phi @ phi.T + ridge * np.eye(len(phi))
+                expected = (phi.T @ cho_solve(cho_factor(kernel, lower=True),
+                                              np.ones((len(phi), 1)))).T
+            else:
+                shifted = full_gram(state) + ridge * np.eye(M)
+                expected = cho_solve(cho_factor(shifted, lower=True),
+                                     state.proto).T
+            np.testing.assert_allclose(weights, expected, rtol=1e-9)
 
     def test_gram_failing_every_jitter_raises(self):
+        """Primal: a G that is not PSD.  Dual: a negative ridge, as no rows
+        make K indefinite."""
         state = new_router_state(4, 1.0, num_experts=1)
-        state.gram = -np.eye(4)
+        accumulate(state, ExpandedBatch(np.ones((5, 4)), 0))
+        state.gram = -np.eye(4, order="F")
         with pytest.raises(NumericalError):
             solve(state)
         assert state.solved is None
+        state = new_router_state(4, 1.0, num_experts=1)
+        accumulate(state, ExpandedBatch(np.eye(1, 4), 0))
+        state.lam = -1e3
+        with pytest.raises(NumericalError):
+            solve(state)
+        assert state.solved is None
+
+
+class TestTwoForms:
+    """The dual form below M rows, its grown factor and the fold into G."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(1, 40), T=st.integers(1, 4),
+           lam=st.sampled_from([0.1, 1.0, 10.0]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_solves_match_batch_ridge_through_the_fold(self, M, T, lam, seed,
+                                                       data):
+        """Random batches with solves at random points, always including the
+        last batch before the fold and the end, match the batch ridge
+        solution to 1e-9 relative in either form."""
+        sizes = data.draw(st.lists(st.integers(1, 16), min_size=1,
+                                   max_size=12), label="batch sizes")
+        if sum(sizes) <= M:
+            sizes.append(M + 1 - sum(sizes))
+        solve_at = data.draw(st.lists(st.booleans(), min_size=len(sizes),
+                                      max_size=len(sizes)), label="solves")
+        rng = np.random.default_rng(seed)
+        state = new_router_state(M, lam, num_experts=T)
+        phi, labels = np.zeros((0, M)), np.zeros(0, dtype=int)
+        for i, size in enumerate(sizes):
+            rows, expert = rng.standard_normal((size, M)), int(rng.integers(T))
+            accumulate(state, ExpandedBatch(rows, expert))
+            phi = np.vstack([phi, rows])
+            labels = np.concatenate([labels, np.full(size, expert)])
+            folds_next = i + 1 < len(sizes) and state.dual and (
+                len(phi) + sizes[i + 1] > M)
+            if solve_at[i] or folds_next or i + 1 == len(sizes):
+                assert state.dual == (len(phi) <= M)
+                ref = batch_ridge(phi, one_hot(labels, T), lam)
+                err = np.abs(solve(state) - ref).max() / np.abs(ref).max()
+                assert err <= 1e-9
+
+    def test_memory_stays_within_two_m_by_m_arrays(self):
+        """A stream of M rows with a solve after every batch peaks below the
+        dual form's two M x M arrays plus O(M*B); the fold allocates at most
+        one M x M array (G), and only once the dual factor is gone; no solve
+        after the first allocates O(M^2)."""
+        M, B = 256, 16
+        mm, small = M * M * 8, 16 * M * B * 8
+        rng = np.random.default_rng(11)
+        batches = [rng.standard_normal((B, M)) for _ in range(M // B + 2)]
+        solve_peaks = []
+        tracemalloc.start()
+        try:
+            state = new_router_state(M, 1.0, num_experts=2)
+            for i, phi in enumerate(batches):
+                if i == M // B:  # the batch that folds
+                    assert state.dual and state.samples_seen == M
+                    stream_peak = tracemalloc.get_traced_memory()[1]
+                    before = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    accumulate(state, ExpandedBatch(phi, i % 2))
+                    fold_high = tracemalloc.get_traced_memory()[1]
+                    fold_peak = fold_high - before
+                else:
+                    accumulate(state, ExpandedBatch(phi, i % 2))
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                solve(state)
+                solve_peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert not state.dual
+        assert stream_peak < 2 * mm + small
+        assert fold_peak < mm + small and fold_high < 2 * mm + small
+        assert solve_peaks[0] >= mm  # the first solve allocates factor_buf
+        assert max(solve_peaks[1:]) < small
 
 
 class TestRoute:
@@ -290,27 +404,42 @@ class TestGrow:
 
 class TestSnapshotRestore:
     def test_round_trip_preserves_solution(self):
+        """Dual (4 rows of M=5: the rows, their experts and the factor,
+        grown by the last row) and primal (19 rows: the mirrored G,
+        C-ordered)."""
         rng = np.random.default_rng(9)
-        state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
-        snap = state.state()
-        np.testing.assert_array_equal(snap["gram"], snap["gram"].T)
-        assert snap["gram"].flags.c_contiguous  # the checkpointed layout
-        copy = new_router_state(5, 1.0, num_experts=2)
-        copy.load(snap)
-        assert copy.gram.flags.f_contiguous and copy.gram.dtype == np.float64
-        np.testing.assert_array_equal(full_gram(copy), full_gram(state))
-        np.testing.assert_array_equal(copy.proto, state.proto)
-        assert copy.samples_seen == state.samples_seen
-        np.testing.assert_array_equal(solve(copy), solve(state))
+        for N in (4, 19):
+            state, _, _ = _stream_instance(rng, 5, N - 1, 2, 1.0)
+            solve(state)
+            accumulate(state, ExpandedBatch(rng.standard_normal((1, 5)), 1))
+            solve(state)
+            snap = state.state()
+            if state.dual:
+                assert snap["rows"].shape == (N, 5)
+                assert snap["factor"].shape == (N, N)
+                np.testing.assert_array_equal(snap["factor"],
+                                              np.tril(snap["factor"]))
+            else:
+                np.testing.assert_array_equal(snap["gram"], snap["gram"].T)
+                assert snap["gram"].flags.c_contiguous
+            copy = new_router_state(5, 1.0, num_experts=2)
+            copy.load(snap)
+            assert copy.gram.flags.f_contiguous
+            assert copy.gram.dtype == np.float64
+            for key, value in copy.state().items():  # factor included
+                np.testing.assert_array_equal(value, snap[key])
+            np.testing.assert_array_equal(full_gram(copy), full_gram(state))
+            np.testing.assert_array_equal(solve(copy), solve(state))
 
     def test_load_drops_a_stale_solution(self):
         rng = np.random.default_rng(9)
-        state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
-        copy = new_router_state(5, 1.0, num_experts=2)
-        solve(copy)
-        copy.load(state.state())
-        assert copy.solved is None
-        np.testing.assert_array_equal(solve(copy), solve(state))
+        for N in (4, 18):
+            state, _, _ = _stream_instance(rng, 5, N, 2, 1.0)
+            copy = new_router_state(5, 1.0, num_experts=2)
+            solve(copy)
+            copy.load(state.state())
+            assert copy.solved is None
+            np.testing.assert_array_equal(solve(copy), solve(state))
 
     @pytest.mark.parametrize("key, shape", [("gram", (4, 4)),
                                             ("proto", (5, 3)),

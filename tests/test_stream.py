@@ -341,6 +341,24 @@ class TestFeatureFile:
             load_feature_file(path)
         assert "malformed header at byte 0" in str(err.value)
 
+    @pytest.mark.parametrize("rows", [2, 10_000_000_000_000])
+    def test_more_declared_rows_than_lines_is_refused_unallocated(
+            self, tmp_path, rows):
+        """A header may not declare more rows than the file has lines: the
+        refusal comes before its rows x d matrix is allocated."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"d=4 classes=2 rows={rows}\n0,1.0,2.0,3.0,4.0")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as err:
+                load_feature_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"declares {rows} rows, more than the file's 1 lines" in str(
+            err.value)
+        assert peak < 1 << 20
+
     def test_parse_peak_is_the_file_and_the_matrix(self, tmp_path):
         """The walk holds one line at a time: its traced peak stays within
         the file's bytes plus the parsed labels, rows and line offsets and

@@ -30,10 +30,6 @@ from scipy.linalg import blas, lapack
 from .errors import NotSolvedError, NumericalError, ShapeError, check_shape
 from .expansion import ExpandedBatch
 
-# Tile edge for full_gram's mirror of the Fortran-ordered G into a C-ordered
-# matrix: whole-matrix F -> C copies miss cache on every element.
-_COPY_TILE = 64
-
 # The fold adds the rows to G this many at a time: wider dsyrk panels touch
 # more of OpenBLAS's work buffers, which stay resident (~1 MB at M=1024).
 _FOLD_ROWS = 64
@@ -45,11 +41,12 @@ class RouterState:
 
     ``gram`` is an F-contiguous float64 M x M array: in the dual form
     (``samples_seen <= M``) the rows seen, as columns, with their expert ids
-    in ``row_expert``; in the primal form G's lower triangle.  ``solved``
-    holds U (T x M) until the next accumulate/grow.  ``factor_buf`` is
-    solve()'s Fortran-ordered M x M workspace, allocated on first use; in the
-    dual form its head holds the Cholesky factor of K + (lambda +
-    ``jitter_used``) I over the first ``factored`` rows.
+    in ``row_expert``; in the primal form G's lower triangle, zero above the
+    diagonal, as a checkpoint writes it.  ``solved`` holds U (T x M) until
+    the next accumulate/grow.  ``factor_buf`` is solve()'s Fortran-ordered
+    M x M workspace, allocated on first use; in the dual form its head holds
+    the Cholesky factor of K + (lambda + ``jitter_used``) I over the first
+    ``factored`` rows.
     """
 
     gram: np.ndarray            # M x M: Phi^T (dual) or lower triangle of G
@@ -79,7 +76,7 @@ class RouterState:
     def state(self) -> dict:
         snap = {"proto": self.proto, "samples_seen": self.samples_seen}
         if not self.dual:
-            return {"gram": full_gram(self), **snap}
+            return {"gram": self.gram, **snap}
         k = self.factored
         return {"rows": self.gram[:, :self.samples_seen].T,
                 "row_expert": self.row_expert, "jitter_used": self.jitter_used,
@@ -93,8 +90,10 @@ class RouterState:
         self.solved, self.factor_buf, self.factored = None, None, 0
         self.row_expert, self.samples_seen = np.zeros(0, np.int64), n
         if n > M:
-            self.gram = np.asfortranarray(
-                check_shape(snap, "gram", (M, M)), dtype=np.float64)
+            gram = check_shape(snap, "gram", (M, M))
+            if any(gram[:j, j].any() for j in range(1, M)):  # no M x M temp
+                raise ShapeError("gram has a nonzero entry above its diagonal")
+            self.gram = np.asfortranarray(gram, dtype=np.float64)
             return
         rows = check_shape(snap, "rows", (n, M))
         experts = check_shape(snap, "row_expert", (n,)).astype(np.int64)
@@ -297,25 +296,4 @@ def grow(state: RouterState, new_expert_count: int) -> RouterState:
     state.proto = np.hstack([state.proto, pad])
     state.solved = None
     return state
-
-
-def full_gram(state: RouterState) -> np.ndarray:
-    """G as a full symmetric C-ordered M x M array.
-
-    In the dual form with rows stored, it is Phi^T Phi in one symmetric
-    product.  Otherwise the stored lower triangle is mirrored tile by tile
-    into one new array; each entry is the stored one plus 0.0, as in
-    ``tril(G) + tril(G, -1).T``, but without that sum's temporaries."""
-    if state.dual and state.samples_seen:
-        rows = state.gram[:, :state.samples_seen]
-        return rows @ rows.T
-    G, t = state.gram, _COPY_TILE
-    full = np.empty(G.shape)
-    for i in range(0, state.M, t):
-        for j in range(0, i, t):
-            np.add(G[i:i + t, j:j + t], 0.0, out=full[i:i + t, j:j + t])
-            np.add(G[i:i + t, j:j + t].T, 0.0, out=full[j:j + t, i:i + t])
-        tile = G[i:i + t, i:i + t]
-        full[i:i + t, i:i + t] = np.tril(tile) + np.tril(tile, -1).T
-    return full
 

@@ -229,41 +229,36 @@ class KMeansRouter(_Baseline):
         self.reservoir_cap = reservoir_cap
         self.reservoirs = [np.zeros((reservoir_cap, M))
                            for _ in range(num_experts)]
-        self.fill = [0] * num_experts
         self.seen = [0] * num_experts
         self.centroids: np.ndarray | None = None
         self.centroid_owner: np.ndarray | None = None
 
     @property
     def num_experts(self) -> int:
-        return len(self.fill)
+        return len(self.seen)
 
     def register_expert(self) -> int:
         self.reservoirs.append(np.zeros((self.reservoir_cap, self.M)))
-        self.fill.append(0)
         self.seen.append(0)
-        self.centroids = None
-        self.centroid_owner = None
+        self.centroids = self.centroid_owner = None
         return self.num_experts - 1
 
     def update(self, e: int, phi: np.ndarray) -> None:
         """Uniform reservoir; acceptance keyed by (seed, expert, arrival
-        count)."""
+        count).  Expert e's reservoir holds min(seen[e], cap) rows."""
         cap = self.reservoir_cap
         for row in phi:
             self.seen[e] += 1
             n = self.seen[e]
-            if self.fill[e] < cap:
-                self.reservoirs[e][self.fill[e]] = row
-                self.fill[e] += 1
+            if n <= cap:
+                self.reservoirs[e][n - 1] = row
             else:
                 rng = np.random.default_rng(np.random.SeedSequence(
                     [self.seed, TAG_RESERVOIR, e, n]))
                 j = int(rng.integers(n))
                 if j < cap:
                     self.reservoirs[e][j] = row
-        self.centroids = None
-        self.centroid_owner = None
+        self.centroids = self.centroid_owner = None
 
     def finalize(self) -> None:
         """Lloyd's iterations per expert; a no-op while the centroids are
@@ -273,7 +268,7 @@ class KMeansRouter(_Baseline):
         centroids = []
         owners = []
         for e in range(self.num_experts):
-            rows = self.reservoirs[e][:self.fill[e]]
+            rows = self.reservoirs[e][:min(self.seen[e], self.reservoir_cap)]
             if len(rows) == 0:
                 continue
             k = min(self.K, len(rows))
@@ -304,18 +299,15 @@ class KMeansRouter(_Baseline):
         return self.centroid_owner[_nearest(phi, self.centroids)]
 
     def state(self) -> dict:
-        return {"fill": np.array(self.fill, dtype=np.int64),
-                "seen": np.array(self.seen, dtype=np.int64),
+        return {"seen": np.array(self.seen, dtype=np.int64),
                 **{f"reservoir_{e}": r for e, r in enumerate(self.reservoirs)}}
 
     def load(self, snap: dict) -> None:
         E, row = (self.num_experts,), (self.reservoir_cap, self.M)
-        self.fill = [int(v) for v in check_shape(snap, "fill", E)]
         self.seen = [int(v) for v in check_shape(snap, "seen", E)]
         self.reservoirs = [np.array(check_shape(snap, f"reservoir_{e}", row))
                            for e in range(self.num_experts)]
-        self.centroids = None
-        self.centroid_owner = None
+        self.centroids = self.centroid_owner = None
 
 
 class ShallowRouter(_Baseline):

@@ -109,6 +109,9 @@ def _cmd_metrics(args) -> int:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"{pred_path}:{number}: not JSON ({err})")
+            if not isinstance(record, dict) or "phase" not in record:
+                raise ConfigError(
+                    f"{pred_path}:{number}: not a record with a phase")
             seed = record.get("seed")
             if record["phase"] == "meta":
                 by_seed[seed] = {"meta": record, "records": []}
@@ -121,9 +124,14 @@ def _cmd_metrics(args) -> int:
     stored: dict[tuple, float] = {}
     metrics_path = run_dir / "metrics.csv"
     if metrics_path.exists():
-        for line in metrics_path.read_text().splitlines()[1:]:
-            seed, metric, value = line.split(",")
-            stored[(seed, metric)] = float(value)
+        lines = metrics_path.read_text().splitlines()
+        for number, line in enumerate(lines[1:], start=2):
+            try:
+                seed, metric, value = line.split(",")
+                stored[(seed, metric)] = float(value)
+            except ValueError as err:
+                raise ConfigError(f"{metrics_path}:{number}: not "
+                                  f"seed,metric,value ({err})") from err
 
     worst = 0.0
     for seed, data in sorted(by_seed.items()):

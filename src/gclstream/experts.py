@@ -345,13 +345,11 @@ class ExpertPool:
     def state(self) -> dict:
         """Online head; adapters and EMA heads stacked over the experts."""
         snap = {"online_w": self.online.weights, "online_b": self.online.bias,
-                "num_experts": self.num_experts,
                 "samples_under_current": self.samples_under_current,
                 "trained_classes": [sorted(s) for s in self.trained_classes]}
         if self.adapters:
             snap["adapter_scale"] = np.array([a.scale for a in self.adapters])
             snap["adapter_shift"] = np.array([a.shift for a in self.adapters])
-            snap["adapter_frozen"] = np.array([a.frozen for a in self.adapters])
         if self.adapters and self.decays:
             heads = [bank.heads for bank in self.banks]
             snap["bank_w"] = np.array([[h.weights for h in hs] for hs in heads])
@@ -360,7 +358,8 @@ class ExpertPool:
 
     def load(self, snap: dict) -> None:
         """Rebuild from a ``state()`` of this d, class count and decays;
-        ``trained_classes`` holds one entry per expert."""
+        one expert per ``trained_classes`` entry, all but the newest frozen
+        (only ``spawn`` freezes)."""
         classes = snap["trained_classes"]
         n, k, C, d = len(classes), len(self.decays), self.num_classes, self.d
         self.online = Head(np.array(check_shape(snap, "online_w", (C, d))),
@@ -368,14 +367,13 @@ class ExpertPool:
         if n:
             scale = np.array(check_shape(snap, "adapter_scale", (n, d)))
             shift = np.array(check_shape(snap, "adapter_shift", (n, d)))
-            frozen = check_shape(snap, "adapter_frozen", (n,))
         if n and k:
             bank_w = np.array(check_shape(snap, "bank_w", (n, k, C, d)))
             bank_b = np.array(check_shape(snap, "bank_b", (n, k, C)))
         self.adapters, self.banks = [], []
         for e in range(n):
             self.adapters.append(ExpertAdapter(e, scale[e], shift[e]))
-            if frozen[e]:
+            if e < n - 1:
                 self.adapters[e].freeze()
             self.banks.append(EmaBank(self.decays, [
                 Head(bank_w[e, j], bank_b[e, j]) for j in range(k)]))

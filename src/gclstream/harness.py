@@ -54,7 +54,7 @@ TAG_ADAPTER = 31
 TAG_MASK = 32
 TAG_CKA = 33
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +315,8 @@ def run_batch(state: SeedRunState, batch) -> None:
     mask = build_mask(set(int(c) for c in y), state.seen, config.mask_kind,
                       state.source.num_classes, mask_rng)
 
-    bank = state.pool.banks[-1] if config.ema_decays else None
     train_step(state.pool.adapters[-1], state.pool.online, X, y, mask,
-               config.lr, config.iters, bank)
+               config.lr, config.iters, state.pool.banks[-1])
 
     feats = (state.pool.adapters[-1].adapted(X)
              if config.accumulate_adapted else X)

@@ -33,6 +33,17 @@ def batch_ridge(phi: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
     return np.linalg.solve(lhs, rhs).T
 
 
+def router_gram_ref(state) -> np.ndarray:
+    """The full symmetric G = Phi^T Phi a router state stands for: the
+    product of its stored rows while it has seen at most M of them, else its
+    lower triangle mirrored (each entry the stored one plus 0.0)."""
+    n, M = state.samples_seen, state.gram.shape[0]
+    if n <= M:
+        rows = state.gram[:, :n]
+        return rows @ rows.T
+    return np.tril(state.gram) + np.tril(state.gram, -1).T
+
+
 # ---------------------------------------------------------------------------
 # the random expansion, one generator per column
 # ---------------------------------------------------------------------------

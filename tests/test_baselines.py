@@ -170,7 +170,7 @@ class TestKmeans:
                                     reservoir_cap=64)
             _feed(router, rows, 0, chunk=17)
             routers.append(router)
-        assert routers[0].fill[0] == 64
+        assert routers[0].reservoirs[0].shape == (64, 2)
         assert routers[0].seen[0] == 900
         np.testing.assert_array_equal(routers[0].reservoirs[0],
                                       routers[1].reservoirs[0])
@@ -184,7 +184,7 @@ class TestKmeans:
             router = KMeansRouter(1, seed=seed, num_experts=1,
                                     reservoir_cap=20)
             _feed(router, rows, 0, chunk=50)
-            kept = router.reservoirs[0][:router.fill[0]].ravel()
+            kept = router.reservoirs[0].ravel()  # 200 rows seen fill all 20
             early += (kept < 100).sum()
         fraction = early / (40 * 20)
         assert 0.35 < fraction < 0.65
@@ -271,7 +271,7 @@ def _lloyd_reference(router):
     as ``baseline_finalize`` seeds its initial centres."""
     centroids, owners = [], []
     for e in range(router.num_experts):
-        rows = router.reservoirs[e][:router.fill[e]]
+        rows = router.reservoirs[e][:min(router.seen[e], router.reservoir_cap)]
         if len(rows) == 0:
             continue
         k = min(router.K, len(rows))
@@ -548,8 +548,8 @@ class TestLifecycle:
             "prototype": ({"counts", "means"}, {"counts", "means"}),
             "naive_bayes": ({"counts", "means", "m2"},
                             {"counts", "means", "m2"}),
-            "kmeans": ({"reservoirs", "fill", "seen"},
-                       {"fill", "seen", "reservoir_0", "reservoir_1"}),
+            "kmeans": ({"reservoirs", "seen"},
+                       {"seen", "reservoir_0", "reservoir_1"}),
             "trained_shallow": ({"W1", "b1", "W2", "b2"},
                                 {"W1", "b1", "W2", "b2"}),
         }

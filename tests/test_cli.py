@@ -185,7 +185,9 @@ class TestMetricsCommand:
 
     @pytest.mark.parametrize("bad, why", [
         ("{not json", "not JSON"),
-        ('{"phase": "final", "seed": 9}', "seed 9 has no meta line")])
+        ('{"phase": "final", "seed": 9}', "seed 9 has no meta line"),
+        ('{"seed": 1}', "not a record with a phase"),
+        ("[1, 2]", "not a record with a phase")])
     def test_bad_prediction_line_is_a_config_error_naming_its_line(
             self, tmp_path, capsys, bad, why):
         run_dir = self._run_once(tmp_path)
@@ -196,6 +198,19 @@ class TestMetricsCommand:
         rc = main(["metrics", "--run-dir", str(run_dir)])
         assert rc == 1
         assert f"predictions.jsonl:3: {why}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["1,a_auc", "1,a_auc,high", "1,a,b,0.5"])
+    def test_bad_metrics_row_is_a_config_error_naming_its_line(
+            self, tmp_path, capsys, bad):
+        run_dir = self._run_once(tmp_path)
+        csv_path = run_dir / "metrics.csv"
+        lines = csv_path.read_text().splitlines()
+        lines.insert(2, bad)
+        csv_path.write_text("\n".join(lines) + "\n")
+        rc = main(["metrics", "--run-dir", str(run_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "metrics.csv:3: not seed,metric,value" in err
 
     def test_unlogged_run_recomputes_nothing(self, tmp_path, capsys):
         rc = main(["run", *_tiny_overrides(), "--set", "log_predictions=false",

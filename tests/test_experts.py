@@ -481,8 +481,8 @@ class TestExpertPool:
 
     def test_empty_pool_round_trip_has_no_expert_entries(self):
         snap = self._pool().state()
-        assert set(snap) == {"online_w", "online_b", "num_experts",
-                             "samples_under_current", "trained_classes"}
+        assert set(snap) == {"online_w", "online_b", "samples_under_current",
+                             "trained_classes"}
         copy = self._pool()
         copy.load(snap)
         assert copy.num_experts == 0 and copy.banks == []

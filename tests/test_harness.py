@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -400,29 +401,45 @@ class TestCheckpointResume:
         resumed, _ = run_seed(config, 1, state=resume(path, config))
         assert resumed == direct
 
-    def test_c_ordered_full_gram_resumes_bit_exactly(self, tmp_path):
-        """Past M rows a checkpoint stores the mirrored full G C-ordered, as
-        checkpoints written while the router kept G C-ordered did: resume
-        takes it into the F-ordered G, bit for bit, and finishes the seed as
-        the uninterrupted run does."""
+    def test_gram_checkpoints_as_held_and_resumes_bit_exactly(self, tmp_path):
+        """Past M rows a checkpoint stores G as the router holds it: its
+        lower triangle in Fortran order, zeros above the diagonal.  Resume
+        takes it back bit for bit and finishes the seed as the uninterrupted
+        run does."""
         config = _fast(track_baselines=("kmeans",))
         direct, _ = run_seed(config, 1)
         path = tmp_path / "ck.npz"
         state = _checkpoint_at(config, PAST_M, path)
         with np.load(path, allow_pickle=False) as data:
             stored = data["gram"]
-        assert stored.flags.c_contiguous and not stored.flags.f_contiguous
-        np.testing.assert_array_equal(stored, stored.T)
+        assert stored.flags.f_contiguous and not stored.flags.c_contiguous
+        assert stored.tobytes("F") == state.router.gram.tobytes("F")
+        assert not np.triu(stored, 1).any()
         resumed = resume(path, config)
-        gram = resumed.router.gram
-        assert gram.flags.f_contiguous
-        assert np.tril(gram).tobytes() == np.tril(state.router.gram).tobytes()
+        assert resumed.router.gram.flags.f_contiguous
+        assert resumed.router.gram.tobytes("F") == stored.tobytes("F")
         assert run_seed(config, 1, state=resumed)[0] == direct
 
-    def test_resumed_gram_updates_in_place_and_saves_symmetric(self, tmp_path):
+    def test_primal_checkpoint_allocates_no_m_by_m_array(self, tmp_path):
+        """At M=1024 a checkpoint past M rows peaks below 1.1 times G's
+        bytes: it writes G as held, so the one transient of G's size is
+        numpy's write buffer (at most 16 MiB)."""
+        state = SeedRunState(_fast(M=1024), 1)
+        phi = np.random.default_rng(4).standard_normal((1025, 1024))
+        accumulate(state.router, ExpandedBatch(phi, 0))
+        del phi
+        assert not state.router.dual
+        tracemalloc.start()
+        try:
+            checkpoint(state, tmp_path / "ck.npz")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * state.router.gram.nbytes
+
+    def test_resumed_gram_updates_in_place_and_saves_as_held(self, tmp_path):
         """Past M rows, resume normalises G whatever its stored layout, later
-        batches update that very array, and checkpoint saves the mirrored
-        full G."""
+        batches update that very array, and checkpoint saves it as held."""
         config = _fast()
         state = SeedRunState(config, 1)
         for _ in range(PAST_M):
@@ -431,7 +448,7 @@ class TestCheckpointResume:
         checkpoint(state, path)
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: np.array(v) for k, v in data.items()}
-        arrays["gram"] = np.asfortranarray(arrays["gram"])
+        arrays["gram"] = np.ascontiguousarray(arrays["gram"])
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
 
@@ -444,8 +461,8 @@ class TestCheckpointResume:
         checkpoint(resumed, path)
         with np.load(path, allow_pickle=False) as data:
             saved = data["gram"]
-        np.testing.assert_array_equal(saved, saved.T)
-        np.testing.assert_array_equal(np.tril(saved), np.tril(gram))
+        assert saved.flags.f_contiguous
+        assert saved.tobytes("F") == gram.tobytes("F")
 
     def test_seen_that_disagrees_with_the_pool_is_refused(self, tmp_path):
         config, path = _fast(), tmp_path / "ck.npz"
@@ -494,7 +511,7 @@ class TestCheckpointResume:
             resume(path, config)
 
     @pytest.mark.parametrize("key", ["meta", "gram", "rows", "row_expert",
-                                     "factor", "baseline_kmeans_fill",
+                                     "factor", "baseline_kmeans_seen",
                                      "adapter_scale", "bank_w",
                                      "session_matrix"])
     def test_checkpoint_missing_an_entry_is_refused(self, tmp_path, key):
@@ -528,11 +545,14 @@ def _shrink_cols(key, cols):
 
 
 # Each edit leaves a checkpoint that still reads and hash-matches but whose
-# shapes do not fit the config below: M=64, d=8, 6 classes, 3 sessions and,
-# at batch 7, two experts.  Each case names the entry the refusal must name.
+# shapes, or G's zero upper triangle, do not fit the config below: M=64, d=8,
+# 6 classes, 3 sessions and, at batch 7, two experts.  Each case names the
+# entry the refusal must name.
 TAMPERED = {
     "gram_32x32": ("gram", lambda meta, arrays: arrays.update(
         gram=np.zeros((32, 32)))),
+    "gram_upper_corner": ("gram", lambda meta, arrays: arrays.update(
+        gram=arrays["gram"] + np.eye(64, k=63))),
     "proto_10_rows": ("proto", lambda meta, arrays: arrays.update(
         proto=arrays["proto"][:10])),
     "online_w_d3": ("online_w", _shrink_cols("online_w", 3)),
@@ -577,7 +597,7 @@ def _pinned_entries(tmp_path, at):
         entries = {k: (data[k].dtype.str, data[k].shape) for k in data.files}
         meta = json.loads(str(data["meta"]))
     del entries["meta"]
-    assert meta["version"] == 2 and meta["num_experts"] == 2
+    assert meta["version"] == 3 and len(meta["trained_classes"]) == 2
     return entries, meta
 
 
@@ -588,14 +608,12 @@ PINNED_ENTRIES = {
     "streamed": ("|u1", (23,)),
     "session_matrix": ("<f8", (3, 3)), "anytime": ("<f8", (1,)),
     "adapter_scale": ("<f8", (2, 8)), "adapter_shift": ("<f8", (2, 8)),
-    "adapter_frozen": ("|b1", (2,)),
     "bank_w": ("<f8", (2, 2, 6, 8)), "bank_b": ("<f8", (2, 2, 6)),
     "baseline_prototype_counts": ("<i8", (2,)),
     "baseline_prototype_means": ("<f8", (2, 64)),
     "baseline_naive_bayes_counts": ("<i8", (2,)),
     "baseline_naive_bayes_means": ("<f8", (2, 64)),
     "baseline_naive_bayes_m2": ("<f8", (2, 64)),
-    "baseline_kmeans_fill": ("<i8", (2,)),
     "baseline_kmeans_seen": ("<i8", (2,)),
     "baseline_kmeans_reservoir_0": ("<f8", (512, 64)),
     "baseline_kmeans_reservoir_1": ("<f8", (512, 64)),
@@ -606,19 +624,19 @@ PINNED_ENTRIES = {
 }
 PINNED_META = {
     "version", "config_hash", "seed", "batch_index", "samples_seen",
-    "num_experts", "samples_under_current", "seen", "trained_classes",
+    "samples_under_current", "seen", "trained_classes",
     "routing_hits", "routing_attempts", "predictions_log", "streamed_len"}
 
 
 def test_checkpoint_format_is_pinned(tmp_path):
-    """The v2 entries of a checkpoint past M rows: the router stores G."""
+    """The v3 entries of a checkpoint past M rows: the router stores G."""
     entries, meta = _pinned_entries(tmp_path, PAST_M)
     assert entries == {**PINNED_ENTRIES, "gram": ("<f8", (64, 64))}
     assert set(meta) == PINNED_META
 
 
 def test_dual_checkpoint_format_is_pinned(tmp_path):
-    """The v2 entries of a checkpoint in the dual form: the router stores
+    """The v3 entries of a checkpoint in the dual form: the router stores
     its 61 rows, their experts, the factor of the 49 rows its last solve saw
     and that factor's jitter."""
     entries, meta = _pinned_entries(tmp_path, DUAL_SOLVED)
@@ -699,7 +717,6 @@ class TestResumeAnywhere:
             extra = {"counts": np.zeros(experts, dtype=np.int64),
                      "means": np.zeros((experts, M)),
                      "m2": np.zeros((experts, M)),
-                     "fill": np.zeros(experts, dtype=np.int64),
                      "seen": np.zeros(experts, dtype=np.int64)}
             extra.update({f"reservoir_{e}": np.zeros((512, M))
                           for e in range(experts)})

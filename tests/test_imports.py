@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private name it defines at module level is read there.
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the import check: its imports are the
+package's re-exports.  Dunders are exempt from the private-name check.
 """
 
 import ast
@@ -12,6 +14,7 @@ import gclstream
 
 SRC = Path(gclstream.__file__).parent
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +43,37 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Private names a module binds at its top level (functions, classes,
+    assignments) and never reads as a name."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound.update((name.id, node.lineno) for name in ast.walk(node)
+                         if isinstance(name, ast.Name)
+                         and isinstance(name.ctx, ast.Store))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items())
+            if name.startswith("_") and not name.startswith("__")
+            and name not in read]
+
+
+def test_the_check_sees_an_unread_private_name():
+    source = ("_TILE = 64\n_ROWS, pub = 8, 1\n__dunder__ = 0\n"
+              "def _helper():\n    return _ROWS\n"
+              "class _Unused:\n    _attr = 1\n"
+              "def api():\n    _local = 2\n    return _helper()\n")
+    assert unread_private_names(source) == ["_TILE (line 1)",
+                                            "_Unused (line 6)"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_every_private_name_is_read(module):
+    assert unread_private_names((SRC / module).read_text()) == []

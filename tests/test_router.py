@@ -1,5 +1,6 @@
 """Streaming ridge router: accumulation, closed-form solve, growth, routing."""
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from gclstream.analytic_router import (
-    new_router_state, accumulate, solve, route, grow, full_gram,
+    new_router_state, accumulate, solve, route, grow,
 )
 from gclstream.expansion import ExpandedBatch, RandomExpansion
 from gclstream.errors import NotSolvedError, NumericalError, ShapeError
 
-from oracles import batch_ridge, one_hot
+from oracles import batch_ridge, one_hot, router_gram_ref
 
 
 def _stream_instance(rng, M, N, T, lam):
@@ -45,14 +46,14 @@ class TestAccumulate:
         np.testing.assert_array_equal(state.gram[:, 0], [1, 0, 2])
         np.testing.assert_array_equal(state.row_expert, [0])
         np.testing.assert_array_equal(
-            full_gram(state), [[1, 0, 2], [0, 0, 0], [2, 0, 4]])
+            router_gram_ref(state), [[1, 0, 2], [0, 0, 0], [2, 0, 4]])
         np.testing.assert_array_equal(state.proto[:, 0], [1, 0, 2])
         np.testing.assert_array_equal(state.proto[:, 1], [0, 0, 0])
         assert state.samples_seen == 1
         accumulate(state, ExpandedBatch(np.array([[0.0, 1.0, 0.0]] * 3), 1))
         assert not state.dual and len(state.row_expert) == 0
         np.testing.assert_array_equal(
-            full_gram(state), [[1, 0, 2], [0, 3, 0], [2, 0, 4]])
+            router_gram_ref(state), [[1, 0, 2], [0, 3, 0], [2, 0, 4]])
         np.testing.assert_array_equal(state.proto[:, 1], [0, 3, 0])
 
     def test_two_identical_rows_double_the_outer_product(self):
@@ -64,8 +65,8 @@ class TestAccumulate:
             twice = new_router_state(3, 1.0)
             accumulate(twice, ExpandedBatch(np.repeat(row, 2 * copies, 0), 0))
             assert once.dual == twice.dual == (copies == 1)
-            np.testing.assert_array_equal(full_gram(twice),
-                                          2 * full_gram(once))
+            np.testing.assert_array_equal(router_gram_ref(twice),
+                                          2 * router_gram_ref(once))
             np.testing.assert_array_equal(twice.proto, 2 * once.proto)
 
     def test_empty_batch_is_a_no_op(self):
@@ -87,7 +88,8 @@ class TestAccumulate:
         np.testing.assert_allclose(parts.proto, whole.proto, atol=1e-12)
 
     def test_gram_stays_symmetric(self):
-        """The mirrored G is the exact running sum of Phi^T Phi."""
+        """The G its lower triangle stands for is the exact running sum of
+        Phi^T Phi, and nothing is written above the diagonal."""
         rng = np.random.default_rng(1)
         state = new_router_state(6, 1.0)
         running = np.zeros((6, 6))
@@ -95,9 +97,8 @@ class TestAccumulate:
             phi = rng.standard_normal((7, 6))
             running += phi.T @ phi
             accumulate(state, ExpandedBatch(phi, 0))
-        gram = full_gram(state)
-        np.testing.assert_array_equal(gram, gram.T)
-        np.testing.assert_array_equal(gram, running)
+        assert not np.triu(state.gram, 1).any()
+        np.testing.assert_array_equal(router_gram_ref(state), running)
 
     def test_lower_triangle_is_bit_exact_at_a_blocked_size(self):
         """At a width where BLAS blocks the update, the stored lower triangle
@@ -112,30 +113,6 @@ class TestAccumulate:
             running += phi.T @ phi
             accumulate(state, ExpandedBatch(phi, 0))
         np.testing.assert_array_equal(np.tril(state.gram), np.tril(running))
-
-    @pytest.mark.parametrize("M", [1, 64, 200])
-    def test_full_gram_mirrors_the_lower_triangle_bit_for_bit(self, M):
-        """Equal, bits and signed zeros included, to the sum of the two
-        triangles; the upper triangle G holds does not matter."""
-        rng = np.random.default_rng(M)
-        state = new_router_state(M, 1.0)
-        state.gram = rng.standard_normal((M, M))
-        state.gram[rng.random((M, M)) < 0.1] = -0.0
-        want = np.tril(state.gram) + np.tril(state.gram, -1).T
-        got = full_gram(state)
-        assert got.tobytes() == want.tobytes()
-        assert (np.signbit(got) == np.signbit(want)).all()
-
-    def test_full_gram_allocates_one_m_by_m_array(self):
-        state = new_router_state(512, 1.0)
-        state.gram[...] = np.random.default_rng(3).standard_normal((512, 512))
-        tracemalloc.start()
-        try:
-            full_gram(state)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert state.gram.nbytes <= peak < 1.1 * state.gram.nbytes
 
     def test_gram_that_is_not_f_contiguous_is_refused(self):
         """dsyrk would update a copy of a non-F-contiguous G and drop the
@@ -241,7 +218,7 @@ class TestSolve:
                 expected = (phi.T @ cho_solve(cho_factor(kernel, lower=True),
                                               np.ones((len(phi), 1)))).T
             else:
-                shifted = full_gram(state) + ridge * np.eye(M)
+                shifted = router_gram_ref(state) + ridge * np.eye(M)
                 expected = cho_solve(cho_factor(shifted, lower=True),
                                      state.proto).T
             np.testing.assert_allclose(weights, expected, rtol=1e-9)
@@ -405,8 +382,8 @@ class TestGrow:
 class TestSnapshotRestore:
     def test_round_trip_preserves_solution(self):
         """Dual (4 rows of M=5: the rows, their experts and the factor,
-        grown by the last row) and primal (19 rows: the mirrored G,
-        C-ordered)."""
+        grown by the last row) and primal (19 rows: G as held, its lower
+        triangle in Fortran order)."""
         rng = np.random.default_rng(9)
         for N in (4, 19):
             state, _, _ = _stream_instance(rng, 5, N - 1, 2, 1.0)
@@ -420,15 +397,16 @@ class TestSnapshotRestore:
                 np.testing.assert_array_equal(snap["factor"],
                                               np.tril(snap["factor"]))
             else:
-                np.testing.assert_array_equal(snap["gram"], snap["gram"].T)
-                assert snap["gram"].flags.c_contiguous
+                assert snap["gram"] is state.gram
+                assert not np.triu(snap["gram"], 1).any()
             copy = new_router_state(5, 1.0, num_experts=2)
             copy.load(snap)
             assert copy.gram.flags.f_contiguous
             assert copy.gram.dtype == np.float64
             for key, value in copy.state().items():  # factor included
                 np.testing.assert_array_equal(value, snap[key])
-            np.testing.assert_array_equal(full_gram(copy), full_gram(state))
+            np.testing.assert_array_equal(router_gram_ref(copy),
+                                          router_gram_ref(state))
             np.testing.assert_array_equal(solve(copy), solve(state))
 
     def test_load_drops_a_stale_solution(self):
@@ -440,6 +418,53 @@ class TestSnapshotRestore:
             copy.load(state.state())
             assert copy.solved is None
             np.testing.assert_array_equal(solve(copy), solve(state))
+
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_nothing_is_written_above_the_diagonal_of_g(self, M, seed, data):
+        """Random batches across the fold, a round trip through an npz file,
+        then more batches: from the fold on, G's strict upper triangle is
+        exactly zero, in memory and in what ``state()`` writes, and the
+        resumed state matches the uninterrupted one bit for bit."""
+        sizes = st.lists(st.integers(1, 12), min_size=1, max_size=8)
+        before = data.draw(sizes, label="batches before the checkpoint")
+        before.append(M + 1)  # the fold happens by the checkpoint at latest
+        after = data.draw(sizes, label="batches after the checkpoint")
+        rng = np.random.default_rng(seed)
+        state = new_router_state(M, 1.0, num_experts=2)
+
+        def feed(states, size):
+            rows, e = rng.standard_normal((size, M)), int(rng.integers(2))
+            for each in states:
+                accumulate(each, ExpandedBatch(rows, e))
+                assert each.dual or not np.triu(each.gram, 1).any()
+
+        for size in before:
+            feed([state], size)
+        buf = io.BytesIO()
+        np.savez(buf, **{k: v for k, v in state.state().items()
+                         if isinstance(v, np.ndarray)})
+        buf.seek(0)
+        with np.load(buf) as stored:
+            assert not np.triu(stored["gram"], 1).any()
+            snap = {"samples_seen": state.samples_seen, **stored}
+        resumed = new_router_state(M, 1.0, num_experts=2)
+        resumed.load(snap)
+        for size in after:
+            feed([state, resumed], size)
+        assert resumed.gram.tobytes("A") == state.gram.tobytes("A")
+        np.testing.assert_array_equal(solve(resumed), solve(state))
+
+    def test_load_refuses_a_nonzero_entry_above_the_diagonal(self):
+        """Even one, in G's last column: ``load`` scans every column."""
+        rng = np.random.default_rng(9)
+        state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
+        snap = state.state()
+        snap["gram"] = snap["gram"].copy(order="F")
+        snap["gram"][3, 4] = 1e-300
+        with pytest.raises(ShapeError, match="gram"):
+            new_router_state(5, 1.0, num_experts=2).load(snap)
 
     @pytest.mark.parametrize("key, shape", [("gram", (4, 4)),
                                             ("proto", (5, 3)),

@@ -305,6 +305,8 @@ class KMeansRouter(_Baseline):
     def load(self, snap: dict) -> None:
         E, row = (self.num_experts,), (self.reservoir_cap, self.M)
         self.seen = [int(v) for v in check_shape(snap, "seen", E)]
+        if min(self.seen, default=0) < 0:
+            raise ShapeError("seen holds a negative count")
         self.reservoirs = [np.array(check_shape(snap, f"reservoir_{e}", row))
                            for e in range(self.num_experts)]
         self.centroids = self.centroid_owner = None

@@ -19,12 +19,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, NumericalError
 from .harness import (ABLATION_AXES, RunConfig, ablate, apply_overrides,
                       config_from_dict, config_to_dict, desk_config, run)
-from .metrics import accuracy, seed_metrics, session_row
+from .metrics import check_record, replay
 from .stream import StreamConfig, SyntheticBackbone, write_feature_file
 
 
@@ -102,7 +100,7 @@ def _cmd_metrics(args) -> int:
     pred_path = run_dir / "predictions.jsonl"
     if not pred_path.exists():
         raise ConfigError(f"no predictions.jsonl under {run_dir}")
-    by_seed: dict[int, dict] = {}
+    by_seed: dict[int, tuple[dict, list]] = {}  # seed -> (meta, records)
     with open(pred_path) as fh:
         for number, line in enumerate(fh, start=1):
             try:
@@ -113,13 +111,17 @@ def _cmd_metrics(args) -> int:
                 raise ConfigError(
                     f"{pred_path}:{number}: not a record with a phase")
             seed = record.get("seed")
-            if record["phase"] == "meta":
-                by_seed[seed] = {"meta": record, "records": []}
-            elif seed in by_seed:
-                by_seed[seed]["records"].append(record)
-            else:
+            if record["phase"] != "meta" and seed not in by_seed:
                 raise ConfigError(
                     f"{pred_path}:{number}: seed {seed} has no meta line")
+            try:
+                phase = check_record(record)
+            except ConfigError as err:
+                raise ConfigError(f"{pred_path}:{number}: {err}") from err
+            if phase == "meta":
+                by_seed[seed] = (record, [])
+            else:
+                by_seed[seed][1].append(record)
 
     stored: dict[tuple, float] = {}
     metrics_path = run_dir / "metrics.csv"
@@ -133,43 +135,24 @@ def _cmd_metrics(args) -> int:
                 raise ConfigError(f"{metrics_path}:{number}: not "
                                   f"seed,metric,value ({err})") from err
 
-    worst = 0.0
-    for seed, data in sorted(by_seed.items()):
-        meta = data["meta"]
-        T = meta["sessions"]
-        R = np.full((T, T), np.nan)
-        anytime, final = [], None
-        for record in data["records"]:
-            labels = np.array(record["labels"])
-            predictions = np.array(record["predictions"])
-            if record["phase"] == "anytime":
-                anytime.append(accuracy(predictions, labels))
-            elif record["phase"] == "session":
-                i = record["step"]
-                R[i, :i + 1] = session_row(predictions, labels,
-                                           meta["session_classes"][:i + 1])
-            elif record["phase"] == "final":
-                final = record
-        if final is None and data["records"]:
+    mismatches = 0
+    for seed, (meta, records) in sorted(by_seed.items()):
+        _, recomputed = replay(records, meta["session_classes"],
+                               [set(h) for h in meta["history"]])
+        if records and not recomputed:
             raise ConfigError(f"{pred_path}: seed {seed} has no final record")
-        if final is None:  # the run did not log its predictions
-            continue
-        recomputed = seed_metrics(
-            anytime, R, final["predictions"], final["selections"],
-            final["labels"], [set(h) for h in meta["history"]])
         for metric, value in recomputed.items():
             key = (str(seed), metric)
             if key in stored:
-                diff = abs(stored[key] - value)
-                worst = max(worst, diff)
-                status = "ok" if diff <= 1e-12 else "MISMATCH"
+                status = "ok" if stored[key] == value else "MISMATCH"
+                mismatches += status != "ok"
                 print(f"seed {seed} {metric}: recomputed {value:.6f} "
                       f"stored {stored[key]:.6f} [{status}]")
             else:
                 print(f"seed {seed} {metric}: recomputed {value:.6f}")
-    if worst > 1e-12:
-        raise NumericalError(
-            f"stored metrics diverge from logged predictions by {worst:g}")
+    if mismatches:
+        raise NumericalError(f"{mismatches} stored metrics differ from "
+                             "those the logged predictions give")
     return 0
 
 

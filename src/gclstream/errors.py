@@ -13,7 +13,7 @@ class ConfigError(ValueError):
 
 
 class ShapeError(ValueError):
-    """Array dimensions do not match the contract."""
+    """Array dimensions, or a count, do not match the contract."""
 
 
 def check_shape(snap: dict, key: str, shape) -> np.ndarray:

@@ -378,4 +378,9 @@ class ExpertPool:
             self.banks.append(EmaBank(self.decays, [
                 Head(bank_w[e, j], bank_b[e, j]) for j in range(k)]))
         self.trained_classes = [set(c) for c in classes]
+        if not set().union(*self.trained_classes) <= set(range(C)):
+            raise ShapeError(f"trained_classes holds a class id outside "
+                             f"[0, {C})")
         self.samples_under_current = int(snap["samples_under_current"])
+        if self.samples_under_current < 0:
+            raise ShapeError("samples_under_current is negative")

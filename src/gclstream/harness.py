@@ -7,15 +7,18 @@ with EMA updates, expand the (adapted) features and fold them into the
 router's statistics — then every eval_interval batches and at every session
 end run one inference on held-out samples of the classes seen so far: select
 an expert per row (``_select``, which solves the router lazily for ridge
-routing), ensemble-predict, and record the anytime accuracy and/or one row of
-the session accuracy matrix; after the stream, run the final inference,
-routing-accuracy comparisons, and the representation-similarity probe.
+routing), ensemble-predict, and log the predictions as an anytime and/or a
+session record; after the stream, run and log the final (and oracle)
+inference, replay the log into the metrics, and add the baselines' routing
+accuracies and the representation-similarity probe.
 
 Everything stochastic is keyed by (seed, purpose tag, counters), never by a
 shared sequential generator, so a checkpoint is just arrays and counters and
 resuming reproduces the remainder of the run bit for bit.  The router, the
-expert pool, the ledger and each baseline checkpoint their own ``state()``;
-their ``load()`` refuses a shape the config would not build.  Outputs live in
+expert pool and each baseline checkpoint their own ``state()``; their
+``load()`` refuses a shape the config would not build.  A seed's prediction
+log is its one record of its evaluations: ``metrics.replay`` derives the
+ledger and the logged metrics from it.  Outputs live in
 ``<outdir>/<run-id>/`` where the run id is a config-hash prefix; repeated
 runs of an equal config overwrite the same files with identical bytes
 (wall-clock timings go to a separate file outside that contract).
@@ -44,8 +47,7 @@ from .errors import ConfigError, ShapeError, check_shape
 from .expansion import ACTIVATIONS, ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
                       train_step)
-from .metrics import (MetricsLedger, accuracy, linear_cka, routing_accuracy,
-                      seed_metrics, session_row)
+from .metrics import MetricsLedger, linear_cka, replay, routing_accuracy
 from .stream import SessionSchedule, StreamConfig, StreamCursor, build_stream
 
 log = logging.getLogger("gclstream")
@@ -54,7 +56,7 @@ TAG_ADAPTER = 31
 TAG_MASK = 32
 TAG_CKA = 33
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +210,6 @@ class SeedRunState:
         self.baselines = {
             kind: new_baseline(kind, config.M, seed=seed, lr=config.lr,
                                iters=config.iters) for kind in sorted(kinds)}
-        self.ledger = MetricsLedger(config.stream.sessions)
         self.batch_index = 0
         self.streamed = np.zeros(len(self.source.labels), dtype=bool)
         self.predictions_log: list[dict] = []
@@ -228,10 +229,20 @@ class SeedRunState:
         return set().union(*self.pool.trained_classes)
 
     @property
+    def ledger(self) -> MetricsLedger:
+        return _replay(self)[0]
+
+    @property
     def cursor(self) -> StreamCursor:
         cur = StreamCursor(self.schedule, self.source)
         cur.skip_to(self.batch_index)
         return cur
+
+
+def _replay(state) -> tuple[MetricsLedger, dict]:
+    """The seed's ledger and logged metrics, from its prediction log."""
+    return replay(state.predictions_log, state.schedule.session_classes,
+                  state.pool.trained_classes)
 
 
 def _grow_routers(state: SeedRunState, experts: int) -> None:
@@ -281,8 +292,6 @@ def _infer(state: SeedRunState, rows: np.ndarray, routing: str):
 
 
 def _log_predictions(state: SeedRunState, phase: str, step, rows, y, result):
-    if not state.config.log_predictions:
-        return
     state.predictions_log.append({
         "phase": phase,
         "step": step,
@@ -335,40 +344,24 @@ def run_batch(state: SeedRunState, batch) -> None:
     rows = _eval_pool(state)
     result, y_eval = _infer(state, rows, config.routing)
     if anytime:
-        state.ledger.record_anytime(accuracy(result.predictions, y_eval))
         _log_predictions(state, "anytime",
                          state.batch_index // config.stream.eval_interval,
                          rows, y_eval, result)
     if session_end:
-        state.ledger.record_session_row(session, session_row(
-            result.predictions, y_eval,
-            state.schedule.session_classes[:session + 1]))
         _log_predictions(state, "session", session, rows, y_eval, result)
 
 
 def finish_seed(state: SeedRunState) -> dict:
-    """Final inference, paired comparisons, CKA probe; returns metric dict."""
+    """Final (and oracle) inference, the metrics its log then determines,
+    paired comparisons, CKA probe; returns metric dict."""
     config = state.config
     rows = _eval_pool(state)
     result, y_eval = _infer(state, rows, config.routing)
-    state.ledger.record_routing(result.selections, y_eval,
-                                state.pool.trained_classes)
     _log_predictions(state, "final", None, rows, y_eval, result)
-
-    metrics = seed_metrics(state.ledger.anytime, state.ledger.session_matrix,
-                           result.predictions, result.selections, y_eval,
-                           state.pool.trained_classes)
-    metrics["num_experts"] = float(state.pool.num_experts)
-
     if config.track_oracle and config.routing != "oracle":
         oracle_result, _ = _infer(state, rows, "oracle")
-        metrics["oracle_accuracy"] = accuracy(oracle_result.predictions,
-                                              y_eval)
-        if config.eval_session_matrix:
-            metrics["oracle_a_last"] = float(np.mean(session_row(
-                oracle_result.predictions, y_eval,
-                state.schedule.session_classes)))
         _log_predictions(state, "oracle", None, rows, y_eval, oracle_result)
+    metrics = _replay(state)[1]
 
     others = set(state.baselines) - {config.routing}
     phi = state.expansion(state.holdout_X[rows]) if others else None
@@ -420,7 +413,7 @@ def run_seed(config: RunConfig, seed: int,
 
 def _components(state: SeedRunState) -> list:
     """(entry prefix, component) for everything with ``state``/``load``."""
-    return [("", state.pool), ("", state.router), ("", state.ledger)] + [
+    return [("", state.pool), ("", state.router)] + [
         (f"baseline_{kind}_", b) for kind, b in state.baselines.items()]
 
 
@@ -444,8 +437,9 @@ def checkpoint(state: SeedRunState, path) -> None:
 def resume(path, config: RunConfig) -> SeedRunState:
     """Rebuild a SeedRunState from a snapshot; config must hash-match.
 
-    A checkpoint that cannot be read, lacks an entry or has a shape the
-    config would not build raises ConfigError.
+    A checkpoint that cannot be read, lacks an entry, has a shape or a
+    count the config and its schedule would not build, or logs a record
+    ``replay`` cannot read raises ConfigError.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -455,9 +449,10 @@ def resume(path, config: RunConfig) -> SeedRunState:
         raise ConfigError(f"{path}: unreadable checkpoint ({err})") from err
     try:
         return _restore(meta, arrays, config)
-    except (KeyError, ShapeError) as err:
-        what = "no entry" if isinstance(err, KeyError) else "an unfit shape"
-        raise ConfigError(f"{path}: checkpoint has {what}: {err}") from err
+    except KeyError as err:
+        raise ConfigError(f"{path}: checkpoint has no entry {err}") from err
+    except (ShapeError, ConfigError) as err:
+        raise ConfigError(f"{path}: {err}") from err
 
 
 def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
@@ -473,6 +468,10 @@ def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
 
     state = SeedRunState(config, int(meta["seed"]))
     state.batch_index = int(meta["batch_index"])
+    batches = state.schedule.batches
+    if not 0 <= state.batch_index <= len(batches):
+        raise ShapeError(f"batch_index {state.batch_index} outside "
+                         f"0..{len(batches)}")
     state.predictions_log = list(meta["predictions_log"])
     n = state.streamed.size
     if meta["streamed_len"] != n:
@@ -492,6 +491,15 @@ def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
     if set(meta["seen"]) != state.seen:
         raise ConfigError(f"checkpoint seen classes {sorted(meta['seen'])} "
                           f"are not those its experts trained")
+    rows = sum(len(ids) for ids, _, _ in batches[:state.batch_index])
+    if state.router.samples_seen != rows:
+        raise ShapeError(f"samples_seen {state.router.samples_seen} is not "
+                         f"the {rows} rows of the first batch_index="
+                         f"{state.batch_index} batches")
+    try:
+        _replay(state)
+    except ConfigError as err:
+        raise ConfigError(f"predictions_log: {err}") from err
     return state
 
 
@@ -549,7 +557,6 @@ class SeedRecord(NamedTuple):
 
     schedule: SessionSchedule
     pool: ExpertPool
-    ledger: MetricsLedger
     predictions_log: list
 
 
@@ -571,16 +578,17 @@ def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
              *_metric_rows("", config.seeds, per_seed, *_aggregate(per_seed))]
     (run_dir / "metrics.csv").write_text("\n".join(lines) + "\n")
 
+    ledgers = {seed: _replay(states[seed])[0] for seed in config.seeds}
     T = config.stream.sessions
     lines = ["seed,row," + ",".join(f"s{j}" for j in range(T))]
     lines += [f"{seed},{i}," + ",".join(map(_fmt, row))
               for seed in config.seeds
-              for i, row in enumerate(states[seed].ledger.session_matrix)]
+              for i, row in enumerate(ledgers[seed].session_matrix)]
     (run_dir / "session_matrix.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["seed,step,accuracy"]
     lines += [f"{seed},{step},{_fmt(acc)}" for seed in config.seeds
-              for step, acc in enumerate(states[seed].ledger.anytime, start=1)]
+              for step, acc in enumerate(ledgers[seed].anytime, start=1)]
     (run_dir / "anytime.csv").write_text("\n".join(lines) + "\n")
 
     with open(run_dir / "predictions.jsonl", "w") as fh:
@@ -596,9 +604,10 @@ def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
                 "sessions": config.stream.sessions,
             }
             fh.write(json.dumps(meta, sort_keys=True) + "\n")
-            for record in state.predictions_log:
-                fh.write(json.dumps({"seed": seed, **record},
-                                    sort_keys=True) + "\n")
+            if config.log_predictions:
+                for record in state.predictions_log:
+                    fh.write(json.dumps({"seed": seed, **record},
+                                        sort_keys=True) + "\n")
 
     (run_dir / "timing.json").write_text(
         json.dumps(timing, indent=2, sort_keys=True) + "\n")
@@ -615,7 +624,7 @@ def run(config: RunConfig) -> RunResult:
         started = time.perf_counter()
         per_seed[seed], state = run_seed(config, seed)
         timing[f"seed_{seed}_s"] = time.perf_counter() - started
-        records[seed] = SeedRecord(state.schedule, state.pool, state.ledger,
+        records[seed] = SeedRecord(state.schedule, state.pool,
                                    state.predictions_log)
         del state  # G and its factorization go before the next seed starts
         log.info("seed %d done in %.2fs", seed, timing[f"seed_{seed}_s"])

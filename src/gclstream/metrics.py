@@ -9,9 +9,10 @@ Final/average accuracy, forgetting, and backward transfer read the matrix;
 the anytime mean summarizes the whole trajectory.  Routing accuracy counts a
 prediction as correctly routed when the chosen expert trained on the true
 class (a one-to-many correspondence: blurry classes have several correct
-experts).  ``seed_metrics`` derives the suite of one seed for both the harness
-and the ``metrics`` command.  Linear CKA compares per-expert residual
-representations on a shared probe set.
+experts).  ``seed_metrics`` derives the suite of one seed; ``replay`` rebuilds
+a seed's ledger and every metric its prediction log determines, for the
+harness and the ``metrics`` command alike.  Linear CKA compares per-expert
+residual representations on a shared probe set.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_shape
+from .errors import ConfigError
 
 
 def _require_complete(row: np.ndarray, what: str) -> None:
@@ -153,7 +154,8 @@ def linear_cka(Z_a: np.ndarray, Z_b: np.ndarray) -> float:
 
 @dataclass
 class MetricsLedger:
-    """Streaming records a run accumulates; metric functions read it frozen."""
+    """What a seed's evaluations recorded, as ``replay`` rebuilds it from
+    the prediction log; metric functions read it frozen."""
 
     num_sessions: int
     session_matrix: np.ndarray = field(default=None)
@@ -181,21 +183,66 @@ class MetricsLedger:
         self.routing_attempts += len(selections)
         self.routing_hits += _routing_hits(selections, true_labels, history)
 
-    def state(self) -> dict:
-        return {"session_matrix": self.session_matrix,
-                "anytime": np.array(self.anytime, dtype=np.float64),
-                "routing_hits": self.routing_hits,
-                "routing_attempts": self.routing_attempts}
-
-    def load(self, snap: dict) -> None:
-        self.session_matrix = np.array(check_shape(
-            snap, "session_matrix", self.session_matrix.shape))
-        self.anytime = [float(v) for v in snap["anytime"]]
-        self.routing_hits = int(snap["routing_hits"])
-        self.routing_attempts = int(snap["routing_attempts"])
-
     @property
     def streamed_routing_accuracy(self) -> float:
         if self.routing_attempts == 0:
             raise ValueError("no routing attempts recorded")
         return self.routing_hits / self.routing_attempts
+
+
+# The fields each phase of a prediction log carries that ``replay`` (or, for
+# ``meta``, the reader of a log file) reads.
+EVAL_FIELDS = {"anytime": ("labels", "predictions"),
+               "session": ("labels", "predictions", "step"),
+               "final": ("labels", "predictions", "selections"),
+               "oracle": ("labels", "predictions")}
+LOG_FIELDS = {"meta": ("session_classes", "history"), **EVAL_FIELDS}
+
+
+def check_record(record: dict, fields=LOG_FIELDS) -> str:
+    """The record's phase; ConfigError unless ``fields`` lists that phase
+    and the record carries each field it names."""
+    phase = record.get("phase")
+    if phase not in fields:
+        raise ConfigError(f"unexpected phase {phase!r}")
+    missing = [name for name in fields[phase] if name not in record]
+    if missing:
+        raise ConfigError(f"{phase} record lacks {', '.join(missing)}")
+    return phase
+
+
+def replay(records, session_classes, history) -> tuple[MetricsLedger, dict]:
+    """A seed's ledger rebuilt from its logged evaluations, and every metric
+    those records determine, in emission order: the ``seed_metrics`` suite,
+    ``num_experts``, ``oracle_accuracy`` and, when the log holds session
+    rows, ``oracle_a_last``.  Before the final record there are no metrics.
+    """
+    ledger = MetricsLedger(len(session_classes))
+    final = oracle = None
+    for record in records:
+        phase = check_record(record, EVAL_FIELDS)
+        predictions, labels = record["predictions"], record["labels"]
+        if phase == "anytime":
+            ledger.record_anytime(accuracy(predictions, labels))
+        elif phase == "session":
+            i = record["step"]
+            ledger.record_session_row(i, session_row(
+                predictions, labels, session_classes[:i + 1]))
+        elif phase == "final":
+            final = record
+            ledger.record_routing(record["selections"], labels, history)
+        else:
+            oracle = record
+    if final is None:
+        return ledger, {}
+    metrics = seed_metrics(ledger.anytime, ledger.session_matrix,
+                           final["predictions"], final["selections"],
+                           final["labels"], history)
+    metrics["num_experts"] = float(len(history))
+    if oracle is not None:
+        metrics["oracle_accuracy"] = accuracy(oracle["predictions"],
+                                              oracle["labels"])
+        if not np.isnan(ledger.session_matrix).all():
+            metrics["oracle_a_last"] = float(np.mean(session_row(
+                oracle["predictions"], oracle["labels"], session_classes)))
+    return ledger, metrics

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -187,7 +188,13 @@ class TestMetricsCommand:
         ("{not json", "not JSON"),
         ('{"phase": "final", "seed": 9}', "seed 9 has no meta line"),
         ('{"seed": 1}', "not a record with a phase"),
-        ("[1, 2]", "not a record with a phase")])
+        ("[1, 2]", "not a record with a phase"),
+        ('{"phase": "anytime", "seed": 1}',
+         "anytime record lacks labels, predictions"),
+        ('{"phase": "meta", "seed": 1}',
+         "meta record lacks session_classes, history"),
+        ('{"phase": "final", "seed": 1, "labels": [0], "selections": [0]}',
+         "final record lacks predictions")])
     def test_bad_prediction_line_is_a_config_error_naming_its_line(
             self, tmp_path, capsys, bad, why):
         run_dir = self._run_once(tmp_path)
@@ -221,6 +228,64 @@ class TestMetricsCommand:
         rc = main(["metrics", "--run-dir", str(run_dir)])
         assert rc == 0
         assert "recomputed" not in capsys.readouterr().out
+
+
+# The values `metrics` recomputes per seed, each family's rows: the
+# seed_metrics suite, the expert count and the oracle's two metrics.
+RECOMPUTED = ("a_auc", "a_last", "a_avg", "f_last", "bwt", "final_accuracy",
+              "routing_accuracy", "num_experts", "oracle_accuracy",
+              "oracle_a_last")
+
+
+@pytest.fixture(scope="module")
+def oracle_run(tmp_path_factory) -> Path:
+    """One seed with the oracle and the session matrix on."""
+    outdir = tmp_path_factory.mktemp("oracle_run")
+    rc = main(["run", *_tiny_overrides(), "--set", "track_oracle=true",
+               "--outdir", str(outdir), "--seeds", "1"])
+    assert rc == 0
+    return next(outdir.glob("run-*"))
+
+
+class TestMetricsFamilies:
+    """`metrics` compares every value the log determines exactly: one ulp
+    off in any of them is a MISMATCH (exit 2); CKA rows are not checked."""
+
+    @staticmethod
+    def _nudge(run_dir: Path, tmp_path: Path, metric: str) -> Path:
+        """A copy of the run with seed 1's ``metric`` one ulp higher."""
+        copy = tmp_path / run_dir.name
+        shutil.copytree(run_dir, copy)
+        csv_path = copy / "metrics.csv"
+        lines = csv_path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines)
+                   if line.startswith(f"1,{metric},"))
+        value = float(lines[row].split(",")[2])
+        lines[row] = f"1,{metric},{np.nextafter(value, np.inf):.17g}"
+        csv_path.write_text("\n".join(lines) + "\n")
+        return copy
+
+    def test_clean_run_checks_ten_values_exactly(self, oracle_run, capsys):
+        assert main(["metrics", "--run-dir", str(oracle_run)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[2][:-1] for line in out] == list(RECOMPUTED)
+        assert all(line.endswith("[ok]") for line in out)
+
+    @pytest.mark.parametrize("metric", RECOMPUTED)
+    def test_one_ulp_off_is_a_mismatch(self, oracle_run, tmp_path, capsys,
+                                       metric):
+        run_dir = self._nudge(oracle_run, tmp_path, metric)
+        assert main(["metrics", "--run-dir", str(run_dir)]) == 2
+        flagged = [line for line in capsys.readouterr().out.splitlines()
+                   if "MISMATCH" in line]
+        assert len(flagged) == 1 and f" {metric}:" in flagged[0]
+
+    def test_one_ulp_off_in_a_cka_row_is_not_checked(self, oracle_run,
+                                                     tmp_path, capsys):
+        run_dir = self._nudge(oracle_run, tmp_path, "cka_0_1")
+        assert main(["metrics", "--run-dir", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "MISMATCH" not in out and "cka" not in out
 
 
 class TestExitCodes:

@@ -26,6 +26,7 @@ from gclstream.harness import (
     config_to_dict, desk_config, resume, run, run_batch, run_seed,
     _component_cells, _select,
 )
+from gclstream.metrics import replay
 
 from oracles import accuracy_ref, routing_accuracy_ref, session_metrics_ref
 
@@ -223,6 +224,20 @@ class TestSeedRuns:
         for i in range(T):
             assert not np.isnan(R[i, :i + 1]).any()
             assert np.isnan(R[i, i + 1:]).all()
+
+    def test_ledger_is_the_replay_of_the_log(self):
+        """The ledger is read from the prediction log, never written."""
+        metrics, state = run_seed(_fast(track_oracle=True), 1)
+        ledger, replayed = replay(state.predictions_log,
+                                  state.schedule.session_classes,
+                                  state.pool.trained_classes)
+        np.testing.assert_array_equal(state.ledger.session_matrix,
+                                      ledger.session_matrix)
+        assert state.ledger.anytime == ledger.anytime
+        assert list(metrics)[:len(replayed)] == list(replayed)
+        assert {k: metrics[k] for k in replayed} == replayed
+        with pytest.raises(AttributeError):
+            state.ledger = ledger
 
     def test_anytime_history_length_matches_eval_interval(self):
         _, state = run_seed(_fast(), 1)
@@ -512,8 +527,7 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize("key", ["meta", "gram", "rows", "row_expert",
                                      "factor", "baseline_kmeans_seen",
-                                     "adapter_scale", "bank_w",
-                                     "session_matrix"])
+                                     "adapter_scale", "bank_w"])
     def test_checkpoint_missing_an_entry_is_refused(self, tmp_path, key):
         """Each entry of a dual-form router checkpoint, or G past M rows."""
         config = _fast(track_baselines=("kmeans",))
@@ -544,10 +558,15 @@ def _shrink_cols(key, cols):
     return lambda meta, arrays: arrays.update({key: arrays[key][:, :cols]})
 
 
+def _bump(key, by):
+    return lambda meta, arrays: meta.update({key: meta[key] + by})
+
+
 # Each edit leaves a checkpoint that still reads and hash-matches but whose
-# shapes, or G's zero upper triangle, do not fit the config below: M=64, d=8,
-# 6 classes, 3 sessions and, at batch 7, two experts.  Each case names the
-# entry the refusal must name.
+# shapes, counts, class ids, G's zero upper triangle or prediction log do not
+# fit the config below and its schedule: M=64, d=8, 6 classes, 3 sessions,
+# 23 batches and, at batch 7, two experts.  Each case names the entry the
+# refusal must name.
 TAMPERED = {
     "gram_32x32": ("gram", lambda meta, arrays: arrays.update(
         gram=np.zeros((32, 32)))),
@@ -557,9 +576,6 @@ TAMPERED = {
         proto=arrays["proto"][:10])),
     "online_w_d3": ("online_w", _shrink_cols("online_w", 3)),
     "adapter_scale_d3": ("adapter_scale", _shrink_cols("adapter_scale", 3)),
-    "session_matrix_2x2": ("session_matrix", lambda meta, arrays:
-                           arrays.update(session_matrix=arrays[
-                               "session_matrix"][:2, :2])),
     "prototype_means_width_7": ("baseline_prototype_means", _shrink_cols(
         "baseline_prototype_means", 7)),
     "prototype_one_expert_short": (
@@ -568,12 +584,26 @@ TAMPERED = {
                                                "baseline_prototype_means")})),
     "streamed_len_5": ("streamed_len",
                        lambda meta, arrays: meta.update(streamed_len=5)),
+    "kmeans_seen_negative": ("baseline_kmeans_seen", lambda meta, arrays:
+                             arrays.update(baseline_kmeans_seen=-arrays[
+                                 "baseline_kmeans_seen"])),
+    "batch_index_plus_2": ("batch_index", _bump("batch_index", 2)),
+    "batch_index_past_the_schedule": ("batch_index",
+                                      _bump("batch_index", 100)),
+    "samples_seen_plus_1": ("samples_seen", _bump("samples_seen", 1)),
+    "trained_class_999": ("trained_classes", lambda meta, arrays:
+                          meta["trained_classes"][-1].append(999)),
+    "samples_under_current_negative": (
+        "samples_under_current",
+        lambda meta, arrays: meta.update(samples_under_current=-5)),
+    "record_without_labels": ("predictions_log", lambda meta, arrays:
+                              meta["predictions_log"][0].pop("labels")),
 }
 
 
 @pytest.mark.parametrize("case", TAMPERED)
 def test_checkpoint_that_does_not_fit_the_config_is_refused(tmp_path, case):
-    config = _fast(track_baselines=("prototype",))
+    config = _fast(track_baselines=("prototype", "kmeans"))
     path = tmp_path / "ck.npz"
     assert _checkpoint_at(config, 7, path).pool.num_experts == 2
     with np.load(path, allow_pickle=False) as data:
@@ -597,7 +627,7 @@ def _pinned_entries(tmp_path, at):
         entries = {k: (data[k].dtype.str, data[k].shape) for k in data.files}
         meta = json.loads(str(data["meta"]))
     del entries["meta"]
-    assert meta["version"] == 3 and len(meta["trained_classes"]) == 2
+    assert meta["version"] == 4 and len(meta["trained_classes"]) == 2
     return entries, meta
 
 
@@ -606,7 +636,6 @@ PINNED_ENTRIES = {
     "proto": ("<f8", (64, 2)),
     "online_w": ("<f8", (6, 8)), "online_b": ("<f8", (6,)),
     "streamed": ("|u1", (23,)),
-    "session_matrix": ("<f8", (3, 3)), "anytime": ("<f8", (1,)),
     "adapter_scale": ("<f8", (2, 8)), "adapter_shift": ("<f8", (2, 8)),
     "bank_w": ("<f8", (2, 2, 6, 8)), "bank_b": ("<f8", (2, 2, 6)),
     "baseline_prototype_counts": ("<i8", (2,)),
@@ -624,19 +653,20 @@ PINNED_ENTRIES = {
 }
 PINNED_META = {
     "version", "config_hash", "seed", "batch_index", "samples_seen",
-    "samples_under_current", "seen", "trained_classes",
-    "routing_hits", "routing_attempts", "predictions_log", "streamed_len"}
+    "samples_under_current", "seen", "trained_classes", "predictions_log",
+    "streamed_len"}
 
 
 def test_checkpoint_format_is_pinned(tmp_path):
-    """The v3 entries of a checkpoint past M rows: the router stores G."""
+    """The v4 entries of a checkpoint past M rows: the router stores G.
+    No ledger entry: resume replays the prediction log."""
     entries, meta = _pinned_entries(tmp_path, PAST_M)
     assert entries == {**PINNED_ENTRIES, "gram": ("<f8", (64, 64))}
     assert set(meta) == PINNED_META
 
 
 def test_dual_checkpoint_format_is_pinned(tmp_path):
-    """The v3 entries of a checkpoint in the dual form: the router stores
+    """The v4 entries of a checkpoint in the dual form: the router stores
     its 61 rows, their experts, the factor of the 49 rows its last solve saw
     and that factor's jitter."""
     entries, meta = _pinned_entries(tmp_path, DUAL_SOLVED)
@@ -779,6 +809,25 @@ class TestRunEmission:
         assert meta["seed"] == 1
         phases = {json.loads(line)["phase"] for line in lines[1:]}
         assert {"anytime", "session", "final"} <= phases
+
+    def test_unlogged_run_keeps_its_log_and_writes_only_meta(self, tmp_path):
+        """``log_predictions`` decides only what predictions.jsonl holds:
+        the seed keeps its log, and every other output is the logged run's."""
+        outputs = []
+        for logged in (True, False):
+            config = _fast(outdir=str(tmp_path / str(logged)),
+                           log_predictions=logged, track_oracle=True)
+            result = run(config)
+            run_dir = Path(result.run_dir)
+            outputs.append({name: (run_dir / name).read_bytes() for name in
+                            ("metrics.csv", "anytime.csv",
+                             "session_matrix.csv")})
+        lines = (run_dir / "predictions.jsonl").read_text().splitlines()
+        assert [json.loads(line)["phase"] for line in lines] == ["meta"]
+        assert outputs[0] == outputs[1]
+        _, state = run_seed(config, 1)
+        assert {r["phase"] for r in state.predictions_log} == {
+            "anytime", "session", "final", "oracle"}
 
     def test_a_finished_seed_state_is_released_before_the_next(
             self, tmp_path, monkeypatch):

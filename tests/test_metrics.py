@@ -1,12 +1,12 @@
-"""Continual-learning metrics and the streaming ledger."""
+"""Continual-learning metrics, the ledger and the log replay."""
 
 import numpy as np
 import pytest
 
-from gclstream.errors import ShapeError
+from gclstream.errors import ConfigError
 from gclstream.metrics import (
-    MetricsLedger, a_auc, a_avg, a_last, accuracy, bwt, f_last, linear_cka,
-    routing_accuracy, seed_metrics,
+    EVAL_FIELDS, MetricsLedger, a_auc, a_avg, a_last, accuracy, bwt, f_last,
+    linear_cka, replay, routing_accuracy, seed_metrics,
 )
 
 from oracles import (
@@ -221,18 +221,70 @@ class TestLedger:
         with pytest.raises(ValueError):
             MetricsLedger(1).streamed_routing_accuracy
 
-    def test_state_load_round_trip(self):
-        ledger = MetricsLedger(2)
-        ledger.record_anytime(0.25)
-        ledger.record_session_row(0, [0.9])
-        ledger.record_routing([0, 1, 1], [0, 2, 3], [{0}, {2}])
-        copy = MetricsLedger(2)
-        copy.load(ledger.state())
-        np.testing.assert_array_equal(copy.session_matrix,
-                                      ledger.session_matrix)
-        assert copy.anytime == [0.25]
-        assert (copy.routing_hits, copy.routing_attempts) == (2, 3)
-        copy.record_session_row(1, [0.7, 0.8])
-        assert np.isnan(ledger.session_matrix[1]).all()
-        with pytest.raises(ShapeError):
-            MetricsLedger(3).load(ledger.state())
+
+def _record(phase, predictions, labels, step=None, selections=None):
+    return {"phase": phase, "step": step, "ids": list(range(len(labels))),
+            "labels": labels, "predictions": predictions,
+            "selections": selections or [0] * len(labels)}
+
+
+class TestReplay:
+    """Two sessions: classes {0, 1} then {2}; expert 0 trained 0 and 1,
+    expert 1 trained 2."""
+
+    SESSIONS = [{0, 1}, {2}]
+    HISTORY = [{0, 1}, {2}]
+    LOG = [
+        _record("anytime", [0, 1, 0], [0, 1, 1]),
+        _record("session", [0, 1, 0], [0, 1, 1], step=0),
+        _record("anytime", [0, 0, 2, 2], [0, 1, 2, 2]),
+        _record("session", [0, 0, 2, 2], [0, 1, 2, 2], step=1),
+        _record("final", [0, 0, 2, 2], [0, 1, 2, 2],
+                selections=[0, 1, 1, 1]),
+        _record("oracle", [0, 1, 2, 1], [0, 1, 2, 2],
+                selections=[0, 0, 1, 1]),
+    ]
+
+    def test_rebuilds_the_ledger_and_every_logged_metric_in_order(self):
+        ledger, metrics = replay(self.LOG, self.SESSIONS, self.HISTORY)
+        np.testing.assert_array_equal(ledger.anytime, [2 / 3, 0.75])
+        np.testing.assert_array_equal(ledger.session_matrix,
+                                      [[2 / 3, nan], [0.5, 1.0]])
+        assert (ledger.routing_hits, ledger.routing_attempts) == (3, 4)
+        assert metrics == {
+            "a_auc": a_auc([2 / 3, 0.75]), "a_last": 0.75,
+            "a_avg": a_avg(ledger.session_matrix),
+            "f_last": f_last(ledger.session_matrix),
+            "bwt": bwt(ledger.session_matrix), "final_accuracy": 0.75,
+            "routing_accuracy": 0.75, "num_experts": 2.0,
+            "oracle_accuracy": 0.75, "oracle_a_last": 0.75}
+        assert list(metrics)[-3:] == ["num_experts", "oracle_accuracy",
+                                      "oracle_a_last"]
+
+    def test_before_the_final_record_there_are_no_metrics(self):
+        ledger, metrics = replay(self.LOG[:4], self.SESSIONS, self.HISTORY)
+        assert metrics == {} and ledger.routing_attempts == 0
+        assert len(ledger.anytime) == 2
+
+    def test_oracle_a_last_needs_session_rows(self):
+        log = [r for r in self.LOG if r["phase"] != "session"]
+        _, metrics = replay(log, self.SESSIONS, self.HISTORY)
+        assert "oracle_accuracy" in metrics and "a_last" not in metrics
+        assert "oracle_a_last" not in metrics
+
+    @pytest.mark.parametrize("phase, field", [
+        (phase, field) for phase, fields in EVAL_FIELDS.items()
+        for field in fields])
+    def test_record_without_a_field_its_phase_reads_is_refused(self, phase,
+                                                               field):
+        log = [dict(r) for r in self.LOG]
+        record = next(r for r in log if r["phase"] == phase)
+        del record[field]
+        with pytest.raises(ConfigError, match=rf"{phase} record lacks {field}"):
+            replay(log, self.SESSIONS, self.HISTORY)
+
+    @pytest.mark.parametrize("phase", ["meta", "train", None])
+    def test_record_of_another_phase_is_refused(self, phase):
+        log = [*self.LOG, {**self.LOG[0], "phase": phase}]
+        with pytest.raises(ConfigError, match="unexpected phase"):
+            replay(log, self.SESSIONS, self.HISTORY)

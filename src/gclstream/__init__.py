@@ -32,8 +32,8 @@ from .experts import (EmaBank, ExpertAdapter, ExpertPool, Head, LogitMask,
                       build_mask, ema_update, masked_ce_loss, train_step,
                       warm_start)
 from .harness import RunConfig, RunResult, ablate, desk_config, run
-from .metrics import (MetricsLedger, a_auc, a_avg, a_last, bwt, f_last,
-                      linear_cka, routing_accuracy, session_row)
+from .metrics import (MetricsLedger, a_auc, a_avg, a_last, adapter_cka, bwt,
+                      f_last, routing_accuracy, session_row)
 from .stream import (SessionSchedule, StreamConfig, SyntheticBackbone,
                      build_schedule, build_stream, load_feature_file,
                      partition_classes, write_feature_file)

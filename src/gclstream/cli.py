@@ -114,8 +114,11 @@ def _cmd_metrics(args) -> int:
             if record["phase"] != "meta" and seed not in by_seed:
                 raise ConfigError(
                     f"{pred_path}:{number}: seed {seed} has no meta line")
+            meta = by_seed[seed][0] if record["phase"] != "meta" else {}
             try:
-                phase = check_record(record)
+                phase = check_record(record,
+                                     len(meta.get("session_classes", ())),
+                                     len(meta.get("history", ())))
             except ConfigError as err:
                 raise ConfigError(f"{pred_path}:{number}: {err}") from err
             if phase == "meta":

@@ -7,10 +7,11 @@ with EMA updates, expand the (adapted) features and fold them into the
 router's statistics — then every eval_interval batches and at every session
 end run one inference on held-out samples of the classes seen so far: select
 an expert per row (``_select``, which solves the router lazily for ridge
-routing), ensemble-predict, and log the predictions as an anytime and/or a
-session record; after the stream, run and log the final (and oracle)
-inference, replay the log into the metrics, and add the baselines' routing
-accuracies and the representation-similarity probe.
+routing and scores the holdout pool, expanded once per seed),
+ensemble-predict, and log the predictions as an anytime and/or a session
+record; after the stream, run and log the final (and oracle) inference,
+replay the log into the metrics, and add the baselines' routing accuracies
+and the representation-similarity probe.
 
 Everything stochastic is keyed by (seed, purpose tag, counters), never by a
 shared sequential generator, so a checkpoint is just arrays and counters and
@@ -33,6 +34,7 @@ import logging
 import time
 import zipfile
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,7 +49,7 @@ from .errors import ConfigError, ShapeError, check_shape
 from .expansion import ACTIVATIONS, ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
                       train_step)
-from .metrics import MetricsLedger, linear_cka, replay, routing_accuracy
+from .metrics import MetricsLedger, adapter_cka, replay, routing_accuracy
 from .stream import SessionSchedule, StreamConfig, StreamCursor, build_stream
 
 log = logging.getLogger("gclstream")
@@ -228,6 +230,12 @@ class SeedRunState:
         """The classes trained so far: those of every expert's window."""
         return set().union(*self.pool.trained_classes)
 
+    @cached_property
+    def holdout_phi(self) -> np.ndarray:
+        """The holdout pool expanded, once per seed at its first read; every
+        evaluation's router scores it.  Derived, so never checkpointed."""
+        return self.expansion(self.holdout_X)
+
     @property
     def ledger(self) -> MetricsLedger:
         return _replay(self)[0]
@@ -258,9 +266,9 @@ def _eval_pool(state: SeedRunState) -> np.ndarray:
     return np.flatnonzero(np.isin(state.holdout_y, sorted(state.seen)))
 
 
-def _select(state: SeedRunState, X: np.ndarray, y: np.ndarray,
-            routing: str) -> np.ndarray:
-    """One expert per held-out row.
+def _select(state: SeedRunState, rows: np.ndarray, routing: str) -> np.ndarray:
+    """One expert per held-out pool row in ``rows``.  A router scores the
+    whole expanded pool, so no evaluation copies rows out of it.
 
     ``latest`` — the current expert; a baseline kind — that baseline's
     choice; ``ridge`` — the analytic router, solved first; ``oracle`` — the
@@ -268,37 +276,37 @@ def _select(state: SeedRunState, X: np.ndarray, y: np.ndarray,
     from trained classes only).
     """
     if routing == "latest":
-        return np.full(len(X), state.pool.current, dtype=np.int64)
+        return np.full(len(rows), state.pool.current, dtype=np.int64)
     if routing in BASELINE_KINDS:
-        return baseline_route(state.baselines[routing], state.expansion(X))
+        return baseline_route(state.baselines[routing],
+                              state.holdout_phi)[rows]
     if routing == "ridge":
         solve(state.router)
-        return route(state.expansion(X), state.router)[1]
+        return route(state.holdout_phi, state.router)[1][rows]
     if routing != "oracle":
         raise ValueError(
             f"unknown routing mode {routing!r}; choose from {ROUTING_MODES}")
     return np.array([oracle_route(int(label), state.pool.trained_classes)
-                     for label in y], dtype=np.int64)
+                     for label in state.holdout_y[rows]], dtype=np.int64)
 
 
 def _infer(state: SeedRunState, rows: np.ndarray, routing: str):
     """Inference on holdout rows with the seen-class mask."""
-    X, y = state.holdout_X[rows], state.holdout_y[rows]
-    selections = _select(state, X, y, routing)
     mask = build_mask(state.seen, state.seen, "seen_class",
                       state.source.num_classes)
-    return full_inference(X, selections, state.pool, mask,
-                          EnsembleConfig(state.config.aggregation)), y
+    return full_inference(state.holdout_X[rows], _select(state, rows, routing),
+                          state.pool, mask,
+                          EnsembleConfig(state.config.aggregation))
 
 
-def _log_predictions(state: SeedRunState, phase: str, step, rows, y, result):
+def _log_predictions(state: SeedRunState, phase: str, step, rows, result):
     state.predictions_log.append({
         "phase": phase,
         "step": step,
-        "ids": [int(i) for i in state.holdout_ids[rows]],
-        "labels": [int(v) for v in y],
-        "predictions": [int(v) for v in result.predictions],
-        "selections": [int(v) for v in result.selections],
+        "ids": state.holdout_ids[rows].tolist(),
+        "labels": state.holdout_y[rows].tolist(),
+        "predictions": result.predictions.tolist(),
+        "selections": result.selections.tolist(),
     })
 
 
@@ -342,13 +350,13 @@ def run_batch(state: SeedRunState, batch) -> None:
     if not (anytime or session_end):
         return
     rows = _eval_pool(state)
-    result, y_eval = _infer(state, rows, config.routing)
+    result = _infer(state, rows, config.routing)
     if anytime:
         _log_predictions(state, "anytime",
                          state.batch_index // config.stream.eval_interval,
-                         rows, y_eval, result)
+                         rows, result)
     if session_end:
-        _log_predictions(state, "session", session, rows, y_eval, result)
+        _log_predictions(state, "session", session, rows, result)
 
 
 def finish_seed(state: SeedRunState) -> dict:
@@ -356,21 +364,19 @@ def finish_seed(state: SeedRunState) -> dict:
     paired comparisons, CKA probe; returns metric dict."""
     config = state.config
     rows = _eval_pool(state)
-    result, y_eval = _infer(state, rows, config.routing)
-    _log_predictions(state, "final", None, rows, y_eval, result)
+    _log_predictions(state, "final", None, rows,
+                     _infer(state, rows, config.routing))
     if config.track_oracle and config.routing != "oracle":
-        oracle_result, _ = _infer(state, rows, "oracle")
-        _log_predictions(state, "oracle", None, rows, y_eval, oracle_result)
+        _log_predictions(state, "oracle", None, rows,
+                         _infer(state, rows, "oracle"))
     metrics = _replay(state)[1]
 
-    others = set(state.baselines) - {config.routing}
-    phi = state.expansion(state.holdout_X[rows]) if others else None
     for kind in sorted(state.baselines):
         if kind == config.routing:  # it chose the final selections above
             metrics[f"routing_accuracy_{kind}"] = metrics["routing_accuracy"]
             continue
         metrics[f"routing_accuracy_{kind}"] = routing_accuracy(
-            baseline_route(state.baselines[kind], phi), y_eval,
+            _select(state, rows, kind), state.holdout_y[rows],
             state.pool.trained_classes)
 
     if state.pool.num_experts > 1 and config.cka_probe > 0:
@@ -379,17 +385,11 @@ def finish_seed(state: SeedRunState) -> dict:
         n = min(config.cka_probe, len(state.holdout_X))
         probe = state.holdout_X[
             probe_rng.choice(len(state.holdout_X), size=n, replace=False)]
-        residuals = [ad.adapted(probe) - probe for ad in state.pool.adapters]
-        pairs = []
-        for i in range(state.pool.num_experts):
-            for j in range(i + 1, state.pool.num_experts):
-                try:
-                    value = linear_cka(residuals[i], residuals[j])
-                except ValueError:
-                    value = float("nan")
-                metrics[f"cka_{i}_{j}"] = value
-                pairs.append(value)
-        metrics["cka_mean"] = float(np.nanmean(pairs))
+        cka = adapter_cka([ad.scale for ad in state.pool.adapters], probe)
+        pairs = np.triu_indices(state.pool.num_experts, k=1)
+        for i, j in zip(*pairs):
+            metrics[f"cka_{i}_{j}"] = float(cka[i, j])
+        metrics["cka_mean"] = float(np.nanmean(cka[pairs]))
 
     for t, size in enumerate(state.schedule.session_sizes):
         metrics[f"session_size_{t}"] = float(size)

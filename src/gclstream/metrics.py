@@ -11,7 +11,7 @@ prediction as correctly routed when the chosen expert trained on the true
 class (a one-to-many correspondence: blurry classes have several correct
 experts).  ``seed_metrics`` derives the suite of one seed; ``replay`` rebuilds
 a seed's ledger and every metric its prediction log determines, for the
-harness and the ``metrics`` command alike.  Linear CKA compares per-expert
+harness and the ``metrics`` command alike.  Linear CKA compares the experts'
 residual representations on a shared probe set.
 """
 
@@ -131,25 +131,23 @@ def seed_metrics(anytime, R, predictions, selections, labels,
     return metrics
 
 
-def linear_cka(Z_a: np.ndarray, Z_b: np.ndarray) -> float:
-    """Linear CKA between two representation matrices (rows = samples).
+def adapter_cka(scales, probe: np.ndarray) -> np.ndarray:
+    """Linear CKA of every pair of diagonal adapters (1 + a) * h + c, E x E.
 
-    Columns are centered first; the value is invariant to isotropic scaling
-    and orthogonal transformations of either operand and lies in [0, 1].
+    Centring drops c, so each pair follows from one d x d Gram C of the
+    centred probe: CKA_ij = w_iᵀ S w_j / sqrt(w_iᵀ S w_i · w_jᵀ S w_j) with
+    S = C∘C and w = a∘a.  ``einsum`` without ``optimize`` calls no BLAS, so
+    the values do not depend on the BLAS thread count.  A zero residual
+    gives NaN.
     """
-    Z_a = np.asarray(Z_a, dtype=np.float64)
-    Z_b = np.asarray(Z_b, dtype=np.float64)
-    if Z_a.shape[0] != Z_b.shape[0]:
-        raise ValueError(
-            f"row counts differ: {Z_a.shape[0]} vs {Z_b.shape[0]}")
-    Za = Z_a - Z_a.mean(axis=0)
-    Zb = Z_b - Z_b.mean(axis=0)
-    cross = np.linalg.norm(Za.T @ Zb) ** 2
-    na = np.linalg.norm(Za.T @ Za)
-    nb = np.linalg.norm(Zb.T @ Zb)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("zero-norm operand; CKA undefined")
-    return float(cross / (na * nb))
+    w = np.square(np.asarray(scales, dtype=np.float64))
+    centred = probe - probe.mean(axis=0)
+    gram = np.einsum("ni,nj->ij", centred, centred, optimize=False)
+    sw = np.einsum("kl,jl->kj", gram * gram, w, optimize=False)
+    forms = np.einsum("ik,kj->ij", w, sw, optimize=False)
+    norms = np.sqrt(np.diag(forms))
+    with np.errstate(invalid="ignore"):
+        return forms / np.outer(norms, norms)
 
 
 @dataclass
@@ -199,16 +197,37 @@ EVAL_FIELDS = {"anytime": ("labels", "predictions"),
 LOG_FIELDS = {"meta": ("session_classes", "history"), **EVAL_FIELDS}
 
 
-def check_record(record: dict, fields=LOG_FIELDS) -> str:
+def check_record(record: dict, sessions: int, experts: int,
+                 fields=LOG_FIELDS) -> str:
     """The record's phase; ConfigError unless ``fields`` lists that phase
-    and the record carries each field it names."""
+    and the record carries each field it names.  An evaluation record's
+    lists must also be of one nonzero length, a session ``step`` must lie in
+    0..sessions-1 and each final selection in 0..experts-1."""
     phase = record.get("phase")
     if phase not in fields:
         raise ConfigError(f"unexpected phase {phase!r}")
     missing = [name for name in fields[phase] if name not in record]
     if missing:
         raise ConfigError(f"{phase} record lacks {', '.join(missing)}")
+    if phase == "meta":
+        return phase
+    lists = [name for name in fields[phase] if name != "step"]
+    lengths = {len(record[name]) if isinstance(record[name], list) else 0
+               for name in lists}
+    if len(lengths) != 1 or 0 in lengths:
+        raise ConfigError(f"{phase} record's {', '.join(lists)} are not "
+                          "lists of one nonzero length")
+    if phase == "session":
+        _check_indices("session step", [record["step"]], sessions)
+    elif phase == "final":
+        _check_indices("final selection", record["selections"], experts)
     return phase
+
+
+def _check_indices(what: str, values: list, n: int) -> None:
+    bad = [v for v in values if not (isinstance(v, int) and 0 <= v < n)]
+    if bad:
+        raise ConfigError(f"{what} {bad[0]!r} outside 0..{n - 1}")
 
 
 def replay(records, session_classes, history) -> tuple[MetricsLedger, dict]:
@@ -220,7 +239,8 @@ def replay(records, session_classes, history) -> tuple[MetricsLedger, dict]:
     ledger = MetricsLedger(len(session_classes))
     final = oracle = None
     for record in records:
-        phase = check_record(record, EVAL_FIELDS)
+        phase = check_record(record, len(session_classes), len(history),
+                             EVAL_FIELDS)
         predictions, labels = record["predictions"], record["labels"]
         if phase == "anytime":
             ledger.record_anytime(accuracy(predictions, labels))

@@ -13,7 +13,8 @@ import pytest
 
 import gclstream
 from gclstream.cli import main
-from gclstream.stream import load_feature_file
+from gclstream.stream import (StreamConfig, SyntheticBackbone,
+                              load_feature_file, write_feature_file)
 
 
 def _tiny_overrides():
@@ -92,20 +93,38 @@ class TestBlasSettings:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == kept
 
+    @staticmethod
+    def _data_files(outdir: Path, env: dict, *args) -> dict:
+        """The data files of one ``gclstream run`` in a fresh interpreter."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "gclstream", "run", "--seeds", "1",
+             "--outdir", str(outdir), *args],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        run_dir = next(outdir.glob("run-*"))
+        return {name: (run_dir / name).read_bytes() for name in (
+            "metrics.csv", "anytime.csv", "session_matrix.csv",
+            "predictions.jsonl")}
+
     def test_outputs_do_not_depend_on_the_timeout(self, tmp_path):
-        outputs = []
-        for timeout in (None, "28"):  # the engine's default, OpenBLAS's own
-            outdir = tmp_path / str(timeout)
-            proc = subprocess.run(
-                [sys.executable, "-m", "gclstream", "run", "--seeds", "1",
-                 "--outdir", str(outdir)],
-                capture_output=True, text=True, env=self._env(timeout))
-            assert proc.returncode == 0, proc.stderr
-            run_dir = next(outdir.glob("run-*"))
-            outputs.append({name: (run_dir / name).read_bytes() for name in (
-                "metrics.csv", "anytime.csv", "session_matrix.csv",
-                "predictions.jsonl")})
-        assert outputs[0] == outputs[1]
+        a, b = (self._data_files(tmp_path / str(timeout), self._env(timeout))
+                for timeout in (None, "28"))  # the engine's, OpenBLAS's own
+        assert a == b
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        """A d=256 feature-file run, where BLAS splits the big products
+        between threads, writes the same bytes under one and two threads."""
+        stream = {"d": 256, "num_classes": 6, "samples_per_class": 40,
+                  "sessions": 3}
+        features = tmp_path / "features.csv"
+        write_feature_file(features, SyntheticBackbone(StreamConfig(**stream)))
+        args = ["--set", f"stream.feature_file={features}", "--set", "M=256"]
+        for key, value in stream.items():
+            args += ["--set", f"stream.{key}={value}"]
+        a, b = (self._data_files(tmp_path / threads, {
+            **self._env(None), "OPENBLAS_NUM_THREADS": threads}, *args)
+            for threads in ("1", "2"))
+        assert a == b
 
     def test_verbose_logs_the_blas_settings(self, tmp_path, caplog,
                                             monkeypatch):
@@ -194,7 +213,17 @@ class TestMetricsCommand:
         ('{"phase": "meta", "seed": 1}',
          "meta record lacks session_classes, history"),
         ('{"phase": "final", "seed": 1, "labels": [0], "selections": [0]}',
-         "final record lacks predictions")])
+         "final record lacks predictions"),
+        ('{"phase": "session", "seed": 1, "labels": [0], "predictions": [0],'
+         ' "step": 99}', "session step 99 outside 0..2"),
+        ('{"phase": "session", "seed": 1, "labels": [0], "predictions": [0],'
+         ' "step": -1}', "session step -1 outside 0..2"),
+        ('{"phase": "final", "seed": 1, "labels": [0], "predictions": [0],'
+         ' "selections": [99]}', "final selection 99 outside 0..2"),
+        ('{"phase": "anytime", "seed": 1, "labels": [0],'
+         ' "predictions": [0, 1]}',
+         "anytime record's labels, predictions are not lists of one nonzero "
+         "length")])
     def test_bad_prediction_line_is_a_config_error_naming_its_line(
             self, tmp_path, capsys, bad, why):
         run_dir = self._run_once(tmp_path)

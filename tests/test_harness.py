@@ -28,7 +28,8 @@ from gclstream.harness import (
 )
 from gclstream.metrics import replay
 
-from oracles import accuracy_ref, routing_accuracy_ref, session_metrics_ref
+from oracles import (accuracy_ref, cka_gram_ref, routing_accuracy_ref,
+                     session_metrics_ref)
 
 
 def _fast(**overrides):
@@ -217,6 +218,40 @@ class TestSeedRuns:
         assert len(routed) == calls
         assert metrics["routing_accuracy_kmeans"] == metrics["routing_accuracy"]
 
+    def test_the_holdout_pool_is_expanded_once_per_seed(self):
+        """Every evaluation and the final baseline loop read one expansion
+        of the holdout pool, made at the first evaluation rather than at
+        set-up; training expands each streamed row once."""
+        config = _fast(track_baselines=("prototype", "kmeans"),
+                       track_oracle=True)
+        state = SeedRunState(config, 1)
+        assert "holdout_phi" not in vars(state)
+        expanded, expand = [], state.expansion
+        state.expansion = lambda X: expanded.append(len(X)) or expand(X)
+        run_seed(config, 1, state=state)
+        assert sum(expanded) == (state.schedule.total_train
+                                 + len(state.holdout_ids))
+        np.testing.assert_array_equal(state.holdout_phi,
+                                      expand(state.holdout_X))
+
+    def test_cka_rows_are_linear_cka_of_the_adapter_residuals(self):
+        config = _fast()
+        metrics, state = run_seed(config, 1)
+        probe_rng = np.random.default_rng(
+            np.random.SeedSequence([1, harness.TAG_CKA]))
+        n = len(state.holdout_X)
+        probe = state.holdout_X[probe_rng.choice(
+            n, size=min(config.cka_probe, n), replace=False)]
+        residuals = [ad.adapted(probe) - probe for ad in state.pool.adapters]
+        pairs = [(i, j) for i in range(len(residuals))
+                 for j in range(i + 1, len(residuals))]
+        assert len(pairs) == 3
+        want = [cka_gram_ref(residuals[i], residuals[j]) for i, j in pairs]
+        np.testing.assert_allclose(
+            [metrics[f"cka_{i}_{j}"] for i, j in pairs], want, atol=1e-12)
+        np.testing.assert_allclose(metrics["cka_mean"], np.mean(want),
+                                   atol=1e-12)
+
     def test_session_matrix_lower_triangle_is_complete(self):
         _, state = run_seed(_fast(), 1)
         R = state.ledger.session_matrix
@@ -343,8 +378,9 @@ class TestSeedRuns:
 
 
 class TestSelect:
-    """Expert selection per routing mode: two experts trained on classes
-    {0, 1} and {2, 3}, whose rows sit in two separated clusters."""
+    """Expert selection per routing mode over a pool of ten held-out rows:
+    two experts trained on classes {0, 1} and {2, 3}, whose rows sit in two
+    separated clusters; the first five pool rows are of the first cluster."""
 
     def setup_method(self):
         rng = np.random.default_rng(42)
@@ -355,42 +391,44 @@ class TestSelect:
         expansion = RandomExpansion(2, 16, seed=7)
         router = new_router_state(16, 1.0, num_experts=2)
         prototype = new_baseline("prototype", 16, num_experts=2)
-        self.X0 = rng.standard_normal((20, 2)) + np.array([4.0, 0.0])
-        self.X1 = rng.standard_normal((20, 2)) + np.array([-4.0, 0.0])
-        for e, X in enumerate((self.X0, self.X1)):
+        X0 = rng.standard_normal((20, 2)) + np.array([4.0, 0.0])
+        X1 = rng.standard_normal((20, 2)) + np.array([-4.0, 0.0])
+        for e, X in enumerate((X0, X1)):
             batch = ExpandedBatch(expansion(X), e)
             accumulate(router, batch)
             baseline_fit_update(prototype, batch)
-        self.state = SimpleNamespace(pool=pool, expansion=expansion,
-                                     router=router,
-                                     baselines={"prototype": prototype})
-        self.X = np.vstack([self.X0[:5], self.X1[:5]])
+        self.X = np.vstack([X0[:5], X1[:5]])
+        self.state = SimpleNamespace(
+            pool=pool, router=router, baselines={"prototype": prototype},
+            holdout_phi=expansion(self.X),
+            holdout_y=np.array([0, 1, 0, 1, 0, 2, 3, 2, 3, 2]))
+        self.rows = np.arange(10)
 
     def test_ridge_separates_the_clusters(self):
-        picks = _select(self.state, self.X, np.zeros(10, int), "ridge")
+        picks = _select(self.state, self.rows, "ridge")
         np.testing.assert_array_equal(picks, [0] * 5 + [1] * 5)
         assert self.state.router.solved is not None  # solved on demand
 
     def test_latest_ignores_the_router(self):
-        picks = _select(self.state, self.X0[:6], np.zeros(6, int), "latest")
+        picks = _select(self.state, self.rows[:6], "latest")
         np.testing.assert_array_equal(picks, [1] * 6)
         assert self.state.router.solved is None
 
     def test_oracle_uses_history(self):
-        X = np.vstack([self.X0[:2], self.X1[:1]])
-        picks = _select(self.state, X, np.array([0, 3, 0]), "oracle")
+        picks = _select(self.state, np.array([0, 6, 1]), "oracle")
         np.testing.assert_array_equal(picks, [0, 1, 0])
         assert self.state.router.solved is None  # the router is not read
 
     def test_a_baseline_kind_routes_by_that_baseline(self):
-        picks = _select(self.state, self.X, np.zeros(10, int), "prototype")
-        np.testing.assert_array_equal(picks, [0] * 5 + [1] * 5)
+        picks = _select(self.state, self.rows[::-1], "prototype")
+        np.testing.assert_array_equal(picks, [1] * 5 + [0] * 5)
         np.testing.assert_array_equal(picks, baseline_route(
-            self.state.baselines["prototype"], self.state.expansion(self.X)))
+            self.state.baselines["prototype"],
+            RandomExpansion(2, 16, seed=7)(self.X[::-1])))
 
     def test_unknown_routing_mode_raises(self):
         with pytest.raises(ValueError):
-            _select(self.state, self.X, np.zeros(10, int), "roulette")
+            _select(self.state, self.rows, "roulette")
 
 
 class TestCheckpointResume:
@@ -598,6 +636,16 @@ TAMPERED = {
         lambda meta, arrays: meta.update(samples_under_current=-5)),
     "record_without_labels": ("predictions_log", lambda meta, arrays:
                               meta["predictions_log"][0].pop("labels")),
+    "session_step_99": ("predictions_log", lambda meta, arrays: meta[
+        "predictions_log"][0].update(phase="session", step=99)),
+    "session_step_negative": ("predictions_log", lambda meta, arrays: meta[
+        "predictions_log"][0].update(phase="session", step=-1)),
+    "final_selection_99": ("predictions_log", lambda meta, arrays: meta[
+        "predictions_log"][0].update(phase="final", selections=[99] * len(
+            meta["predictions_log"][0]["labels"]))),
+    "labels_shorter_than_predictions": (
+        "predictions_log",
+        lambda meta, arrays: meta["predictions_log"][0]["labels"].pop()),
 }
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from gclstream.errors import ConfigError
 from gclstream.metrics import (
-    EVAL_FIELDS, MetricsLedger, a_auc, a_avg, a_last, accuracy, bwt, f_last,
-    linear_cka, replay, routing_accuracy, seed_metrics,
+    EVAL_FIELDS, MetricsLedger, a_auc, a_avg, a_last, accuracy, adapter_cka,
+    bwt, f_last, replay, routing_accuracy, seed_metrics,
 )
 
 from oracles import (
@@ -146,46 +146,58 @@ class TestRoutingAccuracy:
         assert abs(value - 1.0 / T) < 0.05
 
 
+def _residuals(scales, shifts, probe):
+    """Each diagonal adapter's residual on the probe, written out."""
+    return [(1.0 + a) * probe + c - probe for a, c in zip(scales, shifts)]
+
+
 class TestLinearCka:
+    """``adapter_cka``: linear CKA of every pair of diagonal adapters'
+    residuals, from one Gram of the probe."""
+
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(1)
-        Z = rng.standard_normal((10, 4))
-        np.testing.assert_allclose(linear_cka(Z, Z), 1.0, atol=1e-12)
+        cka = adapter_cka(rng.standard_normal((3, 4)),
+                          rng.standard_normal((10, 4)))
+        np.testing.assert_allclose(np.diag(cka), 1.0, atol=1e-12)
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(2)
-        Z = rng.standard_normal((10, 4))
-        np.testing.assert_allclose(linear_cka(Z, 3.7 * Z), 1.0, atol=1e-12)
-
-    def test_orthogonal_invariance_on_random_instance(self):
-        rng = np.random.default_rng(3)
-        Z = rng.standard_normal((10, 4))
-        O, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        np.testing.assert_allclose(linear_cka(Z, Z @ O), 1.0, atol=1e-10)
+        a = rng.standard_normal(4)
+        cka = adapter_cka([a, 3.7 * a], rng.standard_normal((10, 4)))
+        np.testing.assert_allclose(cka, 1.0, atol=1e-12)
 
     def test_matches_gram_based_reference(self):
+        """Against the N x N HSIC route on the residuals written out,
+        shifts included: centring drops them."""
         rng = np.random.default_rng(4)
         for _ in range(10):
-            Za = rng.standard_normal((12, 5))
-            Zb = rng.standard_normal((12, 7))
-            np.testing.assert_allclose(linear_cka(Za, Zb),
-                                       cka_gram_ref(Za, Zb), atol=1e-10)
+            scales, shifts = rng.standard_normal((2, 4, 5))
+            probe = rng.standard_normal((12, 5))
+            residuals = _residuals(scales, shifts, probe)
+            want = [[cka_gram_ref(Za, Zb) for Zb in residuals]
+                    for Za in residuals]
+            np.testing.assert_allclose(adapter_cka(scales, probe), want,
+                                       atol=1e-10)
 
     def test_values_live_in_unit_interval(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            v = linear_cka(rng.standard_normal((8, 3)),
-                           rng.standard_normal((8, 6)))
-            assert 0.0 <= v <= 1.0 + 1e-12
+            cka = adapter_cka(rng.standard_normal((4, 3)),
+                              rng.standard_normal((8, 3)))
+            assert (cka >= 0.0).all() and (cka <= 1.0 + 1e-12).all()
+            np.testing.assert_allclose(cka, cka.T, atol=1e-15)
 
-    def test_constant_columns_raise(self):
-        Z = np.ones((6, 3))
-        with pytest.raises(ValueError):
-            linear_cka(Z, Z)
-
-    def test_row_count_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            linear_cka(np.zeros((3, 2)), np.zeros((4, 2)))
+    def test_zero_residual_is_nan(self):
+        """A zero-norm residual leaves CKA undefined: NaN in its row and
+        column, finite elsewhere; a constant probe makes every pair NaN."""
+        rng = np.random.default_rng(6)
+        scales = rng.standard_normal((3, 4))
+        scales[1] = 0.0
+        cka = adapter_cka(scales, rng.standard_normal((10, 4)))
+        assert np.isnan(cka[1]).all() and np.isnan(cka[:, 1]).all()
+        assert np.isfinite(cka[np.ix_([0, 2], [0, 2])]).all()
+        assert np.isnan(adapter_cka(scales, np.ones((6, 4)))).all()
 
 
 class TestLedger:
@@ -281,6 +293,25 @@ class TestReplay:
         record = next(r for r in log if r["phase"] == phase)
         del record[field]
         with pytest.raises(ConfigError, match=rf"{phase} record lacks {field}"):
+            replay(log, self.SESSIONS, self.HISTORY)
+
+    @pytest.mark.parametrize("index, edit, why", [
+        (1, {"step": 2}, "session step 2 outside 0..1"),
+        (1, {"step": -1}, "session step -1 outside 0..1"),
+        (1, {"step": 0.0}, "session step 0.0 outside 0..1"),
+        (4, {"selections": [0, 1, 2, 1]}, "final selection 2 outside 0..1"),
+        (0, {"labels": [0, 1]}, "anytime record's labels, predictions are "
+                                "not lists of one nonzero length"),
+        (4, {"selections": [0, 1]}, "final record's labels, predictions, "
+                                    "selections are not lists"),
+        (5, {"labels": 7}, "oracle record's labels, predictions are not"),
+        (2, {"labels": [], "predictions": []}, "one nonzero length"),
+    ])
+    def test_record_that_replay_would_misread_is_refused(self, index, edit,
+                                                         why):
+        log = [dict(r) for r in self.LOG]
+        log[index].update(edit)
+        with pytest.raises(ConfigError, match=why):
             replay(log, self.SESSIONS, self.HISTORY)
 
     @pytest.mark.parametrize("phase", ["meta", "train", None])

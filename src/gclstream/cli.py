@@ -116,8 +116,7 @@ def _cmd_metrics(args) -> int:
                     f"{pred_path}:{number}: seed {seed} has no meta line")
             meta = by_seed[seed][0] if record["phase"] != "meta" else {}
             try:
-                phase = check_record(record,
-                                     len(meta.get("session_classes", ())),
+                phase = check_record(record, meta.get("session_classes", ()),
                                      len(meta.get("history", ())))
             except ConfigError as err:
                 raise ConfigError(f"{pred_path}:{number}: {err}") from err

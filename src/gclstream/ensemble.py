@@ -88,16 +88,10 @@ def ensemble_predict(features: np.ndarray, adapter: ExpertAdapter,
     return scores, np.argmax(scores, axis=1)
 
 
-@dataclass
-class InferenceResult:
-    selections: np.ndarray           # routed expert per sample
-    predictions: np.ndarray          # predicted class per sample
-    scores: np.ndarray               # combined score vectors, B x C
-
-
 def full_inference(features: np.ndarray, selections: np.ndarray, pool,
-                   mask: LogitMask, config: EnsembleConfig) -> InferenceResult:
-    """Ensemble-predict every row with the expert selected for it."""
+                   mask: LogitMask, config: EnsembleConfig):
+    """Ensemble-predict every row with the expert selected for it; returns
+    (scores B x C, classes B) as ``ensemble_predict`` does."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     B = features.shape[0]
     if pool.num_experts < 1:
@@ -112,6 +106,4 @@ def full_inference(features: np.ndarray, selections: np.ndarray, pool,
         scores[idx], predictions[idx] = ensemble_predict(
             features[idx], pool.adapters[expert_id], pool.banks[expert_id],
             pool.online, mask, config)
-
-    return InferenceResult(selections=selections, predictions=predictions,
-                           scores=scores)
+    return scores, predictions

@@ -45,7 +45,7 @@ from .analytic_router import accumulate, grow, new_router_state, route, solve
 from .baselines import (BASELINE_KINDS, baseline_fit_update, baseline_route,
                         new_baseline, oracle_route)
 from .ensemble import AGGREGATIONS, EnsembleConfig, full_inference
-from .errors import ConfigError, ShapeError, check_shape
+from .errors import ConfigError, ShapeError
 from .expansion import ACTIVATIONS, ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
                       train_step)
@@ -58,7 +58,7 @@ TAG_ADAPTER = 31
 TAG_MASK = 32
 TAG_CKA = 33
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,10 @@ class RunConfig:
             raise ConfigError("spawn_budget must be >= 1; expansion_seed >= 0")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if self.stream.seed != StreamConfig.seed:
+            raise ConfigError(
+                f"stream.seed={self.stream.seed} has no effect: each run "
+                "seed seeds its own stream; list the seeds in `seeds`")
 
 
 def desk_config(**overrides) -> RunConfig:
@@ -290,24 +294,26 @@ def _select(state: SeedRunState, rows: np.ndarray, routing: str) -> np.ndarray:
                      for label in state.holdout_y[rows]], dtype=np.int64)
 
 
-def _infer(state: SeedRunState, rows: np.ndarray, routing: str):
-    """Inference on holdout rows with the seen-class mask."""
+def _infer(state: SeedRunState, routing: str) -> dict:
+    """Inference on the evaluation pool with the seen-class mask: the rows'
+    ids and labels, their predictions and the experts ``_select`` picked,
+    as the fields of a prediction log record."""
+    rows = _eval_pool(state)
+    selections = _select(state, rows, routing)
     mask = build_mask(state.seen, state.seen, "seen_class",
                       state.source.num_classes)
-    return full_inference(state.holdout_X[rows], _select(state, rows, routing),
-                          state.pool, mask,
-                          EnsembleConfig(state.config.aggregation))
+    _, predictions = full_inference(state.holdout_X[rows], selections,
+                                    state.pool, mask,
+                                    EnsembleConfig(state.config.aggregation))
+    return {"ids": state.holdout_ids[rows].tolist(),
+            "labels": state.holdout_y[rows].tolist(),
+            "predictions": predictions.tolist(),
+            "selections": selections.tolist()}
 
 
-def _log_predictions(state: SeedRunState, phase: str, step, rows, result):
-    state.predictions_log.append({
-        "phase": phase,
-        "step": step,
-        "ids": state.holdout_ids[rows].tolist(),
-        "labels": state.holdout_y[rows].tolist(),
-        "predictions": result.predictions.tolist(),
-        "selections": result.selections.tolist(),
-    })
+def _log_predictions(state: SeedRunState, phase: str, step,
+                     inferred: dict) -> None:
+    state.predictions_log.append({"phase": phase, "step": step, **inferred})
 
 
 def run_batch(state: SeedRunState, batch) -> None:
@@ -349,32 +355,26 @@ def run_batch(state: SeedRunState, batch) -> None:
     session_end = config.eval_session_matrix and last
     if not (anytime or session_end):
         return
-    rows = _eval_pool(state)
-    result = _infer(state, rows, config.routing)
+    inferred = _infer(state, config.routing)
     if anytime:
         _log_predictions(state, "anytime",
                          state.batch_index // config.stream.eval_interval,
-                         rows, result)
+                         inferred)
     if session_end:
-        _log_predictions(state, "session", session, rows, result)
+        _log_predictions(state, "session", session, inferred)
 
 
 def finish_seed(state: SeedRunState) -> dict:
     """Final (and oracle) inference, the metrics its log then determines,
     paired comparisons, CKA probe; returns metric dict."""
     config = state.config
-    rows = _eval_pool(state)
-    _log_predictions(state, "final", None, rows,
-                     _infer(state, rows, config.routing))
+    _log_predictions(state, "final", None, _infer(state, config.routing))
     if config.track_oracle and config.routing != "oracle":
-        _log_predictions(state, "oracle", None, rows,
-                         _infer(state, rows, "oracle"))
+        _log_predictions(state, "oracle", None, _infer(state, "oracle"))
     metrics = _replay(state)[1]
 
+    rows = _eval_pool(state)
     for kind in sorted(state.baselines):
-        if kind == config.routing:  # it chose the final selections above
-            metrics[f"routing_accuracy_{kind}"] = metrics["routing_accuracy"]
-            continue
         metrics[f"routing_accuracy_{kind}"] = routing_accuracy(
             _select(state, rows, kind), state.holdout_y[rows],
             state.pool.trained_classes)
@@ -420,12 +420,11 @@ def _components(state: SeedRunState) -> list:
 def checkpoint(state: SeedRunState, path) -> None:
     """Write a lossless batch-boundary snapshot of a seed's run: array
     values of each ``state()`` as npz entries, the rest in ``meta``."""
-    arrays = {"streamed": np.packbits(state.streamed)}
+    arrays = {}
     meta = {"version": CHECKPOINT_VERSION,
             "config_hash": config_hash(state.config), "seed": state.seed,
-            "batch_index": state.batch_index, "seen": sorted(state.seen),
-            "predictions_log": state.predictions_log,
-            "streamed_len": int(state.streamed.size)}
+            "batch_index": state.batch_index,
+            "predictions_log": state.predictions_log}
     for prefix, component in _components(state):
         for key, value in component.state().items():
             target = arrays if isinstance(value, np.ndarray) else meta
@@ -437,9 +436,12 @@ def checkpoint(state: SeedRunState, path) -> None:
 def resume(path, config: RunConfig) -> SeedRunState:
     """Rebuild a SeedRunState from a snapshot; config must hash-match.
 
-    A checkpoint that cannot be read, lacks an entry, has a shape or a
-    count the config and its schedule would not build, or logs a record
-    ``replay`` cannot read raises ConfigError.
+    The streamed mask is not stored: it is the ids of the first
+    ``batch_index`` batches of the schedule.  A checkpoint that cannot be
+    read, lacks an entry, has a shape or a count the config and its
+    schedule would not build, trains classes other than those of the
+    streamed rows, or logs a record ``replay`` cannot read raises
+    ConfigError.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -473,11 +475,8 @@ def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
         raise ShapeError(f"batch_index {state.batch_index} outside "
                          f"0..{len(batches)}")
     state.predictions_log = list(meta["predictions_log"])
-    n = state.streamed.size
-    if meta["streamed_len"] != n:
-        raise ShapeError(f"streamed_len {meta['streamed_len']} != {n} samples")
-    state.streamed = np.unpackbits(check_shape(
-        arrays, "streamed", ((n + 7) // 8,)), count=n).astype(bool)
+    for ids, _, _ in batches[:state.batch_index]:
+        state.streamed[ids] = True
 
     entries = {**meta, **arrays}
     for prefix, component in _components(state):
@@ -488,14 +487,16 @@ def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
             raise type(err)(f"{prefix}{err.args[0]}") from err
         # the pool loads first and sizes the routers before they load
         _grow_routers(state, state.pool.num_experts)
-    if set(meta["seen"]) != state.seen:
-        raise ConfigError(f"checkpoint seen classes {sorted(meta['seen'])} "
-                          f"are not those its experts trained")
-    rows = sum(len(ids) for ids, _, _ in batches[:state.batch_index])
+    rows = int(state.streamed.sum())
     if state.router.samples_seen != rows:
         raise ShapeError(f"samples_seen {state.router.samples_seen} is not "
                          f"the {rows} rows of the first batch_index="
                          f"{state.batch_index} batches")
+    streamed = set(np.unique(state.source.labels[state.streamed]).tolist())
+    if state.seen != streamed:
+        raise ConfigError(f"trained_classes {sorted(state.seen)} are not "
+                          f"the classes {sorted(streamed)} of the streamed "
+                          "rows")
     try:
         _replay(state)
     except ConfigError as err:
@@ -515,8 +516,6 @@ class RunResult:
     std: dict
     run_dir: str
     config_hash: str
-    code_hash: str
-    timing: dict
 
     def summary(self) -> str:
         keys = [k for k in ("a_auc", "a_last", "routing_accuracy")
@@ -631,8 +630,7 @@ def run(config: RunConfig) -> RunResult:
     mean, std = _aggregate(per_seed)
     _write_outputs(config, per_seed, records, run_dir, timing)
     return RunResult(config=config, per_seed=per_seed, mean=mean, std=std,
-                     run_dir=str(run_dir), config_hash=chash,
-                     code_hash=code_hash(), timing=timing)
+                     run_dir=str(run_dir), config_hash=chash)
 
 
 # ---------------------------------------------------------------------------

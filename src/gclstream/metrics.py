@@ -197,12 +197,13 @@ EVAL_FIELDS = {"anytime": ("labels", "predictions"),
 LOG_FIELDS = {"meta": ("session_classes", "history"), **EVAL_FIELDS}
 
 
-def check_record(record: dict, sessions: int, experts: int,
+def check_record(record: dict, session_classes, experts: int,
                  fields=LOG_FIELDS) -> str:
     """The record's phase; ConfigError unless ``fields`` lists that phase
     and the record carries each field it names.  An evaluation record's
     lists must also be of one nonzero length, a session ``step`` must lie in
-    0..sessions-1 and each final selection in 0..experts-1."""
+    0..sessions-1 and its labels hold a class of each session up to it, and
+    each final selection must lie in 0..experts-1."""
     phase = record.get("phase")
     if phase not in fields:
         raise ConfigError(f"unexpected phase {phase!r}")
@@ -218,7 +219,14 @@ def check_record(record: dict, sessions: int, experts: int,
         raise ConfigError(f"{phase} record's {', '.join(lists)} are not "
                           "lists of one nonzero length")
     if phase == "session":
-        _check_indices("session step", [record["step"]], sessions)
+        step = record["step"]
+        _check_indices("session step", [step], len(session_classes))
+        labels = {label for label in record["labels"]
+                  if isinstance(label, int)}
+        for j, classes in enumerate(session_classes[:step + 1]):
+            if labels.isdisjoint(classes):
+                raise ConfigError(f"session {step} record's labels hold no "
+                                  f"class of session {j}")
     elif phase == "final":
         _check_indices("final selection", record["selections"], experts)
     return phase
@@ -239,7 +247,7 @@ def replay(records, session_classes, history) -> tuple[MetricsLedger, dict]:
     ledger = MetricsLedger(len(session_classes))
     final = oracle = None
     for record in records:
-        phase = check_record(record, len(session_classes), len(history),
+        phase = check_record(record, session_classes, len(history),
                              EVAL_FIELDS)
         predictions, labels = record["predictions"], record["labels"]
         if phase == "anytime":

@@ -45,7 +45,7 @@ class StreamConfig:
     batch_size: int = 64
     samples_per_class: int = 100
     eval_interval: int = 10
-    seed: int = 1
+    seed: int = 1           # a run sets it to each of RunConfig.seeds
     d: int = 32
     cluster_spread: float = 1.0
     noise_scale: float = 0.3
@@ -335,9 +335,16 @@ class StreamCursor:
 
 
 def build_stream(config: StreamConfig):
-    """Construct (source, schedule) for a config; file source if configured."""
+    """Construct (source, schedule) for a config; file source if configured,
+    whose header must give the config's ``d`` and ``num_classes``."""
     if config.feature_file:
         source = load_feature_file(config.feature_file)
+        header = (source.d, source.num_classes)
+        if header != (config.d, config.num_classes):
+            raise ConfigError(
+                f"{config.feature_file}: header d={header[0]} "
+                f"classes={header[1]}, but the stream config has "
+                f"d={config.d} num_classes={config.num_classes}")
     else:
         source = SyntheticBackbone(config)
     return source, build_schedule(config, source)

@@ -172,6 +172,19 @@ class TestGenFeaturesCommand:
         assert len(source.labels) == 40
         assert np.isfinite(source.features(np.arange(40))).all()
 
+    def test_stream_seed_sets_the_exported_backbone(self, tmp_path):
+        """gen-features builds the stream config itself, so its
+        ``stream.seed`` is the one seed it has and picks the features."""
+        features = []
+        for seed in (1, 3):
+            out = tmp_path / f"features{seed}.csv"
+            assert main(["gen-features", "--out", str(out),
+                         "--set", "stream.num_classes=2",
+                         "--set", "stream.samples_per_class=5",
+                         "--set", f"stream.seed={seed}"]) == 0
+            features.append(load_feature_file(out).features(np.arange(10)))
+        assert not np.array_equal(*features)
+
 
 class TestMetricsCommand:
     def _run_once(self, tmp_path) -> Path:
@@ -218,6 +231,13 @@ class TestMetricsCommand:
          ' "step": 99}', "session step 99 outside 0..2"),
         ('{"phase": "session", "seed": 1, "labels": [0], "predictions": [0],'
          ' "step": -1}', "session step -1 outside 0..2"),
+        # class 0 is in session 2 only
+        ('{"phase": "session", "seed": 1, "labels": [0], "predictions": [0],'
+         ' "step": 1}', "session 1 record's labels hold no class of session "
+         "0"),
+        ('{"phase": "session", "seed": 1, "labels": [[1]], "predictions": [1],'
+         ' "step": 0}', "session 0 record's labels hold no class of session "
+         "0"),
         ('{"phase": "final", "seed": 1, "labels": [0], "predictions": [0],'
          ' "selections": [99]}', "final selection 99 outside 0..2"),
         ('{"phase": "anytime", "seed": 1, "labels": [0],'
@@ -326,6 +346,25 @@ class TestExitCodes:
         rc = main(["run", "--set", "optimizer=adam",
                    "--outdir", str(tmp_path)])
         assert rc == 1
+
+    def test_stream_seed_exits_one_and_points_at_seeds(self, tmp_path,
+                                                      capsys):
+        rc = main(["run", *_tiny_overrides(), "--set", "stream.seed=7",
+                   "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert "`seeds`" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_feature_file_unlike_the_stream_config_exits_one(self, tmp_path,
+                                                             capsys):
+        features = tmp_path / "features.csv"
+        assert main(["gen-features", "--out", str(features),
+                     "--set", "stream.num_classes=10"]) == 0
+        rc = main(["run", "--set", f"stream.feature_file={features}",
+                   "--outdir", str(tmp_path / "runs")])
+        assert rc == 1
+        assert "classes=10" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_missing_config_file_exits_one(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "absent.json")])

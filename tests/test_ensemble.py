@@ -184,26 +184,24 @@ class TestFullInference:
         pool.spawn()
         pool.online.weights[:] = rng.standard_normal((4, 2))
         X = rng.standard_normal((12, 2))
-        result = full_inference(X, np.zeros(12, dtype=np.int64), pool,
-                                self.mask, self.config)
+        _, predictions = full_inference(X, np.zeros(12, dtype=np.int64),
+                                        pool, self.mask, self.config)
         direct = pool.online.logits(pool.adapters[0].adapted(X))
-        np.testing.assert_array_equal(result.predictions,
-                                      np.argmax(direct, axis=1))
+        np.testing.assert_array_equal(predictions, np.argmax(direct, axis=1))
 
     def test_each_row_is_predicted_by_its_selected_expert(self):
         pool = _two_expert_pool(self.rng)
         X = self.rng.standard_normal((6, 2))
         selections = np.array([1, 0, 1, 1, 0, 0])
-        result = full_inference(X, selections, pool, self.mask, self.config)
-        np.testing.assert_array_equal(result.selections, selections)
+        scores, predictions = full_inference(X, selections, pool, self.mask,
+                                             self.config)
         for e in (0, 1):
             rows = selections == e
-            scores, predictions = ensemble_predict(
+            want_scores, want_predictions = ensemble_predict(
                 X[rows], pool.adapters[e], pool.banks[e], pool.online,
                 self.mask, self.config)
-            np.testing.assert_array_equal(result.scores[rows], scores)
-            np.testing.assert_array_equal(result.predictions[rows],
-                                          predictions)
+            np.testing.assert_array_equal(scores[rows], want_scores)
+            np.testing.assert_array_equal(predictions[rows], want_predictions)
 
     def test_selections_must_cover_every_row(self):
         pool = _two_expert_pool(self.rng)
@@ -249,24 +247,19 @@ class TestGoldenMiniPipeline:
                                      e))
         solve(router)
         _, selections = route(expansion(probe), router)
-        return full_inference(probe, selections, pool,
-                              LogitMask(np.zeros(2), "none"),
-                              EnsembleConfig("softmax_max"))
+        return (selections, *full_inference(probe, selections, pool,
+                                            LogitMask(np.zeros(2), "none"),
+                                            EnsembleConfig("softmax_max")))
 
     def test_rerun_is_bit_identical(self):
-        a, b = self._build(), self._build()
-        np.testing.assert_array_equal(a.selections, b.selections)
-        np.testing.assert_array_equal(a.predictions, b.predictions)
-        np.testing.assert_array_equal(a.scores, b.scores)
+        for a, b in zip(self._build(), self._build()):  # selections, scores,
+            np.testing.assert_array_equal(a, b)         # predictions
 
     def test_frozen_golden_records(self):
-        result = self._build()
-        np.testing.assert_array_equal(result.selections,
-                                      GOLDEN_SELECTIONS)
-        np.testing.assert_array_equal(result.predictions,
-                                      GOLDEN_PREDICTIONS)
-        np.testing.assert_allclose(result.scores, GOLDEN_SCORES,
-                                   rtol=0, atol=1e-12)
+        selections, scores, predictions = self._build()
+        np.testing.assert_array_equal(selections, GOLDEN_SELECTIONS)
+        np.testing.assert_array_equal(predictions, GOLDEN_PREDICTIONS)
+        np.testing.assert_allclose(scores, GOLDEN_SCORES, rtol=0, atol=1e-12)
 
 
 # captured from the first verified run of the mini-pipeline above

@@ -120,6 +120,7 @@ class TestConfigIdentity:
         ("ema_decays", [0.9, 1.0]),
         ("spawn_budget", 0),
         ("expansion_seed", -1),
+        ("stream", {"seed": 7}),  # each run seed seeds its own stream
     ])
     def test_field_outside_its_domain_is_a_config_error(self, key, value):
         """Each value would otherwise fail deep inside a seed's set-up."""
@@ -199,9 +200,11 @@ class TestSeedRuns:
             assert key in metrics, key
         assert 0.0 <= metrics["routing_accuracy"] <= 1.0
 
-    @pytest.mark.parametrize("tracked, calls", [((), 1), (("prototype",), 2)])
-    def test_final_step_routes_the_routing_baseline_once(
+    @pytest.mark.parametrize("tracked, calls", [((), 2), (("prototype",), 3)])
+    def test_final_step_scores_the_routing_baseline_like_the_others(
             self, monkeypatch, tracked, calls):
+        """The final inference routes by the routing kind once, and the
+        baseline loop routes by every baseline it holds, that kind too."""
         state = SeedRunState(_fast(routing="kmeans", track_baselines=tracked),
                              1)
         cursor = state.cursor
@@ -517,17 +520,30 @@ class TestCheckpointResume:
         assert saved.flags.f_contiguous
         assert saved.tobytes("F") == gram.tobytes("F")
 
-    def test_seen_that_disagrees_with_the_pool_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("edit", ["drop", "add"])
+    def test_trained_classes_that_are_not_the_streamed_labels_are_refused(
+            self, tmp_path, edit):
+        """Resume rebuilds the streamed rows from the schedule; a pool that
+        dropped a streamed class from every expert, or trained one not yet
+        streamed, is refused."""
         config, path = _fast(), tmp_path / "ck.npz"
         state = _checkpoint_at(config, 3, path)
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: np.array(v) for k, v in data.items() if k != "meta"}
             meta = json.loads(str(data["meta"]))
-        assert set(meta["seen"]) == state.seen
-        meta["seen"] = sorted(state.seen)[:-1]
+        streamed = sorted(state.seen)
+        if edit == "drop":
+            meta["trained_classes"] = [
+                [c for c in classes if c != streamed[0]]
+                for classes in meta["trained_classes"]]
+        else:
+            unstreamed = min(set(range(6)) - state.seen)
+            meta["trained_classes"][-1] = sorted(
+                meta["trained_classes"][-1] + [unstreamed])
         with open(path, "wb") as fh:
             np.savez(fh, meta=json.dumps(meta), **arrays)
-        with pytest.raises(ConfigError, match="seen"):
+        with pytest.raises(ConfigError, match="trained_classes .* are not "
+                           "the classes .* of the streamed rows"):
             resume(path, config)
 
     def test_altered_config_is_refused(self, tmp_path):
@@ -603,7 +619,7 @@ def _bump(key, by):
 # Each edit leaves a checkpoint that still reads and hash-matches but whose
 # shapes, counts, class ids, G's zero upper triangle or prediction log do not
 # fit the config below and its schedule: M=64, d=8, 6 classes, 3 sessions,
-# 23 batches and, at batch 7, two experts.  Each case names the entry the
+# 13 batches and, at batch 7, two experts.  Each case names the entry the
 # refusal must name.
 TAMPERED = {
     "gram_32x32": ("gram", lambda meta, arrays: arrays.update(
@@ -620,8 +636,6 @@ TAMPERED = {
         "baseline_prototype_counts", lambda meta, arrays: arrays.update(
             {key: arrays[key][:-1] for key in ("baseline_prototype_counts",
                                                "baseline_prototype_means")})),
-    "streamed_len_5": ("streamed_len",
-                       lambda meta, arrays: meta.update(streamed_len=5)),
     "kmeans_seen_negative": ("baseline_kmeans_seen", lambda meta, arrays:
                              arrays.update(baseline_kmeans_seen=-arrays[
                                  "baseline_kmeans_seen"])),
@@ -643,6 +657,10 @@ TAMPERED = {
     "final_selection_99": ("predictions_log", lambda meta, arrays: meta[
         "predictions_log"][0].update(phase="final", selections=[99] * len(
             meta["predictions_log"][0]["labels"]))),
+    # class 0 is in session 2 only
+    "session_1_without_a_row_of_session_0": (
+        "predictions_log", lambda meta, arrays: meta["predictions_log"][
+            0].update(phase="session", step=1, labels=[0], predictions=[0])),
     "labels_shorter_than_predictions": (
         "predictions_log",
         lambda meta, arrays: meta["predictions_log"][0]["labels"].pop()),
@@ -675,7 +693,7 @@ def _pinned_entries(tmp_path, at):
         entries = {k: (data[k].dtype.str, data[k].shape) for k in data.files}
         meta = json.loads(str(data["meta"]))
     del entries["meta"]
-    assert meta["version"] == 4 and len(meta["trained_classes"]) == 2
+    assert meta["version"] == 5 and len(meta["trained_classes"]) == 2
     return entries, meta
 
 
@@ -683,7 +701,6 @@ def _pinned_entries(tmp_path, at):
 PINNED_ENTRIES = {
     "proto": ("<f8", (64, 2)),
     "online_w": ("<f8", (6, 8)), "online_b": ("<f8", (6,)),
-    "streamed": ("|u1", (23,)),
     "adapter_scale": ("<f8", (2, 8)), "adapter_shift": ("<f8", (2, 8)),
     "bank_w": ("<f8", (2, 2, 6, 8)), "bank_b": ("<f8", (2, 2, 6)),
     "baseline_prototype_counts": ("<i8", (2,)),
@@ -701,20 +718,20 @@ PINNED_ENTRIES = {
 }
 PINNED_META = {
     "version", "config_hash", "seed", "batch_index", "samples_seen",
-    "samples_under_current", "seen", "trained_classes", "predictions_log",
-    "streamed_len"}
+    "samples_under_current", "trained_classes", "predictions_log"}
 
 
 def test_checkpoint_format_is_pinned(tmp_path):
-    """The v4 entries of a checkpoint past M rows: the router stores G.
-    No ledger entry: resume replays the prediction log."""
+    """The v5 entries of a checkpoint past M rows: the router stores G.
+    No ledger entry: resume replays the prediction log.  No streamed mask
+    or seen classes: the schedule and the pool give them."""
     entries, meta = _pinned_entries(tmp_path, PAST_M)
     assert entries == {**PINNED_ENTRIES, "gram": ("<f8", (64, 64))}
     assert set(meta) == PINNED_META
 
 
 def test_dual_checkpoint_format_is_pinned(tmp_path):
-    """The v4 entries of a checkpoint in the dual form: the router stores
+    """The v5 entries of a checkpoint in the dual form: the router stores
     its 61 rows, their experts, the factor of the 49 rows its last solve saw
     and that factor's jitter."""
     entries, meta = _pinned_entries(tmp_path, DUAL_SOLVED)
@@ -775,6 +792,26 @@ class TestResumeAnywhere:
             assert resumed_state.predictions_log == direct_state.predictions_log
         assert forms == {(True, None), (True, True), (True, False),
                          (False, None)}
+
+    @pytest.mark.parametrize("M, folds", [(1024, True), (2048, False)])
+    def test_resume_at_every_third_batch_of_the_desk_stream(
+            self, tmp_path, M, folds):
+        """The desk stream's 1600 rows pass M=1024, whose router folds into
+        G midway, and stay below M=2048, whose router stays dual; resuming
+        at every third batch boundary finishes the seed as the
+        uninterrupted run does."""
+        config = desk_config(M=M, seeds=(1,))
+        direct, direct_state = run_seed(config, 1)
+        assert direct_state.router.dual is not folds
+        for at in range(0, len(direct_state.schedule.batches) + 1, 3):
+            path = tmp_path / f"ck{at}.npz"
+            _checkpoint_at(config, at, path)
+            resumed, resumed_state = run_seed(config, 1,
+                                              state=resume(path, config))
+            assert resumed == direct, f"resumed at batch {at}"
+            assert resumed_state.predictions_log == direct_state.predictions_log
+            np.testing.assert_array_equal(resumed_state.streamed,
+                                          direct_state.streamed)
 
     def test_checkpoint_with_every_kinds_arrays_still_resumes(self, tmp_path):
         """Checkpoints once stored every kind's arrays under every tracked

@@ -248,6 +248,16 @@ class TestFeatureFile:
         for ids_a, ids_b in zip(schedule.sessions, direct.sessions):
             np.testing.assert_array_equal(ids_a, ids_b)
 
+    @pytest.mark.parametrize("key, value", [("d", 5), ("num_classes", 9)])
+    def test_header_that_differs_from_the_config_is_refused(
+            self, tmp_path, key, value):
+        """A run records its stream config; a file whose header gives
+        another width or class count is refused instead of recorded."""
+        path = tmp_path / "features.txt"
+        write_feature_file(path, SyntheticBackbone(_tiny()))
+        with pytest.raises(ConfigError, match="header d=4 classes=8"):
+            build_stream(_tiny(feature_file=str(path), **{key: value}))
+
     def test_small_file_batches_split_as_sliced(self, tmp_path):
         path = tmp_path / "three.txt"
         path.write_text(

@@ -126,21 +126,9 @@ def new_router_state(M: int, lam: float, num_experts: int = 1) -> RouterState:
 
 def accumulate(state: RouterState, batch: ExpandedBatch) -> RouterState:
     """Fold one expanded batch into the router; mutates and returns it."""
-    phi = np.asarray(batch.values, dtype=np.float64)
-    if phi.ndim != 2 or phi.shape[1] != state.M:
-        raise ShapeError(
-            f"batch width {phi.shape[-1] if phi.ndim else '?'} does not match "
-            f"router width {state.M}"
-        )
-    if phi.shape[0] == 0:
+    phi = batch.rows(state.M, state.num_experts)
+    if not len(phi):
         return state
-    if batch.expert_id is None or not 0 <= batch.expert_id < state.num_experts:
-        raise ValueError(
-            f"expert id {batch.expert_id!r} is not registered "
-            f"(have {state.num_experts} experts)"
-        )
-    if not np.isfinite(phi).all():
-        raise NumericalError("non-finite values in expanded batch")
 
     n, B = state.samples_seen, phi.shape[0]
     if n + B <= state.M:

@@ -10,8 +10,9 @@ returns the new id, ``update(e, phi)`` folds in expert ``e``'s rows,
 ``finalize()`` fits what ``update`` leaves stale, ``route(phi)`` picks an
 expert per row (ties to the lowest id), and ``state()``/``load(dict)``
 checkpoint the arrays (``load`` reads only its own keys, of this router's
-shapes).  The entry points ``baseline_fit_update``, ``baseline_finalize`` and
-``baseline_route`` hold the shared input checks.
+shapes).  ``baseline_fit_update`` checks a batch with ``ExpandedBatch.rows``,
+as the analytic router's ``accumulate`` does; ``baseline_finalize`` and
+``baseline_route`` are the other entry points.
 
 K-means fits lazily: ``baseline_route`` finalizes first, which runs Lloyd's
 iterations once per change of the reservoirs, as ``analytic_router.solve``
@@ -431,19 +432,9 @@ def new_baseline(kind: str, M: int, **settings):
 
 def baseline_fit_update(router, batch: ExpandedBatch):
     """Fold one expanded batch into the baseline's statistics."""
-    phi = np.asarray(batch.values, dtype=np.float64)
-    if phi.ndim != 2 or phi.shape[1] != router.M:
-        raise ShapeError(
-            f"batch width {phi.shape[-1]} does not match router width "
-            f"{router.M}")
-    e = batch.expert_id
-    if e is None or not 0 <= e < router.num_experts:
-        raise ValueError(f"expert id {e!r} is not registered")
-    if phi.shape[0] == 0:
-        return router
-    if not np.isfinite(phi).all():
-        raise NumericalError("non-finite values in expanded batch")
-    router.update(e, phi)
+    phi = batch.rows(router.M, router.num_experts)
+    if len(phi):
+        router.update(batch.expert_id, phi)
     return router
 
 

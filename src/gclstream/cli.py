@@ -21,7 +21,8 @@ from pathlib import Path
 
 from .errors import ConfigError, NumericalError
 from .harness import (ABLATION_AXES, RunConfig, ablate, apply_overrides,
-                      config_from_dict, config_to_dict, desk_config, run)
+                      config_from_dict, config_to_dict, dataclass_from_dict,
+                      desk_config, merge_config, run)
 from .metrics import check_record, replay
 from .stream import StreamConfig, SyntheticBackbone, write_feature_file
 
@@ -55,15 +56,22 @@ def _build_config(args) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        file_data = json.loads(path.read_text())
-        stream = {**base.get("stream", {}), **file_data.pop("stream", {})}
-        base.update(file_data)
-        base["stream"] = stream
+        try:
+            file_data = json.loads(path.read_text())
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path}: not JSON ({err})") from err
+        if not isinstance(file_data, dict):
+            raise ConfigError(f"{path}: holds no JSON object")
+        merge_config(base, file_data)
     apply_overrides(base, args.overrides)
     if args.outdir:
         base["outdir"] = args.outdir
     if args.seeds:
-        base["seeds"] = [int(s) for s in args.seeds.split(",") if s]
+        try:
+            base["seeds"] = [int(s) for s in args.seeds.split(",") if s]
+        except ValueError as err:
+            raise ConfigError(f"--seeds {args.seeds!r} is not a "
+                              "comma-separated list of ints") from err
     return config_from_dict(base)
 
 
@@ -85,9 +93,13 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_gen_features(args) -> int:
-    base = config_to_dict(desk_config())
-    apply_overrides(base, args.overrides)
-    stream = StreamConfig(**base["stream"])
+    data = apply_overrides({}, args.overrides)
+    outside = sorted(set(data) - {"stream"})
+    if outside:
+        raise ConfigError(f"gen-features takes only stream.* keys, not "
+                          f"{outside}")
+    stream = dataclass_from_dict(StreamConfig, data.get("stream", {}),
+                                 "stream.")
     source = SyntheticBackbone(stream)
     write_feature_file(args.out, source)
     print(f"wrote {args.out}: d={source.d} classes={source.num_classes} "

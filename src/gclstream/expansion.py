@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError
 
 ACTIVATIONS = ("relu", "identity", "tanh")
 
@@ -100,3 +100,19 @@ class ExpandedBatch:
 
     values: np.ndarray  # B x M
     expert_id: int | None = None
+
+    def rows(self, M: int, experts: int) -> np.ndarray:
+        """The values as float64 rows, checked once for every router that
+        folds them: ShapeError unless they are M wide, ValueError unless
+        the expert id is one of 0..experts-1 (an empty batch too),
+        NumericalError if a value is not finite."""
+        phi = np.asarray(self.values, dtype=np.float64)
+        if phi.ndim != 2 or phi.shape[1] != M:
+            raise ShapeError(f"batch width {phi.shape[-1] if phi.ndim else '?'}"
+                             f" does not match router width {M}")
+        if self.expert_id is None or not 0 <= self.expert_id < experts:
+            raise ValueError(f"expert id {self.expert_id!r} is not registered "
+                             f"(have {experts} experts)")
+        if not np.isfinite(phi).all():
+            raise NumericalError("non-finite values in expanded batch")
+        return phi

@@ -45,7 +45,7 @@ from .analytic_router import accumulate, grow, new_router_state, route, solve
 from .baselines import (BASELINE_KINDS, baseline_fit_update, baseline_route,
                         new_baseline, oracle_route)
 from .ensemble import AGGREGATIONS, EnsembleConfig, full_inference
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_fields
 from .expansion import ACTIVATIONS, ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
                       train_step)
@@ -83,7 +83,7 @@ class RunConfig:
     activation: str = "relu"
     expansion_seed: int | None = None
     lam: float = 1e4
-    ema_decays: tuple = (0.9, 0.99)
+    ema_decays: tuple[float, ...] = (0.9, 0.99)
     aggregation: str = "softmax_max"
     mask_kind: str = "batch_seen_class"
     routing: str = "ridge"
@@ -91,18 +91,19 @@ class RunConfig:
     spawn_budget: int = 10_000
     lr: float = 0.005
     iters: int = 3
-    seeds: tuple = (1, 2, 3, 4, 5)
+    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     outdir: str = "runs"
     accumulate_adapted: bool = True
     reset_head_at_spawn: bool = False
     multi_expert: bool = True
-    track_baselines: tuple = ()
+    track_baselines: tuple[str, ...] = ()
     track_oracle: bool = True
     eval_session_matrix: bool = True
     log_predictions: bool = True
     cka_probe: int = 256
 
     def __post_init__(self):
+        check_fields(self)
         self.ema_decays = tuple(float(a) for a in self.ema_decays)
         self.seeds = tuple(int(s) for s in self.seeds)
         self.track_baselines = tuple(self.track_baselines)
@@ -130,6 +131,9 @@ class RunConfig:
             raise ConfigError(
                 f"stream.seed={self.stream.seed} has no effect: each run "
                 "seed seeds its own stream; list the seeds in `seeds`")
+        if self.stream.holdout_fraction == 0:
+            raise ConfigError("stream.holdout_fraction=0 holds out no rows, "
+                              "so a run would have nothing to evaluate")
 
 
 def desk_config(**overrides) -> RunConfig:
@@ -143,15 +147,23 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    data = dict(data)
-    stream = data.pop("stream", {})
+    stream = data.get("stream", {})
     if not isinstance(stream, StreamConfig):
-        stream = StreamConfig(**stream)
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - known
+        stream = dataclass_from_dict(StreamConfig, stream, "stream.")
+    return dataclass_from_dict(RunConfig, {**data, "stream": stream})
+
+
+def dataclass_from_dict(cls, data, prefix: str = ""):
+    """``cls(**data)`` for a config dataclass; ConfigError unless ``data``
+    is a dict whose keys all name fields of ``cls``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'} is not a "
+                          f"key-value object: {data!r}")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return RunConfig(stream=stream, **data)
+        raise ConfigError("unknown config keys: "
+                          f"{sorted(prefix + key for key in unknown)}")
+    return cls(**data)
 
 
 def config_hash(config: RunConfig) -> str:
@@ -182,11 +194,20 @@ def apply_overrides(data: dict, overrides) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        target = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-        target[parts[-1]] = value
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        merge_config(data, value)
+    return data
+
+
+def merge_config(data: dict, update: dict) -> dict:
+    """Merge ``update`` into ``data``: a dict into a dict key by key, any
+    other value in place of the old one."""
+    for key, value in update.items():
+        if isinstance(value, dict) and isinstance(data.get(key), dict):
+            merge_config(data[key], value)
+        else:
+            data[key] = value
     return data
 
 
@@ -226,8 +247,6 @@ class SeedRunState:
         self.holdout_ids = np.concatenate(hold) if hold else np.array([], int)
         self.holdout_X = self.source.features(self.holdout_ids)
         self.holdout_y = self.source.labels[self.holdout_ids]
-        self.session_last_batch = {session: i for i, (_, session, _)
-                                   in enumerate(self.schedule.batches)}
 
     @property
     def seen(self) -> set[int]:
@@ -351,7 +370,9 @@ def run_batch(state: SeedRunState, batch) -> None:
     state.batch_index += 1
 
     anytime = state.batch_index % config.stream.eval_interval == 0
-    last = state.session_last_batch[session] == state.batch_index - 1
+    # a session ends with the stream or where the next batch starts one
+    batches = state.schedule.batches
+    last = state.batch_index == len(batches) or batches[state.batch_index][2]
     session_end = config.eval_session_matrix and last
     if not (anytime or session_end):
         return
@@ -560,7 +581,8 @@ class SeedRecord(NamedTuple):
 
 
 def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
-                   run_dir: Path, timing: dict) -> None:
+                   run_dir: Path, timing: dict) -> tuple[dict, dict]:
+    """Write the run directory; returns the mean and std it wrote."""
     run_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
 
@@ -573,8 +595,9 @@ def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
     (run_dir / "config.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
+    mean, std = _aggregate(per_seed)
     lines = ["seed,metric,value",
-             *_metric_rows("", config.seeds, per_seed, *_aggregate(per_seed))]
+             *_metric_rows("", config.seeds, per_seed, mean, std)]
     (run_dir / "metrics.csv").write_text("\n".join(lines) + "\n")
 
     ledgers = {seed: _replay(states[seed])[0] for seed in config.seeds}
@@ -610,6 +633,7 @@ def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
 
     (run_dir / "timing.json").write_text(
         json.dumps(timing, indent=2, sort_keys=True) + "\n")
+    return mean, std
 
 
 def run(config: RunConfig) -> RunResult:
@@ -627,8 +651,7 @@ def run(config: RunConfig) -> RunResult:
                                    state.predictions_log)
         del state  # G and its factorization go before the next seed starts
         log.info("seed %d done in %.2fs", seed, timing[f"seed_{seed}_s"])
-    mean, std = _aggregate(per_seed)
-    _write_outputs(config, per_seed, records, run_dir, timing)
+    mean, std = _write_outputs(config, per_seed, records, run_dir, timing)
     return RunResult(config=config, per_seed=per_seed, mean=mean, std=std,
                      run_dir=str(run_dir), config_hash=chash)
 

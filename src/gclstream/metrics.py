@@ -166,17 +166,6 @@ class MetricsLedger:
             self.session_matrix = np.full(
                 (self.num_sessions, self.num_sessions), np.nan)
 
-    def record_anytime(self, acc: float) -> None:
-        if not 0.0 <= acc <= 1.0:
-            raise ValueError(f"accuracy outside [0,1]: {acc}")
-        self.anytime.append(float(acc))
-
-    def record_session_row(self, i: int, accs) -> None:
-        for j, acc in enumerate(accs):
-            if not 0.0 <= acc <= 1.0:
-                raise ValueError(f"accuracy outside [0,1]: {acc}")
-            self.session_matrix[i, j] = acc
-
     def record_routing(self, selections, true_labels, history) -> None:
         self.routing_attempts += len(selections)
         self.routing_hits += _routing_hits(selections, true_labels, history)
@@ -201,9 +190,10 @@ def check_record(record: dict, session_classes, experts: int,
                  fields=LOG_FIELDS) -> str:
     """The record's phase; ConfigError unless ``fields`` lists that phase
     and the record carries each field it names.  An evaluation record's
-    lists must also be of one nonzero length, a session ``step`` must lie in
-    0..sessions-1 and its labels hold a class of each session up to it, and
-    each final selection must lie in 0..experts-1."""
+    lists must also be of one nonzero length and hold ints (not bools), a
+    session ``step`` must lie in 0..sessions-1 and its labels hold a class
+    of each session up to it, and each final selection must lie in
+    0..experts-1."""
     phase = record.get("phase")
     if phase not in fields:
         raise ConfigError(f"unexpected phase {phase!r}")
@@ -218,11 +208,15 @@ def check_record(record: dict, session_classes, experts: int,
     if len(lengths) != 1 or 0 in lengths:
         raise ConfigError(f"{phase} record's {', '.join(lists)} are not "
                           "lists of one nonzero length")
+    for name in lists:
+        bad = [v for v in record[name] if not _is_int(v)]
+        if bad:
+            raise ConfigError(f"{phase} record's {name} hold {bad[0]!r}, "
+                              "not an int")
     if phase == "session":
         step = record["step"]
         _check_indices("session step", [step], len(session_classes))
-        labels = {label for label in record["labels"]
-                  if isinstance(label, int)}
+        labels = set(record["labels"])
         for j, classes in enumerate(session_classes[:step + 1]):
             if labels.isdisjoint(classes):
                 raise ConfigError(f"session {step} record's labels hold no "
@@ -232,8 +226,12 @@ def check_record(record: dict, session_classes, experts: int,
     return phase
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_indices(what: str, values: list, n: int) -> None:
-    bad = [v for v in values if not (isinstance(v, int) and 0 <= v < n)]
+    bad = [v for v in values if not (_is_int(v) and 0 <= v < n)]
     if bad:
         raise ConfigError(f"{what} {bad[0]!r} outside 0..{n - 1}")
 
@@ -251,11 +249,11 @@ def replay(records, session_classes, history) -> tuple[MetricsLedger, dict]:
                              EVAL_FIELDS)
         predictions, labels = record["predictions"], record["labels"]
         if phase == "anytime":
-            ledger.record_anytime(accuracy(predictions, labels))
+            ledger.anytime.append(accuracy(predictions, labels))
         elif phase == "session":
             i = record["step"]
-            ledger.record_session_row(i, session_row(
-                predictions, labels, session_classes[:i + 1]))
+            ledger.session_matrix[i, :i + 1] = session_row(
+                predictions, labels, session_classes[:i + 1])
         elif phase == "final":
             final = record
             ledger.record_routing(record["selections"], labels, history)

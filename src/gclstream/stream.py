@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 # SeedSequence purpose tags; every stochastic choice in the engine derives
 # from (seed, tag, counters) so that no RNG state ever needs checkpointing.
@@ -53,6 +53,7 @@ class StreamConfig:
     feature_file: str | None = None
 
     def __post_init__(self):
+        check_fields(self, "stream.")
         if not 0.0 <= self.disjoint_ratio <= 1.0:
             raise ConfigError(f"disjoint_ratio outside [0,1]: {self.disjoint_ratio}")
         if not 0.0 <= self.blurry_ratio <= 1.0:
@@ -230,9 +231,11 @@ class SessionSchedule:
     home: dict                          # class -> home session (all classes)
     holdout_by_class: dict              # class -> held-out sample ids
     session_classes: list               # per-session set of train classes
-    scatter_counts: dict                # blurry class -> samples outside home
     batches: list                       # (ids, session, is_session_start)
-    session_sizes: list
+
+    @property
+    def session_sizes(self) -> list[int]:
+        return [len(ids) for ids in self.sessions]
 
     @property
     def total_train(self) -> int:
@@ -268,7 +271,6 @@ def build_schedule(config: StreamConfig, source) -> SessionSchedule:
 
     session_lists: list[list[int]] = [[] for _ in range(T)]
     home: dict[int, int] = dict(disjoint_map)
-    scatter_counts: dict[int, int] = {}
     for c, t in sorted(disjoint_map.items()):
         session_lists[t].extend(int(i) for i in train_by_class[c])
     for c in blurry:
@@ -277,7 +279,6 @@ def build_schedule(config: StreamConfig, source) -> SessionSchedule:
         home[c] = h
         want = math.ceil(config.blurry_ratio * len(per_class[c]))
         k = 0 if T == 1 else min(want, len(train))
-        scatter_counts[c] = k
         for i in train[:k]:
             other = int(rng.integers(T - 1))
             if other >= h:
@@ -304,9 +305,7 @@ def build_schedule(config: StreamConfig, source) -> SessionSchedule:
     return SessionSchedule(
         sessions=sessions, disjoint_map=disjoint_map, blurry=blurry,
         home=home, holdout_by_class=holdout_by_class,
-        session_classes=session_classes, scatter_counts=scatter_counts,
-        batches=batches, session_sizes=[len(s) for s in sessions],
-    )
+        session_classes=session_classes, batches=batches)
 
 
 class StreamCursor:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gclstream.baselines as baselines_mod
+from gclstream.analytic_router import accumulate, new_router_state
 from gclstream.baselines import (
     BASELINE_KINDS, TAG_KMEANS, KMeansRouter, NaiveBayesRouter,
     PrototypeRouter, ShallowRouter, baseline_finalize, baseline_fit_update,
@@ -562,6 +563,17 @@ class TestLifecycle:
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
             new_baseline("centroid", 3, seed=0)
+
+    def test_empty_batch_of_an_unregistered_expert_is_refused(self):
+        """The router and every baseline check a batch the same way, so an
+        empty batch is refused for its expert id before it is skipped."""
+        empty = ExpandedBatch(np.zeros((0, 3)), 1)
+        with pytest.raises(ValueError, match="expert id 1 is not registered"):
+            accumulate(new_router_state(3, 1.0), empty)
+        for kind in BASELINE_KINDS:
+            with pytest.raises(ValueError,
+                               match="expert id 1 is not registered"):
+                baseline_fit_update(new_baseline(kind, 3, seed=0), empty)
 
     def test_width_mismatch_raises(self):
         router = PrototypeRouter(3, num_experts=1)

@@ -236,8 +236,12 @@ class TestMetricsCommand:
          ' "step": 1}', "session 1 record's labels hold no class of session "
          "0"),
         ('{"phase": "session", "seed": 1, "labels": [[1]], "predictions": [1],'
-         ' "step": 0}', "session 0 record's labels hold no class of session "
-         "0"),
+         ' "step": 0}', "session record's labels hold [1], not an int"),
+        ('{"phase": "anytime", "seed": 1, "labels": [[0]], "predictions": [0]}',
+         "anytime record's labels hold [0], not an int"),
+        ('{"phase": "final", "seed": 1, "labels": [0], "predictions": [0],'
+         ' "selections": [true]}', "final record's selections hold True, not "
+         "an int"),
         ('{"phase": "final", "seed": 1, "labels": [0], "predictions": [0],'
          ' "selections": [99]}', "final selection 99 outside 0..2"),
         ('{"phase": "anytime", "seed": 1, "labels": [0],'
@@ -365,6 +369,39 @@ class TestExitCodes:
         assert rc == 1
         assert "classes=10" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("args, names", [
+        (["--set", "stream.foo=1"], "stream.foo"),
+        (["--set", "M=abc"], "M='abc'"),
+        (["--set", "lam=abc"], "lam='abc'"),
+        (["--set", "ema_decays=abc"], "ema_decays='abc'"),
+        (["--set", "M=1.5"], "M=1.5"),
+        (["--set", "stream.batch_size=1.5"], "stream.batch_size=1.5"),
+        (["--set", "stream.holdout_fraction=0"], "stream.holdout_fraction"),
+        (["--config", "{not json"], "not JSON"),
+        (["--config", "[1, 2]"], "holds no JSON object"),
+        (["--seeds", "1,a"], "--seeds '1,a'")])
+    def test_bad_run_input_exits_one_naming_it(self, tmp_path, capsys, args,
+                                               names):
+        if args[0] == "--config":
+            path = tmp_path / "config.json"
+            path.write_text(args[1])
+            args = ["--config", str(path)]
+        rc = main(["run", *args, "--outdir", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert names in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_gen_features_refuses_keys_outside_the_stream(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "features.csv"
+        rc = main(["gen-features", "--out", str(out), "--set", "M=5",
+                   "--set", "lam=oops"])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert "['M', 'lam']" in err
+        assert not out.exists()
 
     def test_missing_config_file_exits_one(self, tmp_path):
         rc = main(["run", "--config", str(tmp_path / "absent.json")])

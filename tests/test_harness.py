@@ -4,7 +4,7 @@ import json
 import tempfile
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +17,7 @@ import gclstream.harness as harness
 from gclstream.analytic_router import accumulate, new_router_state
 from gclstream.baselines import (BASELINE_KINDS, baseline_fit_update,
                                  baseline_route, new_baseline)
-from gclstream.errors import ConfigError
+from gclstream.errors import ConfigError, check_fields
 from gclstream.expansion import ExpandedBatch, RandomExpansion
 from gclstream.experts import MASK_KINDS, SPAWN_POLICIES, ExpertPool
 from gclstream.harness import (
@@ -121,6 +121,16 @@ class TestConfigIdentity:
         ("spawn_budget", 0),
         ("expansion_seed", -1),
         ("stream", {"seed": 7}),  # each run seed seeds its own stream
+        ("stream", {"holdout_fraction": 0.0}),  # nothing left to evaluate
+        ("stream", {"foo": 1}),
+        ("stream", {"batch_size": 1.5}),
+        ("stream", [1]),
+        ("M", 1.5),
+        ("M", True),
+        ("lam", "abc"),
+        ("ema_decays", "abc"),
+        ("seeds", [1, "a"]),
+        ("track_oracle", 1),
     ])
     def test_field_outside_its_domain_is_a_config_error(self, key, value):
         """Each value would otherwise fail deep inside a seed's set-up."""
@@ -129,10 +139,24 @@ class TestConfigIdentity:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("annotation", [
+        "list[int]", "Optional[int]", "tuple", int])
+    def test_unreadable_field_annotation_is_a_type_error(self, annotation):
+        """A field whose annotation the check cannot read fails loudly
+        instead of admitting every value."""
+        @dataclass
+        class Config:
+            x: int = 1
+
+        Config.__dataclass_fields__["x"].type = annotation
+        with pytest.raises(TypeError):
+            check_fields(Config())
+
     @pytest.mark.parametrize("key, value", [
         ("ema_decays", []), ("ema_decays", [0.5]), ("spawn_budget", 1),
         ("expansion_seed", 0), ("expansion_seed", None),
-        ("activation", "tanh")])
+        ("activation", "tanh"), ("lam", 100), ("lr", np.float64(0.01)),
+        ("M", np.int64(32))])
     def test_field_at_its_domain_edge_is_accepted(self, key, value):
         data = config_to_dict(_fast())
         data[key] = value
@@ -366,7 +390,8 @@ class TestSeedRuns:
         config = _fast(stream={"eval_interval": 1})
         state = SeedRunState(config, 1)
         cursor = state.cursor
-        for _ in range(state.session_last_batch[0]):
+        ends = [session for _, session, _ in state.schedule.batches].index(1)
+        for _ in range(ends - 1):  # every batch before session 0's last
             run_batch(state, cursor.next_batch())
         calls = []
         infer = harness.full_inference
@@ -661,6 +686,8 @@ TAMPERED = {
     "session_1_without_a_row_of_session_0": (
         "predictions_log", lambda meta, arrays: meta["predictions_log"][
             0].update(phase="session", step=1, labels=[0], predictions=[0])),
+    "label_that_is_a_list": ("predictions_log", lambda meta, arrays: meta[
+        "predictions_log"][0]["labels"].__setitem__(0, [0])),
     "labels_shorter_than_predictions": (
         "predictions_log",
         lambda meta, arrays: meta["predictions_log"][0]["labels"].pop()),

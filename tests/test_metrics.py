@@ -201,15 +201,6 @@ class TestLinearCka:
 
 
 class TestLedger:
-    def test_anytime_and_session_rows_accumulate(self):
-        ledger = MetricsLedger(2)
-        ledger.record_anytime(0.25)
-        ledger.record_anytime(0.75)
-        ledger.record_session_row(0, [0.9])
-        ledger.record_session_row(1, [0.7, 0.8])
-        np.testing.assert_allclose(a_auc(ledger.anytime), 0.5)
-        np.testing.assert_allclose(f_last(ledger.session_matrix), 0.1)
-
     def test_streamed_routing_accuracy_equals_batch_recount(self):
         rng = np.random.default_rng(6)
         history = [{0, 1}, {2}]
@@ -221,13 +212,6 @@ class TestLedger:
                                   history)
         want = routing_accuracy_ref(selections, labels, history)
         np.testing.assert_allclose(ledger.streamed_routing_accuracy, want)
-
-    def test_out_of_range_accuracy_rejected(self):
-        ledger = MetricsLedger(1)
-        with pytest.raises(ValueError):
-            ledger.record_anytime(1.5)
-        with pytest.raises(ValueError):
-            ledger.record_session_row(0, [-0.1])
 
     def test_empty_routing_history_raises(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ generator, routing baselines, and the full metric suite.
 __version__ = "0.1.0"
 
 import os
+import sys
+import warnings
 
 # An idle OpenBLAS worker spins for 2**OPENBLAS_THREAD_TIMEOUT cycles (2**28
 # by default) before it sleeps.  numpy and scipy each load their own OpenBLAS
@@ -19,7 +21,16 @@ import os
 # the batch (scipy's, after the batch's dsyrk) stops spinning while the other
 # works.
 # OpenBLAS reads the variable when it loads, so this must precede numpy; a
-# value already in the environment wins.
+# value already in the environment wins.  Imported after numpy, the engine
+# sets it for scipy's pool only, and numpy's keeps spinning: one seed of the
+# anytime_eval benchmark workload then took 0.97 s instead of 0.37-0.43 s
+# (2-core Xeon), so that import order warns.
+if "OPENBLAS_THREAD_TIMEOUT" not in os.environ and "numpy" in sys.modules:
+    warnings.warn(
+        "numpy was imported before gclstream, so its OpenBLAS loaded without "
+        "OPENBLAS_THREAD_TIMEOUT and its idle threads spin for 2**28 cycles, "
+        "which slows the engine; export OPENBLAS_THREAD_TIMEOUT=22 or import "
+        "gclstream before numpy", RuntimeWarning)
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
 
 from .analytic_router import (RouterState, accumulate, grow, new_router_state,

@@ -48,14 +48,15 @@ TAG_SHALLOW = 23
 
 NB_EPS = 1e-6  # variance smoothing against rectified-zero coordinates
 
-# Element budget of one block of the rows x centers x M difference tensor in
-# _sq_dists, the exact path that settles the rows _nearest cannot certify
-# (and the reference it is tested against): 512 KB of float64, so each
-# block's subtract, square and sum passes stay in a 4 MB L2.  Timed on a
-# 2-core Xeon at M=1024, 512 rows x 10 centers: 23.9 ms per call at 1 << 20,
-# 11.7 ms at 1 << 16, 12.8 ms at 1 << 15, 15.7 ms at 1 << 14.  The size is
-# exact at any value: every entry is one contiguous reduction over M,
-# whichever block holds it.
+# Element budget of one block of rows in the two blocked broadcasts: the
+# rows x centers x M difference tensor of _sq_dists, the exact path that
+# settles the rows _nearest cannot certify (and the reference it is tested
+# against), and the rows x M scoring buffer of NaiveBayesRouter.route.  512 KB
+# of float64, so each block's subtract, square and sum passes stay in a 4 MB
+# L2.  Timed for _sq_dists on a 2-core Xeon at M=1024, 512 rows x 10 centers:
+# 23.9 ms per call at 1 << 20, 11.7 ms at 1 << 16, 12.8 ms at 1 << 15,
+# 15.7 ms at 1 << 14.  The size is exact at any value: every entry is one
+# contiguous reduction over M, whichever block holds it.
 _DIST_BLOCK = 1 << 16
 
 LLOYD_MAX_ITERS = 25
@@ -140,16 +141,31 @@ class NaiveBayesRouter(PrototypeRouter):
         self.m2[e] += m2_b + delta * delta * (n * nb / (n + nb))
 
     def route(self, phi: np.ndarray) -> np.ndarray:
-        scores = np.full((phi.shape[0], self.num_experts), -np.inf)
-        for e in range(self.num_experts):
-            if self.counts[e] == 0:
-                continue
-            var = self.m2[e] / self.counts[e] + NB_EPS
-            diff = phi - self.means[e]
-            scores[:, e] = -0.5 * (
-                np.log(2.0 * np.pi * var).sum()
-                + (diff * diff / var).sum(axis=1))
-        return np.argmax(scores, axis=1)
+        return np.argmax(self._scores(phi), axis=1)
+
+    def _scores(self, phi: np.ndarray) -> np.ndarray:
+        """Each row's log-likelihood under each expert (-inf for an expert
+        with no rows), a block of rows at a time in one reused buffer,
+        where the whole-pool formula ``-0.5 * (log(2 pi var).sum() +
+        ((phi - mean)**2 / var).sum(axis=1))`` holds pool x M temporaries.
+        Each score is still one elementwise pass and one contiguous sum
+        over M, so it keeps its exact bits whichever block holds its row."""
+        n = phi.shape[0]
+        scores = np.full((n, self.num_experts), -np.inf)
+        trained = np.flatnonzero(self.counts)
+        var = [self.m2[e] / self.counts[e] + NB_EPS for e in trained]
+        log_norm = [np.log(2.0 * np.pi * v).sum() for v in var]
+        step = max(1, _DIST_BLOCK // self.M)
+        buf = np.empty((min(step, n), self.M))
+        for i in range(0, n, step):
+            block = phi[i:i + step]
+            diff = buf[:len(block)]
+            for e, v, norm in zip(trained, var, log_norm):
+                np.subtract(block, self.means[e], out=diff)
+                np.square(diff, out=diff)
+                diff /= v
+                scores[i:i + len(block), e] = -0.5 * (norm + diff.sum(axis=1))
+        return scores
 
 
 def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:

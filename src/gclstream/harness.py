@@ -127,6 +127,10 @@ class RunConfig:
             raise ConfigError("spawn_budget must be >= 1; expansion_seed >= 0")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds repeat {', '.join(map(str, repeated))}:"
+                              " each seed runs once")
         if self.stream.seed != StreamConfig.seed:
             raise ConfigError(
                 f"stream.seed={self.stream.seed} has no effect: each run "
@@ -388,11 +392,17 @@ def run_batch(state: SeedRunState, batch) -> None:
 def finish_seed(state: SeedRunState) -> dict:
     """Final (and oracle) inference, the metrics its log then determines,
     paired comparisons, CKA probe; returns metric dict."""
+    return _finish(state)[0]
+
+
+def _finish(state: SeedRunState) -> tuple[dict, MetricsLedger]:
+    """``finish_seed``'s metrics, and the ledger of the one replay of the
+    seed's log that they come from."""
     config = state.config
     _log_predictions(state, "final", None, _infer(state, config.routing))
     if config.track_oracle and config.routing != "oracle":
         _log_predictions(state, "oracle", None, _infer(state, "oracle"))
-    metrics = _replay(state)[1]
+    ledger, metrics = _replay(state)
 
     rows = _eval_pool(state)
     for kind in sorted(state.baselines):
@@ -414,17 +424,21 @@ def finish_seed(state: SeedRunState) -> dict:
 
     for t, size in enumerate(state.schedule.session_sizes):
         metrics[f"session_size_{t}"] = float(size)
-    return metrics
+    return metrics, ledger
+
+
+def _train(state: SeedRunState) -> SeedRunState:
+    """Run the seed's batches from its batch index to the stream's end."""
+    cursor = state.cursor
+    while (batch := cursor.next_batch()) is not None:
+        run_batch(state, batch)
+    return state
 
 
 def run_seed(config: RunConfig, seed: int,
              state: SeedRunState | None = None) -> tuple[dict, SeedRunState]:
     """Run one seed start (or checkpoint) to finish."""
-    if state is None:
-        state = SeedRunState(config, seed)
-    cursor = state.cursor
-    while (batch := cursor.next_batch()) is not None:
-        run_batch(state, batch)
+    state = _train(SeedRunState(config, seed) if state is None else state)
     return finish_seed(state), state
 
 
@@ -572,12 +586,14 @@ def _aggregate(per_seed: dict) -> tuple[dict, dict]:
 
 
 class SeedRecord(NamedTuple):
-    """What emission reads of a finished seed.  A SeedRunState has the same
-    attributes, so ``_write_outputs`` takes either."""
+    """What emission reads of a finished seed, with the ledger its one replay
+    derived.  A SeedRunState has the same attributes (its ``ledger``
+    replays the log anew), so ``_write_outputs`` takes either."""
 
     schedule: SessionSchedule
     pool: ExpertPool
     predictions_log: list
+    ledger: MetricsLedger
 
 
 def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
@@ -600,7 +616,7 @@ def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
              *_metric_rows("", config.seeds, per_seed, mean, std)]
     (run_dir / "metrics.csv").write_text("\n".join(lines) + "\n")
 
-    ledgers = {seed: _replay(states[seed])[0] for seed in config.seeds}
+    ledgers = {seed: states[seed].ledger for seed in config.seeds}
     T = config.stream.sessions
     lines = ["seed,row," + ",".join(f"s{j}" for j in range(T))]
     lines += [f"{seed},{i}," + ",".join(map(_fmt, row))
@@ -645,10 +661,11 @@ def run(config: RunConfig) -> RunResult:
     timing: dict[str, float] = {}
     for seed in config.seeds:
         started = time.perf_counter()
-        per_seed[seed], state = run_seed(config, seed)
+        state = _train(SeedRunState(config, seed))
+        per_seed[seed], ledger = _finish(state)
         timing[f"seed_{seed}_s"] = time.perf_counter() - started
         records[seed] = SeedRecord(state.schedule, state.pool,
-                                   state.predictions_log)
+                                   state.predictions_log, ledger)
         del state  # G and its factorization go before the next seed starts
         log.info("seed %d done in %.2fs", seed, timing[f"seed_{seed}_s"])
     mean, std = _write_outputs(config, per_seed, records, run_dir, timing)

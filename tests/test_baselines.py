@@ -1,5 +1,7 @@
 """Routing baselines: streaming moments, reservoirs, kmeans, shallow net."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -101,6 +103,47 @@ class TestNaiveBayes:
         _feed(router, np.array([[1.0, 2.0], [1.0, 2.0]]), 0)  # zero variance
         picks = baseline_route(router, np.array([[1.0, 2.0]]))
         assert picks[0] == 0
+
+    @staticmethod
+    def _fed(M, rng):
+        """Four experts of width M, expert 1 with a count of zero."""
+        router = NaiveBayesRouter(M, num_experts=4)
+        for e in (0, 2, 3):
+            router.update(e, np.maximum(rng.standard_normal((20, M)) + e, 0.0))
+        return router
+
+    @pytest.mark.parametrize("M, n", [
+        (1024, 400),                                # 6 blocks of 64, then 16
+        (1024, 130),
+        (baselines_mod._DIST_BLOCK + 3, 3),         # one row per block
+    ])
+    def test_blocked_scores_equal_the_whole_pool_formula(self, M, n):
+        rng = np.random.default_rng(11)
+        router = self._fed(M, rng)
+        phi = np.maximum(rng.standard_normal((n, M)), 0.0)
+        full = np.full((n, 4), -np.inf)
+        for e in (0, 2, 3):
+            var = router.m2[e] / router.counts[e] + baselines_mod.NB_EPS
+            diff = phi - router.means[e]
+            full[:, e] = -0.5 * (np.log(2.0 * np.pi * var).sum()
+                                 + (diff * diff / var).sum(axis=1))
+        np.testing.assert_array_equal(router._scores(phi), full)
+        np.testing.assert_array_equal(router.route(phi),
+                                      np.argmax(full, axis=1))
+
+    def test_route_holds_a_few_blocks_not_the_pool(self):
+        """Scoring a 400 x 1024 holdout pool allocates a few blocks of
+        _DIST_BLOCK floats, not pool x M temporaries (9.9 MB unblocked)."""
+        rng = np.random.default_rng(12)
+        router = self._fed(1024, rng)
+        phi = rng.standard_normal((400, 1024))
+        tracemalloc.start()
+        try:
+            router.route(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * baselines_mod._DIST_BLOCK * 8
 
 
 class TestKmeans:

@@ -93,6 +93,22 @@ class TestBlasSettings:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == kept
 
+    @pytest.mark.parametrize("imports, given, warnings", [
+        ("numpy, gclstream", None, 1),   # numpy's OpenBLAS loaded unset
+        ("gclstream, numpy", None, 0),
+        ("numpy, gclstream", "22", 0),
+    ])
+    def test_numpy_loaded_first_without_the_timeout_warns_once(
+            self, imports, given, warnings):
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-c", f"import {imports}"],
+            capture_output=True, text=True, env=self._env(given))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("RuntimeWarning") == warnings, proc.stderr
+        if warnings:
+            assert "OPENBLAS_THREAD_TIMEOUT" in proc.stderr
+            assert "import gclstream before numpy" in proc.stderr
+
     @staticmethod
     def _data_files(outdir: Path, env: dict, *args) -> dict:
         """The data files of one ``gclstream run`` in a fresh interpreter."""
@@ -380,7 +396,8 @@ class TestExitCodes:
         (["--set", "stream.holdout_fraction=0"], "stream.holdout_fraction"),
         (["--config", "{not json"], "not JSON"),
         (["--config", "[1, 2]"], "holds no JSON object"),
-        (["--seeds", "1,a"], "--seeds '1,a'")])
+        (["--seeds", "1,a"], "--seeds '1,a'"),
+        (["--seeds", "1,1"], "seeds repeat 1")])
     def test_bad_run_input_exits_one_naming_it(self, tmp_path, capsys, args,
                                                names):
         if args[0] == "--config":

@@ -130,6 +130,7 @@ class TestConfigIdentity:
         ("lam", "abc"),
         ("ema_decays", "abc"),
         ("seeds", [1, "a"]),
+        ("seeds", [1, 2, 1]),  # would run seed 1 twice, with a std of 0
         ("track_oracle", 1),
     ])
     def test_field_outside_its_domain_is_a_config_error(self, key, value):
@@ -959,6 +960,18 @@ class TestRunEmission:
         assert len(refs) == 3
         assert all(ref() is None for ref in refs)
         assert set(result.per_seed) == {1, 2, 3}
+
+    def test_each_seed_log_is_replayed_once(self, tmp_path, monkeypatch):
+        """Emission writes the ledger that finishing the seed replayed."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(harness, "replay", spy)
+        run(_fast(seeds=(1, 2), outdir=str(tmp_path)))
+        assert len(calls) == 2
 
     def test_summary_is_printable(self, tmp_path):
         result = run(_fast(outdir=str(tmp_path)))

@@ -85,7 +85,7 @@ class RouterState:
 
     def load(self, snap: dict) -> None:
         """Keeps ``gram`` F-contiguous float64, as ``accumulate`` needs."""
-        M, n = self.M, int(snap["samples_seen"])
+        M, n = self.M, check_shape(snap, "samples_seen", (), np.int64).item()
         self.proto = np.array(check_shape(snap, "proto", self.proto.shape))
         self.solved, self.factor_buf, self.factored = None, None, 0
         self.row_expert, self.samples_seen = np.zeros(0, np.int64), n
@@ -93,11 +93,11 @@ class RouterState:
             gram = check_shape(snap, "gram", (M, M))
             if any(gram[:j, j].any() for j in range(1, M)):  # no M x M temp
                 raise ShapeError("gram has a nonzero entry above its diagonal")
-            self.gram = np.asfortranarray(gram, dtype=np.float64)
+            self.gram = np.asfortranarray(gram)
             return
         rows = check_shape(snap, "rows", (n, M))
-        experts = check_shape(snap, "row_expert", (n,)).astype(np.int64)
-        k = min(len(np.atleast_2d(snap["factor"])), n)  # rows it factors
+        experts = check_shape(snap, "row_expert", (n,), np.int64)
+        k = min(len(check_shape(snap, "factor", (None, None))), n)  # factored
         factor = check_shape(snap, "factor", (k, k))
         if ((experts < 0) | (experts >= self.num_experts)).any():
             raise ShapeError(f"row_expert id outside 0..{self.num_experts - 1}")
@@ -107,7 +107,7 @@ class RouterState:
             self.factor_buf = np.empty((M, M), order="F")
             _head(self.factor_buf, k)[...] = factor
         self.row_expert, self.factored = experts, k
-        self.jitter_used = float(snap["jitter_used"])
+        self.jitter_used = check_shape(snap, "jitter_used", ()).item()
 
 
 def new_router_state(M: int, lam: float, num_experts: int = 1) -> RouterState:

@@ -74,9 +74,9 @@ class _Baseline:
         return {key: getattr(self, key) for key in self.STATE}
 
     def load(self, snap: dict) -> None:
-        for key in self.STATE:
+        for key, held in self.state().items():
             setattr(self, key, np.array(
-                check_shape(snap, key, getattr(self, key).shape)))
+                check_shape(snap, key, held.shape, held.dtype)))
 
 
 class PrototypeRouter(_Baseline):
@@ -321,7 +321,7 @@ class KMeansRouter(_Baseline):
 
     def load(self, snap: dict) -> None:
         E, row = (self.num_experts,), (self.reservoir_cap, self.M)
-        self.seen = [int(v) for v in check_shape(snap, "seen", E)]
+        self.seen = check_shape(snap, "seen", E, np.int64).tolist()
         if min(self.seen, default=0) < 0:
             raise ShapeError("seen holds a negative count")
         self.reservoirs = [np.array(check_shape(snap, f"reservoir_{e}", row))

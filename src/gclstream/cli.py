@@ -112,30 +112,25 @@ def _cmd_metrics(args) -> int:
     pred_path = run_dir / "predictions.jsonl"
     if not pred_path.exists():
         raise ConfigError(f"no predictions.jsonl under {run_dir}")
-    by_seed: dict[int, tuple[dict, list]] = {}  # seed -> (meta, records)
+    by_seed: dict[int, tuple] = {}  # seed -> (classes, history, records)
     with open(pred_path) as fh:
         for number, line in enumerate(fh, start=1):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"{pred_path}:{number}: not JSON ({err})")
-            if not isinstance(record, dict) or "phase" not in record:
-                raise ConfigError(
-                    f"{pred_path}:{number}: not a record with a phase")
-            seed = record.get("seed")
-            if record["phase"] != "meta" and seed not in by_seed:
-                raise ConfigError(
-                    f"{pred_path}:{number}: seed {seed} has no meta line")
-            meta = by_seed[seed][0] if record["phase"] != "meta" else {}
+            seed = record.get("seed") if isinstance(record, dict) else None
+            classes, history, records = by_seed.get(
+                seed if isinstance(seed, int) else None, (None, (), None))
             try:
-                phase = check_record(record, meta.get("session_classes", ()),
-                                     len(meta.get("history", ())))
+                phase = check_record(record, classes, len(history))
             except ConfigError as err:
                 raise ConfigError(f"{pred_path}:{number}: {err}") from err
             if phase == "meta":
-                by_seed[seed] = (record, [])
+                by_seed[seed] = (record["session_classes"], record["history"],
+                                 [])
             else:
-                by_seed[seed][1].append(record)
+                records.append(record)
 
     stored: dict[tuple, float] = {}
     metrics_path = run_dir / "metrics.csv"
@@ -150,9 +145,8 @@ def _cmd_metrics(args) -> int:
                                   f"seed,metric,value ({err})") from err
 
     mismatches = 0
-    for seed, (meta, records) in sorted(by_seed.items()):
-        _, recomputed = replay(records, meta["session_classes"],
-                               [set(h) for h in meta["history"]])
+    for seed, (classes, history, records) in sorted(by_seed.items()):
+        _, recomputed = replay(records, classes, [set(h) for h in history])
         if records and not recomputed:
             raise ConfigError(f"{pred_path}: seed {seed} has no final record")
         for metric, value in recomputed.items():

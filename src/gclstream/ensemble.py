@@ -60,8 +60,6 @@ def ensemble_predict(features: np.ndarray, adapter: ExpertAdapter,
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     heads = [online] + (list(bank.heads) if bank is not None else [])
-    if not heads:
-        raise ValueError("no heads to ensemble")
     if mask.values.shape[0] != online.weights.shape[0]:
         raise ShapeError(
             f"mask length {mask.values.shape[0]} does not match "

@@ -1,5 +1,5 @@
 """Error types shared across the engine, and the checks of a config
-field's type and of an array's shape that raise them.
+field's type and of an array's shape and dtype that raise them.
 
 Kept deliberately small: configuration problems and numerical failures need
 distinct exit codes at the CLI (1 and 2 respectively), everything else is a
@@ -52,14 +52,18 @@ def _has_type(value, kind) -> bool:
 
 
 class ShapeError(ValueError):
-    """Array dimensions, or a count, do not match the contract."""
+    """Array dimensions, a dtype or a count do not match the contract."""
 
 
-def check_shape(snap: dict, key: str, shape) -> np.ndarray:
-    """``snap[key]`` as an array; ShapeError unless its shape is ``shape``."""
-    value = np.asarray(snap[key])
-    if value.shape != tuple(shape):
-        raise ShapeError(f"{key} has shape {value.shape}, not {tuple(shape)}")
+def check_shape(snap: dict, key: str, shape, kind=np.float64) -> np.ndarray:
+    """``snap[key]`` as an array; ShapeError unless its shape is ``shape`` (a
+    None length matches any) and its dtype ``kind`` (str: of any length)."""
+    value, shape, want = np.asarray(snap[key]), tuple(shape), np.dtype(kind)
+    if len(value.shape) != len(shape) or any(
+            n not in (m, None) for m, n in zip(value.shape, shape)):
+        raise ShapeError(f"{key} has shape {value.shape}, not {shape}")
+    if value.dtype != want and not value.dtype.kind == want.kind == "U":
+        raise ShapeError(f"{key} has dtype {value.dtype}, not {want.name}")
     return value
 
 

@@ -90,9 +90,6 @@ class EmaBank:
     def from_online(cls, decays, online: Head) -> "EmaBank":
         return cls(decays, [online.clone() for _ in decays])
 
-    def windows(self):
-        return [1.0 / (1.0 - a) for a in self.decays]
-
     def __len__(self):
         return len(self.heads)
 
@@ -343,33 +340,34 @@ class ExpertPool:
         self.samples_under_current += len(labels)
 
     def state(self) -> dict:
-        """Online head; adapters and EMA heads stacked over the experts."""
-        snap = {"online_w": self.online.weights, "online_b": self.online.bias,
+        """Online head; adapters, EMA heads and class masks by expert."""
+        n, k = self.num_experts, len(self.decays)
+        C, d = self.num_classes, self.d
+        ads, hs = self.adapters, [h for b in self.banks for h in b.heads]
+        trained = np.zeros((n, C), dtype=bool)
+        for e, classes in enumerate(self.trained_classes):
+            trained[e, sorted(classes)] = True
+        return {"online_w": self.online.weights, "online_b": self.online.bias,
                 "samples_under_current": self.samples_under_current,
-                "trained_classes": [sorted(s) for s in self.trained_classes]}
-        if self.adapters:
-            snap["adapter_scale"] = np.array([a.scale for a in self.adapters])
-            snap["adapter_shift"] = np.array([a.shift for a in self.adapters])
-        if self.adapters and self.decays:
-            heads = [bank.heads for bank in self.banks]
-            snap["bank_w"] = np.array([[h.weights for h in hs] for hs in heads])
-            snap["bank_b"] = np.array([[h.bias for h in hs] for hs in heads])
-        return snap
+                "trained_classes": trained,
+                "adapter_scale": np.reshape([a.scale for a in ads], (n, d)),
+                "adapter_shift": np.reshape([a.shift for a in ads], (n, d)),
+                "bank_w": np.reshape([h.weights for h in hs], (n, k, C, d)),
+                "bank_b": np.reshape([h.bias for h in hs], (n, k, C))}
 
     def load(self, snap: dict) -> None:
         """Rebuild from a ``state()`` of this d, class count and decays;
-        one expert per ``trained_classes`` entry, all but the newest frozen
+        one expert per ``trained_classes`` row, all but the newest frozen
         (only ``spawn`` freezes)."""
-        classes = snap["trained_classes"]
-        n, k, C, d = len(classes), len(self.decays), self.num_classes, self.d
+        k, C, d = len(self.decays), self.num_classes, self.d
+        trained = check_shape(snap, "trained_classes", (None, C), bool)
+        n = len(trained)
         self.online = Head(np.array(check_shape(snap, "online_w", (C, d))),
                            np.array(check_shape(snap, "online_b", (C,))))
-        if n:
-            scale = np.array(check_shape(snap, "adapter_scale", (n, d)))
-            shift = np.array(check_shape(snap, "adapter_shift", (n, d)))
-        if n and k:
-            bank_w = np.array(check_shape(snap, "bank_w", (n, k, C, d)))
-            bank_b = np.array(check_shape(snap, "bank_b", (n, k, C)))
+        scale = np.array(check_shape(snap, "adapter_scale", (n, d)))
+        shift = np.array(check_shape(snap, "adapter_shift", (n, d)))
+        bank_w = np.array(check_shape(snap, "bank_w", (n, k, C, d)))
+        bank_b = np.array(check_shape(snap, "bank_b", (n, k, C)))
         self.adapters, self.banks = [], []
         for e in range(n):
             self.adapters.append(ExpertAdapter(e, scale[e], shift[e]))
@@ -377,10 +375,9 @@ class ExpertPool:
                 self.adapters[e].freeze()
             self.banks.append(EmaBank(self.decays, [
                 Head(bank_w[e, j], bank_b[e, j]) for j in range(k)]))
-        self.trained_classes = [set(c) for c in classes]
-        if not set().union(*self.trained_classes) <= set(range(C)):
-            raise ShapeError(f"trained_classes holds a class id outside "
-                             f"[0, {C})")
-        self.samples_under_current = int(snap["samples_under_current"])
+        self.trained_classes = [set(np.flatnonzero(row).tolist())
+                                for row in trained]
+        self.samples_under_current = check_shape(
+            snap, "samples_under_current", (), np.int64).item()
         if self.samples_under_current < 0:
             raise ShapeError("samples_under_current is negative")

@@ -17,9 +17,9 @@ Everything stochastic is keyed by (seed, purpose tag, counters), never by a
 shared sequential generator, so a checkpoint is just arrays and counters and
 resuming reproduces the remainder of the run bit for bit.  The router, the
 expert pool and each baseline checkpoint their own ``state()``; their
-``load()`` refuses a shape the config would not build.  A seed's prediction
-log is its one record of its evaluations: ``metrics.replay`` derives the
-ledger and the logged metrics from it.  Outputs live in
+``load()`` refuses a shape the config would not build, or another dtype.
+A seed's prediction log is its one record of its evaluations:
+``metrics.replay`` derives the ledger and the logged metrics from it.  Outputs live in
 ``<outdir>/<run-id>/`` where the run id is a config-hash prefix; repeated
 runs of an equal config overwrite the same files with identical bytes
 (wall-clock timings go to a separate file outside that contract).
@@ -45,7 +45,7 @@ from .analytic_router import accumulate, grow, new_router_state, route, solve
 from .baselines import (BASELINE_KINDS, baseline_fit_update, baseline_route,
                         new_baseline, oracle_route)
 from .ensemble import AGGREGATIONS, EnsembleConfig, full_inference
-from .errors import ConfigError, ShapeError, check_fields
+from .errors import ConfigError, ShapeError, check_fields, check_shape
 from .expansion import ACTIVATIONS, ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
                       train_step)
@@ -58,7 +58,7 @@ TAG_ADAPTER = 31
 TAG_MASK = 32
 TAG_CKA = 33
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,9 @@ class RunConfig:
             raise ConfigError("spawn_budget must be >= 1; expansion_seed >= 0")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if not all(0 <= s < 2**63 for s in self.seeds):  # a checkpoint's int64
+            raise ConfigError(f"seeds {list(self.seeds)} must lie in "
+                              "0..2**63-1")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ConfigError(f"seeds repeat {', '.join(map(str, repeated))}:"
@@ -342,7 +345,7 @@ def _log_predictions(state: SeedRunState, phase: str, step,
 def run_batch(state: SeedRunState, batch) -> None:
     """Train on one batch and fold it into every router's statistics."""
     config = state.config
-    X, y, ids, session, is_start = batch
+    X, y, ids, _, is_start = batch
 
     if state.pool.num_experts == 0 or (
             config.multi_expert and state.pool.should_spawn(
@@ -373,20 +376,25 @@ def run_batch(state: SeedRunState, batch) -> None:
 
     state.batch_index += 1
 
-    anytime = state.batch_index % config.stream.eval_interval == 0
+    evaluations = _evaluations(state, state.batch_index)
+    if evaluations:
+        inferred = _infer(state, config.routing)
+        for phase, step in evaluations:
+            _log_predictions(state, phase, step, inferred)
+
+
+def _evaluations(state: SeedRunState, done: int) -> list[tuple[str, int]]:
+    """The (phase, step) of each record logged once ``done`` batches have
+    run: an anytime record every eval_interval batches and, with the
+    session matrix on, a session record where a session ends."""
+    config, batches = state.config, state.schedule.batches
+    interval = config.stream.eval_interval
+    records = [("anytime", done // interval)] if done % interval == 0 else []
     # a session ends with the stream or where the next batch starts one
-    batches = state.schedule.batches
-    last = state.batch_index == len(batches) or batches[state.batch_index][2]
-    session_end = config.eval_session_matrix and last
-    if not (anytime or session_end):
-        return
-    inferred = _infer(state, config.routing)
-    if anytime:
-        _log_predictions(state, "anytime",
-                         state.batch_index // config.stream.eval_interval,
-                         inferred)
-    if session_end:
-        _log_predictions(state, "session", session, inferred)
+    if config.eval_session_matrix and (
+            done == len(batches) or batches[done][2]):
+        records.append(("session", batches[done - 1][1]))
+    return records
 
 
 def finish_seed(state: SeedRunState) -> dict:
@@ -453,19 +461,16 @@ def _components(state: SeedRunState) -> list:
 
 
 def checkpoint(state: SeedRunState, path) -> None:
-    """Write a lossless batch-boundary snapshot of a seed's run: array
-    values of each ``state()`` as npz entries, the rest in ``meta``."""
-    arrays = {}
-    meta = {"version": CHECKPOINT_VERSION,
-            "config_hash": config_hash(state.config), "seed": state.seed,
-            "batch_index": state.batch_index,
-            "predictions_log": state.predictions_log}
+    """Write a lossless batch-boundary snapshot of a seed's run as one flat
+    npz: the counters, each ``state()`` value prefixed, the log as JSON."""
+    entries = {"version": CHECKPOINT_VERSION,
+               "config_hash": config_hash(state.config), "seed": state.seed,
+               "batch_index": state.batch_index,
+               "predictions_log": json.dumps(state.predictions_log)}
     for prefix, component in _components(state):
-        for key, value in component.state().items():
-            target = arrays if isinstance(value, np.ndarray) else meta
-            target[prefix + key] = value
+        entries.update({prefix + k: v for k, v in component.state().items()})
     with open(path, "wb") as fh:
-        np.savez(fh, meta=json.dumps(meta, sort_keys=True), **arrays)
+        np.savez(fh, **entries)
 
 
 def resume(path, config: RunConfig) -> SeedRunState:
@@ -473,50 +478,51 @@ def resume(path, config: RunConfig) -> SeedRunState:
 
     The streamed mask is not stored: it is the ids of the first
     ``batch_index`` batches of the schedule.  A checkpoint that cannot be
-    read, lacks an entry, has a shape or a count the config and its
-    schedule would not build, trains classes other than those of the
-    streamed rows, or logs a record ``replay`` cannot read raises
-    ConfigError.
+    read, lacks an entry, has an entry of another dtype, a shape or a count
+    the config and its schedule would not build, trains classes other than
+    those of the streamed rows, or logs records ``replay`` cannot read or
+    other than those its batches end in raises ConfigError.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            arrays = {k: np.array(v) for k, v in data.items() if k != "meta"}
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError) as err:
+            snap = dict(data.items())
+        if "meta" in snap:  # up to v5 the counters were one JSON entry
+            snap["version"] = json.loads(str(snap["meta"]))["version"]
+    except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError,
+            TypeError) as err:
         raise ConfigError(f"{path}: unreadable checkpoint ({err})") from err
     try:
-        return _restore(meta, arrays, config)
+        return _restore(snap, config)
     except KeyError as err:
         raise ConfigError(f"{path}: checkpoint has no entry {err}") from err
     except (ShapeError, ConfigError) as err:
         raise ConfigError(f"{path}: {err}") from err
 
 
-def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
-    if meta["version"] != CHECKPOINT_VERSION:
-        raise ConfigError(
-            f"checkpoint version {meta['version']} != engine checkpoint "
-            f"version {CHECKPOINT_VERSION}")
-    if meta["config_hash"] != config_hash(config):
-        raise ConfigError(
-            "checkpoint was written under a different config "
-            f"({meta['config_hash'][:12]} != {config_hash(config)[:12]}); "
-            "refusing to resume")
+def _restore(snap: dict, config: RunConfig) -> SeedRunState:
+    version = check_shape(snap, "version", (), np.int64).item()
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"checkpoint version {version} != engine "
+                          f"checkpoint version {CHECKPOINT_VERSION}")
+    chash = check_shape(snap, "config_hash", (), str).item()
+    if chash != config_hash(config):
+        raise ConfigError("checkpoint was written under a different config "
+                          f"({chash[:12]} != {config_hash(config)[:12]}); "
+                          "refusing to resume")
 
-    state = SeedRunState(config, int(meta["seed"]))
-    state.batch_index = int(meta["batch_index"])
+    seed = check_shape(snap, "seed", (), np.int64).item()
+    state = SeedRunState(config, seed)
+    state.batch_index = check_shape(snap, "batch_index", (), np.int64).item()
     batches = state.schedule.batches
     if not 0 <= state.batch_index <= len(batches):
         raise ShapeError(f"batch_index {state.batch_index} outside "
                          f"0..{len(batches)}")
-    state.predictions_log = list(meta["predictions_log"])
     for ids, _, _ in batches[:state.batch_index]:
         state.streamed[ids] = True
 
-    entries = {**meta, **arrays}
     for prefix, component in _components(state):
         try:
-            component.load({k[len(prefix):]: v for k, v in entries.items()
+            component.load({k[len(prefix):]: v for k, v in snap.items()
                             if k.startswith(prefix)})
         except (KeyError, ShapeError) as err:  # name the full entry
             raise type(err)(f"{prefix}{err.args[0]}") from err
@@ -532,10 +538,22 @@ def _restore(meta: dict, arrays: dict, config: RunConfig) -> SeedRunState:
         raise ConfigError(f"trained_classes {sorted(state.seen)} are not "
                           f"the classes {sorted(streamed)} of the streamed "
                           "rows")
+    text = check_shape(snap, "predictions_log", (), str).item()
     try:
+        state.predictions_log = json.loads(text)
+        if not isinstance(state.predictions_log, list):
+            raise ConfigError("not a list of records")
         _replay(state)
-    except ConfigError as err:
+    except ValueError as err:
         raise ConfigError(f"predictions_log: {err}") from err
+    logged = [(record["phase"], record.get("step"))
+              for record in state.predictions_log]
+    expected = [evaluation for done in range(1, state.batch_index + 1)
+                for evaluation in _evaluations(state, done)]
+    if logged != expected:
+        raise ConfigError(f"predictions_log holds the records {logged}, not "
+                          f"the {expected} of the first batch_index="
+                          f"{state.batch_index} batches")
     return state
 
 

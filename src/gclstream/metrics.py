@@ -183,24 +183,40 @@ EVAL_FIELDS = {"anytime": ("labels", "predictions"),
                "session": ("labels", "predictions", "step"),
                "final": ("labels", "predictions", "selections"),
                "oracle": ("labels", "predictions")}
-LOG_FIELDS = {"meta": ("session_classes", "history"), **EVAL_FIELDS}
+LOG_FIELDS = {"meta": ("seed", "session_classes", "history"), **EVAL_FIELDS}
 
 
-def check_record(record: dict, session_classes, experts: int,
+def check_record(record, session_classes, experts: int,
                  fields=LOG_FIELDS) -> str:
-    """The record's phase; ConfigError unless ``fields`` lists that phase
-    and the record carries each field it names.  An evaluation record's
-    lists must also be of one nonzero length and hold ints (not bools), a
-    session ``step`` must lie in 0..sessions-1 and its labels hold a class
-    of each session up to it, and each final selection must lie in
-    0..experts-1."""
-    phase = record.get("phase")
-    if phase not in fields:
+    """The record's phase; ConfigError unless it is a JSON object whose
+    phase ``fields`` lists, whose seed, for an evaluation record, has a meta
+    record (``session_classes`` is then not None), and which carries each
+    field ``fields`` names.  A meta record's seed must be an int and its
+    ``session_classes`` and ``history`` lists of lists of ints.  An
+    evaluation record's lists must be of one nonzero length and hold ints
+    (not bools), a session ``step`` must lie in 0..sessions-1 and its labels
+    hold a class of each session up to it, and each final selection must lie
+    in 0..experts-1."""
+    if not isinstance(record, dict) or "phase" not in record:
+        raise ConfigError("not a record with a phase")
+    phase = record["phase"]
+    if not isinstance(phase, str) or phase not in fields:
         raise ConfigError(f"unexpected phase {phase!r}")
+    if phase != "meta" and session_classes is None:
+        raise ConfigError(f"seed {record.get('seed')} has no meta line")
     missing = [name for name in fields[phase] if name not in record]
     if missing:
         raise ConfigError(f"{phase} record lacks {', '.join(missing)}")
     if phase == "meta":
+        if not _is_int(record["seed"]):
+            raise ConfigError(f"meta record's seed {record['seed']!r} is not "
+                              "an int")
+        for name in ("session_classes", "history"):
+            if not (isinstance(record[name], list) and all(
+                    isinstance(v, list) and all(map(_is_int, v))
+                    for v in record[name])):
+                raise ConfigError(f"meta record's {name} is not a list of "
+                                  "lists of ints")
         return phase
     lists = [name for name in fields[phase] if name != "step"]
     lengths = {len(record[name]) if isinstance(record[name], list) else 0

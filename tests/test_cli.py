@@ -237,6 +237,19 @@ class TestMetricsCommand:
         ('{"phase": "final", "seed": 9}', "seed 9 has no meta line"),
         ('{"seed": 1}', "not a record with a phase"),
         ("[1, 2]", "not a record with a phase"),
+        ('{"phase": ["meta"], "seed": 1}', "unexpected phase ['meta']"),
+        ('{"phase": "final", "seed": [1]}', "seed [1] has no meta line"),
+        ('{"phase": "meta", "seed": [1], "session_classes": [[0]],'
+         ' "history": [[0]]}', "meta record's seed [1] is not an int"),
+        ('{"phase": "meta", "seed": 1, "session_classes": [[0]],'
+         ' "history": 5}', "meta record's history is not a list of lists of "
+         "ints"),
+        ('{"phase": "meta", "seed": 1, "session_classes": [1, 2, 3],'
+         ' "history": [[0]]}', "meta record's session_classes is not a list "
+         "of lists of ints"),
+        ('{"phase": "meta", "seed": 1, "session_classes": [[0]],'
+         ' "history": [[true]]}', "meta record's history is not a list of "
+         "lists of ints"),
         ('{"phase": "anytime", "seed": 1}',
          "anytime record lacks labels, predictions"),
         ('{"phase": "meta", "seed": 1}',

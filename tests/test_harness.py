@@ -1,6 +1,7 @@
 """Experiment harness: config identity, seed runs, checkpointing, emission."""
 
 import json
+import re
 import tempfile
 import tracemalloc
 import weakref
@@ -131,6 +132,8 @@ class TestConfigIdentity:
         ("ema_decays", "abc"),
         ("seeds", [1, "a"]),
         ("seeds", [1, 2, 1]),  # would run seed 1 twice, with a std of 0
+        ("seeds", [-1]),  # numpy seeds no generator from it
+        ("seeds", [2**63]),  # a checkpoint stores the seed as an int64
         ("track_oracle", 1),
     ])
     def test_field_outside_its_domain_is_a_config_error(self, key, value):
@@ -554,20 +557,13 @@ class TestCheckpointResume:
         streamed, is refused."""
         config, path = _fast(), tmp_path / "ck.npz"
         state = _checkpoint_at(config, 3, path)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: np.array(v) for k, v in data.items() if k != "meta"}
-            meta = json.loads(str(data["meta"]))
-        streamed = sorted(state.seen)
+        entries = _read(path)
         if edit == "drop":
-            meta["trained_classes"] = [
-                [c for c in classes if c != streamed[0]]
-                for classes in meta["trained_classes"]]
+            entries["trained_classes"][:, min(state.seen)] = False
         else:
             unstreamed = min(set(range(6)) - state.seen)
-            meta["trained_classes"][-1] = sorted(
-                meta["trained_classes"][-1] + [unstreamed])
-        with open(path, "wb") as fh:
-            np.savez(fh, meta=json.dumps(meta), **arrays)
+            entries["trained_classes"][-1, unstreamed] = True
+        _write(path, entries)
         with pytest.raises(ConfigError, match="trained_classes .* are not "
                            "the classes .* of the streamed rows"):
             resume(path, config)
@@ -585,13 +581,28 @@ class TestCheckpointResume:
         state = SeedRunState(config, 1)
         path = tmp_path / "ck.npz"
         checkpoint(state, path)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: np.array(v) for k, v in data.items() if k != "meta"}
-            meta = json.loads(str(data["meta"]))
-        meta["version"] = 999
-        with open(path, "wb") as fh:
-            np.savez(fh, meta=json.dumps(meta), **arrays)
-        with pytest.raises(ConfigError):
+        _write(path, {**_read(path), "version": 999})
+        with pytest.raises(ConfigError, match="checkpoint version 999 != "
+                           "engine checkpoint version 6"):
+            resume(path, config)
+
+    def test_version_5_checkpoint_is_refused_naming_its_version(
+            self, tmp_path):
+        """Up to v5 a checkpoint kept its counters, the pool's scalars and
+        the prediction log in one JSON ``meta`` entry."""
+        config, path = _fast(), tmp_path / "ck.npz"
+        state = _checkpoint_at(config, 3, path)
+        entries = _read(path)
+        moved = ("version", "config_hash", "seed", "batch_index",
+                 "samples_seen", "samples_under_current", "trained_classes",
+                 "predictions_log", "jitter_used")
+        meta = {key: entries.pop(key).tolist() for key in moved}
+        meta.update(version=5, predictions_log=state.predictions_log,
+                    trained_classes=[sorted(c)
+                                     for c in state.pool.trained_classes])
+        _write(path, {**entries, "meta": json.dumps(meta)})
+        with pytest.raises(ConfigError, match="checkpoint version 5 != "
+                           "engine checkpoint version 6"):
             resume(path, config)
 
     def test_truncated_checkpoint_is_refused(self, tmp_path):
@@ -605,22 +616,26 @@ class TestCheckpointResume:
         with pytest.raises(ConfigError):
             resume(path, config)
 
-    @pytest.mark.parametrize("key", ["meta", "gram", "rows", "row_expert",
-                                     "factor", "baseline_kmeans_seen",
+    @pytest.mark.parametrize("key", ["version", "config_hash", "seed",
+                                     "batch_index", "predictions_log",
+                                     "samples_seen", "jitter_used",
+                                     "trained_classes", "gram", "rows",
+                                     "row_expert", "factor",
+                                     "baseline_kmeans_seen",
                                      "adapter_scale", "bank_w"])
     def test_checkpoint_missing_an_entry_is_refused(self, tmp_path, key):
-        """Each entry of a dual-form router checkpoint, or G past M rows."""
+        """Each counter, the log, the pool's class mask and each entry of a
+        dual-form router checkpoint, or G past M rows."""
         config = _fast(track_baselines=("kmeans",))
         state = SeedRunState(config, 1)
         for _ in range(PAST_M if key == "gram" else DUAL_SOLVED):
             run_batch(state, state.cursor.next_batch())
         path = tmp_path / "ck.npz"
         checkpoint(state, path)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: np.array(v) for k, v in data.items() if k != key}
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(ConfigError, match=key):
+        entries = _read(path)
+        del entries[key]
+        _write(path, entries)
+        with pytest.raises(ConfigError, match=f"no entry '{key}'"):
             resume(path, config)
 
 
@@ -634,12 +649,39 @@ def _checkpoint_at(config, at, path):
     return state
 
 
+def _read(path) -> dict:
+    """Every entry of a checkpoint."""
+    with np.load(path, allow_pickle=False) as data:
+        return dict(data.items())
+
+
+def _write(path, entries: dict) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
+
+
 def _shrink_cols(key, cols):
-    return lambda meta, arrays: arrays.update({key: arrays[key][:, :cols]})
+    return lambda entries: entries.update({key: entries[key][:, :cols]})
 
 
 def _bump(key, by):
-    return lambda meta, arrays: meta.update({key: meta[key] + by})
+    return lambda entries: entries.update({key: entries[key] + by})
+
+
+def _edit_log(edit):
+    """Apply ``edit`` to the prediction log the checkpoint holds as JSON."""
+    def edit_entries(entries):
+        log = json.loads(entries["predictions_log"].item())
+        edit(log)
+        entries["predictions_log"] = json.dumps(log)
+    return edit_entries
+
+
+def _train_class_999(entries):
+    trained = np.zeros((2, 1000), dtype=bool)
+    trained[:, :6] = entries["trained_classes"]
+    trained[-1, 999] = True
+    entries["trained_classes"] = trained
 
 
 # Each edit leaves a checkpoint that still reads and hash-matches but whose
@@ -648,50 +690,60 @@ def _bump(key, by):
 # 13 batches and, at batch 7, two experts.  Each case names the entry the
 # refusal must name.
 TAMPERED = {
-    "gram_32x32": ("gram", lambda meta, arrays: arrays.update(
+    "gram_32x32": ("gram", lambda entries: entries.update(
         gram=np.zeros((32, 32)))),
-    "gram_upper_corner": ("gram", lambda meta, arrays: arrays.update(
-        gram=arrays["gram"] + np.eye(64, k=63))),
-    "proto_10_rows": ("proto", lambda meta, arrays: arrays.update(
-        proto=arrays["proto"][:10])),
+    "gram_upper_corner": ("gram", lambda entries: entries.update(
+        gram=entries["gram"] + np.eye(64, k=63))),
+    "proto_10_rows": ("proto", lambda entries: entries.update(
+        proto=entries["proto"][:10])),
     "online_w_d3": ("online_w", _shrink_cols("online_w", 3)),
     "adapter_scale_d3": ("adapter_scale", _shrink_cols("adapter_scale", 3)),
     "prototype_means_width_7": ("baseline_prototype_means", _shrink_cols(
         "baseline_prototype_means", 7)),
     "prototype_one_expert_short": (
-        "baseline_prototype_counts", lambda meta, arrays: arrays.update(
-            {key: arrays[key][:-1] for key in ("baseline_prototype_counts",
-                                               "baseline_prototype_means")})),
-    "kmeans_seen_negative": ("baseline_kmeans_seen", lambda meta, arrays:
-                             arrays.update(baseline_kmeans_seen=-arrays[
+        "baseline_prototype_counts", lambda entries: entries.update(
+            {key: entries[key][:-1] for key in ("baseline_prototype_counts",
+                                                "baseline_prototype_means")})),
+    "kmeans_seen_negative": ("baseline_kmeans_seen", lambda entries:
+                             entries.update(baseline_kmeans_seen=-entries[
                                  "baseline_kmeans_seen"])),
     "batch_index_plus_2": ("batch_index", _bump("batch_index", 2)),
     "batch_index_past_the_schedule": ("batch_index",
                                       _bump("batch_index", 100)),
     "samples_seen_plus_1": ("samples_seen", _bump("samples_seen", 1)),
-    "trained_class_999": ("trained_classes", lambda meta, arrays:
-                          meta["trained_classes"][-1].append(999)),
+    "trained_class_999": ("trained_classes", _train_class_999),
     "samples_under_current_negative": (
         "samples_under_current",
-        lambda meta, arrays: meta.update(samples_under_current=-5)),
-    "record_without_labels": ("predictions_log", lambda meta, arrays:
-                              meta["predictions_log"][0].pop("labels")),
-    "session_step_99": ("predictions_log", lambda meta, arrays: meta[
-        "predictions_log"][0].update(phase="session", step=99)),
-    "session_step_negative": ("predictions_log", lambda meta, arrays: meta[
-        "predictions_log"][0].update(phase="session", step=-1)),
-    "final_selection_99": ("predictions_log", lambda meta, arrays: meta[
-        "predictions_log"][0].update(phase="final", selections=[99] * len(
-            meta["predictions_log"][0]["labels"]))),
+        lambda entries: entries.update(samples_under_current=-5)),
+    "record_without_labels": ("predictions_log", _edit_log(
+        lambda log: log[0].pop("labels"))),
+    "session_step_99": ("predictions_log", _edit_log(
+        lambda log: log[0].update(phase="session", step=99))),
+    "session_step_negative": ("predictions_log", _edit_log(
+        lambda log: log[0].update(phase="session", step=-1))),
+    "final_selection_99": ("predictions_log", _edit_log(
+        lambda log: log[0].update(phase="final", selections=[99] * len(
+            log[0]["labels"])))),
     # class 0 is in session 2 only
     "session_1_without_a_row_of_session_0": (
-        "predictions_log", lambda meta, arrays: meta["predictions_log"][
-            0].update(phase="session", step=1, labels=[0], predictions=[0])),
-    "label_that_is_a_list": ("predictions_log", lambda meta, arrays: meta[
-        "predictions_log"][0]["labels"].__setitem__(0, [0])),
-    "labels_shorter_than_predictions": (
-        "predictions_log",
-        lambda meta, arrays: meta["predictions_log"][0]["labels"].pop()),
+        "predictions_log", _edit_log(lambda log: log[0].update(
+            phase="session", step=1, labels=[0], predictions=[0]))),
+    "label_that_is_a_list": ("predictions_log", _edit_log(
+        lambda log: log[0]["labels"].__setitem__(0, [0]))),
+    "labels_shorter_than_predictions": ("predictions_log", _edit_log(
+        lambda log: log[0]["labels"].pop())),
+    # the records batches 1..7 end in: anytime 1 (batch 4), session 0
+    # (batch 5)
+    "first_anytime_record_dropped": ("predictions_log", _edit_log(
+        lambda log: log.pop(0))),
+    "record_repeated": ("predictions_log", _edit_log(
+        lambda log: log.append(log[-1]))),
+    "record_that_is_a_list": ("predictions_log", _edit_log(
+        lambda log: log.__setitem__(0, [1]))),
+    "log_that_is_an_object": ("predictions_log", lambda entries:
+                              entries.update(predictions_log="{}")),
+    "log_that_is_not_json": ("predictions_log", lambda entries:
+                             entries.update(predictions_log="[{")),
 }
 
 
@@ -699,36 +751,29 @@ TAMPERED = {
 def test_checkpoint_that_does_not_fit_the_config_is_refused(tmp_path, case):
     config = _fast(track_baselines=("prototype", "kmeans"))
     path = tmp_path / "ck.npz"
-    assert _checkpoint_at(config, 7, path).pool.num_experts == 2
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        arrays = {k: np.array(v) for k, v in data.items() if k != "meta"}
+    state = _checkpoint_at(config, 7, path)
+    assert state.pool.num_experts == 2
+    assert [(r["phase"], r["step"]) for r in state.predictions_log] == [
+        ("anytime", 1), ("session", 0)]
+    entries = _read(path)
     entry, edit = TAMPERED[case]
-    edit(meta, arrays)
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=json.dumps(meta), **arrays)
+    edit(entries)
+    _write(path, entries)
     with pytest.raises(ConfigError, match=rf"ck\.npz: .*\b{entry}\b"):
         resume(path, config)
 
 
-def _pinned_entries(tmp_path, at):
-    """(array entries as (dtype, shape), meta) of a checkpoint at batch
-    ``at`` with two experts, an EMA bank of two heads and every baseline
-    tracked."""
-    path = tmp_path / "ck.npz"
-    _checkpoint_at(_fast(track_baselines=BASELINE_KINDS), at, path)
-    with np.load(path, allow_pickle=False) as data:
-        entries = {k: (data[k].dtype.str, data[k].shape) for k in data.files}
-        meta = json.loads(str(data["meta"]))
-    del entries["meta"]
-    assert meta["version"] == 5 and len(meta["trained_classes"]) == 2
-    return entries, meta
-
-
-# The entries besides the router's: M=64, d=8, 6 classes, two experts.
-PINNED_ENTRIES = {
-    "proto": ("<f8", (64, 2)),
+# Every entry of a checkpoint of _fast's stream (M=64, d=8, 6 classes) with
+# two experts, an EMA bank of two heads and every baseline tracked, besides
+# the router's form-specific ones, as (dtype, shape); a str entry's dtype is
+# its kind, "U", whatever its length.
+PINNED = {
+    "version": ("<i8", ()), "config_hash": ("U", ()), "seed": ("<i8", ()),
+    "batch_index": ("<i8", ()), "predictions_log": ("U", ()),
+    "samples_seen": ("<i8", ()), "proto": ("<f8", (64, 2)),
     "online_w": ("<f8", (6, 8)), "online_b": ("<f8", (6,)),
+    "samples_under_current": ("<i8", ()),
+    "trained_classes": ("|b1", (2, 6)),
     "adapter_scale": ("<f8", (2, 8)), "adapter_shift": ("<f8", (2, 8)),
     "bank_w": ("<f8", (2, 2, 6, 8)), "bank_b": ("<f8", (2, 2, 6)),
     "baseline_prototype_counts": ("<i8", (2,)),
@@ -744,30 +789,75 @@ PINNED_ENTRIES = {
     "baseline_trained_shallow_W2": ("<f8", (2, 512)),
     "baseline_trained_shallow_b2": ("<f8", (2,)),
 }
-PINNED_META = {
-    "version", "config_hash", "seed", "batch_index", "samples_seen",
-    "samples_under_current", "trained_classes", "predictions_log"}
+# The router's own entries past M rows (G) and in the dual form (its 61
+# rows, their experts, the factor of the 49 rows its last solve saw and that
+# factor's jitter).
+PINNED_PRIMAL = {**PINNED, "gram": ("<f8", (64, 64))}
+PINNED_DUAL = {**PINNED, "rows": ("<f8", (61, 64)),
+               "row_expert": ("<i8", (61,)), "factor": ("<f8", (49, 49)),
+               "jitter_used": ("<f8", ())}
 
 
-def test_checkpoint_format_is_pinned(tmp_path):
-    """The v5 entries of a checkpoint past M rows: the router stores G.
+@pytest.fixture(scope="module")
+def every_entry(tmp_path_factory) -> dict:
+    """Batch number -> entries of a checkpoint at DUAL_SOLVED and at PAST_M
+    batches with every baseline tracked."""
+    config = _fast(track_baselines=BASELINE_KINDS)
+    path = tmp_path_factory.mktemp("every_entry") / "ck.npz"
+    checkpoints = {}
+    for at in (DUAL_SOLVED, PAST_M):
+        assert _checkpoint_at(config, at, path).pool.num_experts == 2
+        checkpoints[at] = _read(path)
+    return checkpoints
+
+
+def _pinned(entries: dict) -> dict:
+    return {key: ("U" if value.dtype.kind == "U" else value.dtype.str,
+                  value.shape) for key, value in entries.items()}
+
+
+def test_checkpoint_format_is_pinned(every_entry):
+    """The v6 entries of a checkpoint past M rows: the router stores G.
     No ledger entry: resume replays the prediction log.  No streamed mask
     or seen classes: the schedule and the pool give them."""
-    entries, meta = _pinned_entries(tmp_path, PAST_M)
-    assert entries == {**PINNED_ENTRIES, "gram": ("<f8", (64, 64))}
-    assert set(meta) == PINNED_META
+    entries = every_entry[PAST_M]
+    assert _pinned(entries) == PINNED_PRIMAL
+    assert entries["version"] == 6 and entries["samples_seen"] == 73
 
 
-def test_dual_checkpoint_format_is_pinned(tmp_path):
-    """The v5 entries of a checkpoint in the dual form: the router stores
-    its 61 rows, their experts, the factor of the 49 rows its last solve saw
-    and that factor's jitter."""
-    entries, meta = _pinned_entries(tmp_path, DUAL_SOLVED)
-    assert entries == {**PINNED_ENTRIES, "rows": ("<f8", (61, 64)),
-                       "row_expert": ("<i8", (61,)),
-                       "factor": ("<f8", (49, 49))}
-    assert set(meta) == PINNED_META | {"jitter_used"}
-    assert meta["samples_seen"] == 61 and meta["jitter_used"] == 0.0
+def test_dual_checkpoint_format_is_pinned(every_entry):
+    """The v6 entries of a checkpoint in the dual form."""
+    entries = every_entry[DUAL_SOLVED]
+    assert _pinned(entries) == PINNED_DUAL
+    assert entries["samples_seen"] == 61 and entries["jitter_used"] == 0.0
+
+
+def _ill_typed(value: np.ndarray):
+    """``value`` cast to another dtype, as strings, and with one more
+    axis."""
+    kind = value.dtype.kind
+    yield value.astype({"f": np.float32, "i": np.float64, "b": np.int64,
+                        "U": np.bytes_}[kind])
+    if kind != "U":
+        yield value.astype(str)
+    yield value[None]
+
+
+@pytest.mark.parametrize("at, entry", [
+    *((DUAL_SOLVED, entry) for entry in PINNED_DUAL),
+    *((PAST_M, entry) for entry in PINNED_PRIMAL)])
+def test_ill_typed_entry_is_refused_by_name(tmp_path, every_entry, at,
+                                            entry):
+    """Each entry of a dual and of a primal checkpoint, cast to another
+    dtype (an int count to float, say), to strings or to one more axis, is
+    refused as a config error naming it."""
+    config, path = _fast(track_baselines=BASELINE_KINDS), tmp_path / "ck.npz"
+    for value in _ill_typed(every_entry[at][entry]):
+        _write(path, {**every_entry[at], entry: value})
+        why = re.escape(f"dtype {value.dtype}" if value.ndim == np.ndim(
+            every_entry[at][entry]) else f"shape {value.shape}")
+        with pytest.raises(ConfigError, match=rf"ck\.npz: {entry} has {why}"):
+            resume(path, config)
 
 
 def _interrupted(config, at, path):

@@ -23,7 +23,7 @@ from .errors import ConfigError, NumericalError
 from .harness import (ABLATION_AXES, RunConfig, ablate, apply_overrides,
                       config_from_dict, config_to_dict, dataclass_from_dict,
                       desk_config, merge_config, run)
-from .metrics import check_record, replay
+from .metrics import check_record, check_session_order, replay
 from .stream import StreamConfig, SyntheticBackbone, write_feature_file
 
 
@@ -124,6 +124,8 @@ def _cmd_metrics(args) -> int:
                 seed if isinstance(seed, int) else None, (None, (), None))
             try:
                 phase = check_record(record, classes, len(history))
+                if phase in ("session", "final"):
+                    check_session_order(record, records, len(classes))
             except ConfigError as err:
                 raise ConfigError(f"{pred_path}:{number}: {err}") from err
             if phase == "meta":

@@ -1,17 +1,17 @@
 """Run orchestration: the single-pass train/eval loop, ablation sweeps,
 multi-seed aggregation, checkpoint/resume, and CSV/JSONL emission.
 
-A run executes, per seed: build the stream; for every batch — spawn an expert
-if the policy says so, build the logit mask, take k masked-CE gradient steps
-with EMA updates, expand the (adapted) features and fold them into the
-router's statistics — then every eval_interval batches and at every session
-end run one inference on held-out samples of the classes seen so far: select
-an expert per row (``_select``, which solves the router lazily for ridge
-routing and scores the holdout pool, expanded once per seed),
-ensemble-predict, and log the predictions as an anytime and/or a session
-record; after the stream, run and log the final (and oracle) inference,
-replay the log into the metrics, and add the baselines' routing accuracies
-and the representation-similarity probe.
+A run parses its feature file, if any, once, then executes, per seed: build
+the stream; for every batch — spawn an expert if the policy says so, build the
+logit mask, take k masked-CE gradient steps with EMA updates, expand the
+(adapted) features and fold them into the router's statistics — then every
+eval_interval batches and at every session end run one inference on held-out
+samples of the classes seen so far: select an expert per row (``_select``,
+which solves the router lazily for ridge routing and scores the holdout pool,
+expanded once per seed), ensemble-predict, and log the predictions as an
+anytime and/or a session record; after the stream, run and log the final (and
+oracle) inference, replay the log into the metrics, and add the baselines'
+routing accuracies and the representation-similarity probe.
 
 Everything stochastic is keyed by (seed, purpose tag, counters), never by a
 shared sequential generator, so a checkpoint is just arrays and counters and
@@ -50,7 +50,8 @@ from .expansion import ACTIVATIONS, ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
                       train_step)
 from .metrics import MetricsLedger, adapter_cka, replay, routing_accuracy
-from .stream import SessionSchedule, StreamConfig, StreamCursor, build_stream
+from .stream import (FeatureSource, SessionSchedule, StreamConfig,
+                     StreamCursor, build_stream, load_feature_file)
 
 log = logging.getLogger("gclstream")
 
@@ -225,11 +226,12 @@ def merge_config(data: dict, update: dict) -> dict:
 class SeedRunState:
     """Everything one seed's run carries between batches (checkpointable)."""
 
-    def __init__(self, config: RunConfig, seed: int):
+    def __init__(self, config: RunConfig, seed: int,
+                 source: FeatureSource | None = None):
         self.config = config
         self.seed = seed
         self.source, self.schedule = build_stream(
-            replace(config.stream, seed=seed))
+            replace(config.stream, seed=seed), source)
         exp_seed = (config.expansion_seed
                     if config.expansion_seed is not None else seed)
         self.expansion = RandomExpansion(self.source.d, config.M, exp_seed,
@@ -677,9 +679,11 @@ def run(config: RunConfig) -> RunResult:
     per_seed: dict[int, dict] = {}
     records: dict[int, SeedRecord] = {}
     timing: dict[str, float] = {}
+    feature_file = config.stream.feature_file
+    source = load_feature_file(feature_file) if feature_file else None
     for seed in config.seeds:
         started = time.perf_counter()
-        state = _train(SeedRunState(config, seed))
+        state = _train(SeedRunState(config, seed, source))
         per_seed[seed], ledger = _finish(state)
         timing[f"seed_{seed}_s"] = time.perf_counter() - started
         records[seed] = SeedRecord(state.schedule, state.pool,

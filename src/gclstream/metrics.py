@@ -242,6 +242,22 @@ def check_record(record, session_classes, experts: int,
     return phase
 
 
+def check_session_order(record, records, sessions: int) -> None:
+    """ConfigError unless a session or final ``record`` keeps the order of
+    its seed's log so far, ``records``: session steps run 0, 1, ... with
+    none skipped, and a final record follows every session record or
+    none."""
+    logged = sum(r["phase"] == "session" for r in records)
+    seed = record["seed"]
+    if record["phase"] == "session" and record["step"] != logged:
+        raise ConfigError(f"seed {seed}'s session record for step "
+                          f"{record['step']} comes where session step "
+                          f"{logged} is missing")
+    if record["phase"] == "final" and 0 < logged < sessions:
+        raise ConfigError(f"seed {seed}'s final record comes where session "
+                          f"step {logged} is missing")
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 

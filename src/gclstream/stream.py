@@ -9,8 +9,9 @@ once, in seeded shuffled order, sliced into consecutive batches per session.
 
 Two feature sources implement the same contract: a synthetic Gaussian-
 prototype backbone (class prototypes and per-sample noise reproducible from
-the seed and sample id) and a loader for precomputed feature files, one walk
-over their lines, so real embeddings can be plugged in later.
+the seed and sample id) and a loader for precomputed feature files, one
+streaming ``loadtxt`` pass with a line walk that words each refusal, so real
+embeddings can be plugged in later.
 
 A fixed fraction of every class is held out before scheduling; held-out rows
 never enter the stream and feed all evaluations.
@@ -109,10 +110,76 @@ class SyntheticBackbone(FeatureSource):
 def load_feature_file(path) -> FeatureSource:
     """Parse ``d=<int> classes=<int> rows=<int>`` + ``label,f1,...,fd`` lines.
 
-    One walk over the body: each line is a transient slice of the file's
+    The body is read in one streaming pass by numpy's C ``loadtxt`` reader,
+    once per run (``harness.run`` hands the parsed source to every seed).
+    A file that pass cannot read, or whose table fails a check (its shape
+    against the header, every value finite, every label a class), is re-read
+    line by line, so that its error names the byte offset of the offending
+    line.  The accepted syntax is the line walk's: blank lines and
+    whitespace around a line or a cell are skipped, and the fast pass never
+    accepts a file the walk refuses, nor reads it to other bits.
+    """
+    try:
+        source = _load_table(path)
+    except (OSError, ValueError, Warning):  # the walk words the refusal
+        source = None
+    return source if source is not None else _walk(path)
+
+
+def _header(path, line: bytes) -> tuple[int, int, int]:
+    """``(d, classes, rows)`` of a header line; ConfigError if malformed."""
+    parts = line.decode("ascii", errors="replace").split()
+    fields = dict(p.split("=", 1) for p in parts if "=" in p)
+    try:
+        return int(fields["d"]), int(fields["classes"]), int(fields["rows"])
+    except (KeyError, ValueError):
+        raise _malformed(path, line) from None
+
+
+def _malformed(path, line: bytes) -> ConfigError:
+    header = line.decode("ascii", errors="replace").strip()
+    return ConfigError(
+        f"{path}: malformed header at byte 0: {header!r} "
+        f"(expected 'd=<int> classes=<int> rows=<int>')")
+
+
+# The bytes of a body the fast pass reads.  numpy's reader strips more than
+# the walk around a cell (\x1c-\x1f, and latin-1 spaces such as \xa0) and
+# splits a line at \r, so a body with any other byte goes to the walk.
+_PLAIN = b"0123456789+-.eE, \t\n"
+
+
+def _plain_lines(fh):
+    for line in fh:
+        if line.translate(None, _PLAIN):
+            raise ValueError("a byte outside the fast pass's alphabet")
+        yield line
+
+
+def _load_table(path) -> FeatureSource | None:
+    """The file's source from one ``loadtxt`` pass over its body, or None
+    if the table fails a check the walk makes."""
+    with open(path, "rb") as fh:
+        d, num_classes, rows = _header(path, fh.readline())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body only warns
+            table = np.loadtxt(_plain_lines(fh), delimiter=",",
+                               comments=None, quotechar=None, ndmin=2,
+                               converters={0: int})
+    if table.shape != (rows, d + 1) or not np.isfinite(table).all():
+        return None
+    labels = table[:, 0]
+    # a float64 holds every int below 2**53 exactly, and no larger one
+    if not ((labels >= 0) & (labels < min(num_classes, 2 ** 53))).all():
+        return None
+    return FeatureSource(d, num_classes, labels.astype(np.int64),
+                         table[:, 1:])
+
+
+def _walk(path) -> FeatureSource:
+    """One walk over the body: each line is a transient slice of the file's
     bytes, its label is read by ``int()`` and its ``d`` cells by one
-    ``np.fromstring``.  Blank lines and whitespace around a line or a cell
-    are skipped.  Errors name the byte offset of the offending line.
+    ``np.fromstring``.  Errors name the byte offset of the offending line.
     """
     try:
         with open(path, "rb") as fh:
@@ -123,19 +190,8 @@ def load_feature_file(path) -> FeatureSource:
         raise ConfigError(f"{path}: empty feature file")
     newline = raw.find(b"\n")
     at = len(raw) + 1 if newline < 0 else newline + 1
-    header = raw[:at - 1].decode("ascii", errors="replace").strip()
-    parts = header.split()
-    keys = [p.split("=", 1) for p in parts if "=" in p]
-    fields = {k: v for k, v in keys}
-    malformed = ConfigError(
-        f"{path}: malformed header at byte 0: {header!r} "
-        f"(expected 'd=<int> classes=<int> rows=<int>')")
-    try:
-        d = int(fields["d"])
-        num_classes = int(fields["classes"])
-        rows = int(fields["rows"])
-    except (KeyError, ValueError):
-        raise malformed from None
+    header = raw[:at - 1]
+    d, num_classes, rows = _header(path, header)
     lines = raw.count(b"\n")
     if rows > lines:  # refused before its rows x d are allocated
         raise ConfigError(f"{path}: header declares {rows} rows, more than "
@@ -144,7 +200,7 @@ def load_feature_file(path) -> FeatureSource:
         labels = np.empty(rows, dtype=np.int64)  # a negative size raises
         X = np.empty((rows, d), dtype=np.float64)
     except ValueError:
-        raise malformed from None
+        raise _malformed(path, header) from None
     offsets = np.empty(rows, dtype=np.int64)
     row = 0
     with warnings.catch_warnings():
@@ -333,11 +389,13 @@ class StreamCursor:
         self.batch_index = batch_index
 
 
-def build_stream(config: StreamConfig):
+def build_stream(config: StreamConfig, source: FeatureSource | None = None):
     """Construct (source, schedule) for a config; file source if configured,
-    whose header must give the config's ``d`` and ``num_classes``."""
+    whose header must give the config's ``d`` and ``num_classes``.  A run of
+    several seeds passes the file's parsed ``source`` in, to read it once."""
     if config.feature_file:
-        source = load_feature_file(config.feature_file)
+        if source is None:
+            source = load_feature_file(config.feature_file)
         header = (source.d, source.num_classes)
         if header != (config.d, config.num_classes):
             raise ConfigError(

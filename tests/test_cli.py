@@ -288,6 +288,28 @@ class TestMetricsCommand:
         assert rc == 1
         assert f"predictions.jsonl:3: {why}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps, number, missing", [
+        ((2,), 2, 0),   # the session record of step 2 alone
+        ((0,), 3, 1),   # the final record right after step 0
+    ])
+    def test_skipped_session_step_is_a_config_error_naming_it(
+            self, tmp_path, capsys, steps, number, missing):
+        """A log cut to its meta line, some session records and its final
+        record is refused at the line where a session step goes missing,
+        not left to the metrics to trip over."""
+        run_dir = self._run_once(tmp_path)
+        pred_path = run_dir / "predictions.jsonl"
+        records = map(json.loads, pred_path.read_text().splitlines())
+        kept = [r for r in records if r["phase"] in ("meta", "final")
+                or r["phase"] == "session" and r["step"] in steps]
+        pred_path.write_text("".join(json.dumps(r) + "\n" for r in kept))
+        rc = main(["metrics", "--run-dir", str(run_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"predictions.jsonl:{number}: seed 1's " in err
+        assert f"session step {missing} is missing" in err
+
     @pytest.mark.parametrize("bad", ["1,a_auc", "1,a_auc,high", "1,a,b,0.5"])
     def test_bad_metrics_row_is_a_config_error_naming_its_line(
             self, tmp_path, capsys, bad):

@@ -28,6 +28,9 @@ from gclstream.harness import (
     _component_cells, _select,
 )
 from gclstream.metrics import replay
+import gclstream.stream as stream_module
+from gclstream.stream import (StreamConfig, SyntheticBackbone,
+                              load_feature_file, write_feature_file)
 
 from oracles import (accuracy_ref, cka_gram_ref, routing_accuracy_ref,
                      session_metrics_ref)
@@ -43,6 +46,27 @@ def _fast(**overrides):
                 track_oracle=False, log_predictions=True, cka_probe=32)
     base.update(overrides)
     return desk_config(**base)
+
+
+def _feature_file_config(tmp_path, **overrides):
+    """_fast's config, reading its stream from a feature file."""
+    path = tmp_path / "features.csv"
+    write_feature_file(path, SyntheticBackbone(StreamConfig(
+        num_classes=6, samples_per_class=30, d=8)))
+    return _fast(stream={"feature_file": str(path)}, **overrides)
+
+
+def _count_parses(monkeypatch, *modules) -> list:
+    """The paths of every load_feature_file call made through ``modules``."""
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_feature_file(path)
+
+    for module in modules:
+        monkeypatch.setattr(module, "load_feature_file", counted)
+    return calls
 
 
 # _fast's stream (M=64) after DUAL_SOLVED batches: the router is in the dual
@@ -1039,9 +1063,9 @@ class TestRunEmission:
         refs = []
         make_state = harness.SeedRunState
 
-        def tracked_state(config, seed):
+        def tracked_state(config, seed, source=None):
             assert all(ref() is None for ref in refs), "a seed state lives on"
-            state = make_state(config, seed)
+            state = make_state(config, seed, source)
             refs.append(weakref.ref(state))
             return state
 
@@ -1061,6 +1085,35 @@ class TestRunEmission:
 
         monkeypatch.setattr(harness, "replay", spy)
         run(_fast(seeds=(1, 2), outdir=str(tmp_path)))
+        assert len(calls) == 2
+
+    def test_a_feature_file_is_parsed_once_per_run(self, tmp_path,
+                                                   monkeypatch):
+        """run() parses the file once and hands the source to each seed; the
+        data outputs are those of a parse per seed, byte for byte."""
+        config = _feature_file_config(tmp_path, seeds=(1, 2, 3))
+        calls = _count_parses(monkeypatch, harness, stream_module)
+        shared = Path(run(replace(config, outdir=str(tmp_path / "a"))).run_dir)
+        assert calls == [config.stream.feature_file]
+
+        calls.clear()
+        make_state = harness.SeedRunState
+        monkeypatch.setattr(harness, "SeedRunState",
+                            lambda config, seed, source: make_state(config,
+                                                                    seed))
+        per_seed = Path(run(replace(config,
+                                    outdir=str(tmp_path / "b"))).run_dir)
+        assert len(calls) == 1 + 3  # the run's parse goes unused
+        for name in ("metrics.csv", "anytime.csv", "session_matrix.csv",
+                     "predictions.jsonl"):
+            assert (shared / name).read_bytes() == (per_seed / name).read_bytes()
+
+    def test_a_seed_state_without_a_source_parses_the_file(self, tmp_path,
+                                                           monkeypatch):
+        config = _feature_file_config(tmp_path)
+        calls = _count_parses(monkeypatch, stream_module)
+        SeedRunState(config, 1)
+        SeedRunState(config, 2)
         assert len(calls) == 2
 
     def test_summary_is_printable(self, tmp_path):

@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gclstream.errors import ConfigError
 from gclstream.stream import (
     StreamConfig, SyntheticBackbone, build_schedule, build_stream,
     load_feature_file, partition_classes, write_feature_file, StreamCursor,
+    _load_table, _walk,
 )
 
 from oracles import expected_scatter, feature_file_ref, round_half_up_ref
@@ -382,7 +385,7 @@ class TestFeatureFile:
         size = path.stat().st_size
         tracemalloc.start()
         try:
-            source = load_feature_file(path)
+            source = _walk(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -404,6 +407,100 @@ class TestFeatureFile:
         path.write_text("width=3 rows=1\n0,1.0,2.0,3.0\n")
         with pytest.raises(ConfigError):
             load_feature_file(path)
+
+
+# One fault injected into an otherwise valid file; "none" injects nothing.
+FAULTS = ("none", "blank line", "whitespace line", "crlf", "trailing comma",
+          "empty cell", "quoted cell", "hash cell", "float label",
+          "label out of range", "nan cell", "inf cell", "non-ascii byte",
+          "control byte", "extra row", "missing row", "extra column",
+          "missing column")
+
+CELL_FORMATS = (repr, "{:.17g}".format, "{:.3e}".format, " {!r}\t".format)
+
+
+@st.composite
+def feature_files(draw):
+    """(file bytes, fault) for a small valid file with one fault injected."""
+    d, classes, n = (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                     draw(st.integers(1, 5)))
+    cell = st.builds(lambda fmt, v: fmt(v), st.sampled_from(CELL_FORMATS),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    rows = [[str(draw(st.integers(0, classes - 1)))]
+            + [draw(cell) for _ in range(d)] for _ in range(n)]
+    fault = draw(st.sampled_from(FAULTS))
+    row, col = rows[draw(st.integers(0, n - 1))], draw(st.integers(1, d))
+    lines = [",".join(r) for r in rows]
+    at = draw(st.integers(0, n))
+    if fault == "blank line":
+        lines.insert(at, "")
+    elif fault == "whitespace line":
+        lines.insert(at, " \t ")
+    elif fault in ("extra row", "missing row"):
+        lines = lines + [lines[0]] if fault == "extra row" else lines[1:]
+    else:
+        row[col] = {
+            "trailing comma": row[col] + ",", "empty cell": "",
+            "quoted cell": f'"{row[col]}"', "hash cell": "#" + row[col],
+            "nan cell": "nan", "inf cell": "-inf",
+            "non-ascii byte": row[col] + draw(st.sampled_from(
+                ["\xa0", "\x85", "\xc3\xa9"])),
+            "control byte": "\x1c" + row[col],
+            "extra column": row[col] + ",0.5",
+        }.get(fault, row[col])
+        if fault == "missing column":
+            del row[col]
+        elif fault == "float label":
+            row[0] += ".0"
+        elif fault == "label out of range":
+            row[0] = draw(st.sampled_from([str(classes), "-1"]))
+        lines = [",".join(r) for r in rows]
+    newline = "\r\n" if fault == "crlf" else "\n"
+    text = f"d={d} classes={classes} rows={n}" + newline + "".join(
+        line + newline for line in lines)
+    return text.encode("latin-1"), fault
+
+
+def _outcome(load, path):
+    """What a loader makes of a file: its error text, or every bit of the
+    source it returns."""
+    try:
+        source = load(path)
+    except ConfigError as err:
+        return str(err)
+    X = source.features(np.arange(len(source.labels)))
+    return (source.d, source.num_classes, source.labels.dtype, X.dtype,
+            X.shape, source.labels.tobytes(), X.tobytes())
+
+
+class TestFastPassAgainstTheWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(case=feature_files())
+    def test_both_return_the_same_bits_or_the_same_error(
+            self, tmp_path_factory, case):
+        body, fault = case
+        path = tmp_path_factory.getbasetemp() / "differential.txt"
+        path.write_bytes(body)
+        walked = _outcome(_walk, path)
+        assert _outcome(load_feature_file, path) == walked
+        if fault == "none" and not isinstance(walked, str):
+            assert _load_table(path) is not None  # a clean file needs no walk
+
+    def test_clean_file_reads_without_a_copy_of_its_bytes(self, tmp_path):
+        """The fast pass holds the table, not the file: its traced peak
+        stays under the file's size."""
+        path = tmp_path / "features.txt"
+        write_feature_file(path, SyntheticBackbone(
+            _tiny(d=64, samples_per_class=50)))
+        tracemalloc.start()
+        try:
+            source = load_feature_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows, d = len(source.labels), source.d
+        assert peak < path.stat().st_size
+        assert peak < 2 * rows * (d + 1) * 8
 
 
 class TestConfigValidation:

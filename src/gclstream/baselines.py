@@ -183,9 +183,19 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's squared norm and its square root, as ``_nearest`` takes
+    them."""
+    sq_x = np.einsum("ij,ij->i", x, x)
+    return sq_x, np.sqrt(sq_x)
+
+
+def _nearest(x: np.ndarray, centers: np.ndarray,
+             norms: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Index of each row's nearest centre: ``np.argmin(_sq_dists(x,
-    centers), axis=1)`` bit for bit, from one GEMM.
+    centers), axis=1)`` bit for bit, from one GEMM.  ``norms`` is
+    ``_row_norms(x)``, passed by a caller that asks about the same rows
+    again and again.
 
     g = |x|^2 - 2 x.c + |c|^2 needs one len(x) x len(centers) GEMM where
     ``_sq_dists`` broadcasts a difference tensor, but it rounds differently,
@@ -213,13 +223,13 @@ def _nearest(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     M = x.shape[1]
     nu = (M + 8) * 2.0 ** -53
     gamma = nu / (1.0 - nu)
-    sq_x = np.einsum("ij,ij->i", x, x)
+    sq_x, root_x = _row_norms(x) if norms is None else norms
     sq_c = np.einsum("ij,ij->i", centers, centers)
     g = x @ centers.T
     g *= -2.0
     g += sq_x[:, None]
     g += sq_c
-    eps = np.sqrt(sq_x)[:, None] + np.sqrt(sq_c)
+    eps = root_x[:, None] + np.sqrt(sq_c)
     np.square(eps, out=eps)
     eps *= 4.0 * gamma
     eps += (M + 8) * 2.0 ** -1070
@@ -292,9 +302,9 @@ class KMeansRouter(_Baseline):
             rng = np.random.default_rng(
                 np.random.SeedSequence([self.seed, TAG_KMEANS, e]))
             centers = rows[rng.choice(len(rows), size=k, replace=False)].copy()
-            previous = None
+            norms, previous = _row_norms(rows), None
             for _ in range(LLOYD_MAX_ITERS):
-                assign = _nearest(rows, centers)
+                assign = _nearest(rows, centers, norms)
                 if previous is not None and np.array_equal(assign, previous):
                     break
                 previous = assign

@@ -59,7 +59,7 @@ TAG_ADAPTER = 31
 TAG_MASK = 32
 TAG_CKA = 33
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 # ---------------------------------------------------------------------------

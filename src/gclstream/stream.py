@@ -127,13 +127,18 @@ def load_feature_file(path) -> FeatureSource:
 
 
 def _header(path, line: bytes) -> tuple[int, int, int]:
-    """``(d, classes, rows)`` of a header line; ConfigError if malformed."""
+    """``(d, classes, rows)`` of a header line; ConfigError if malformed or
+    if a value does not fit in an int64, as labels and sizes are held."""
     parts = line.decode("ascii", errors="replace").split()
     fields = dict(p.split("=", 1) for p in parts if "=" in p)
     try:
-        return int(fields["d"]), int(fields["classes"]), int(fields["rows"])
+        sizes = int(fields["d"]), int(fields["classes"]), int(fields["rows"])
     except (KeyError, ValueError):
         raise _malformed(path, line) from None
+    if not all(-2 ** 63 <= size < 2 ** 63 for size in sizes):
+        raise ConfigError(f"{path}: header at byte 0 holds a value outside "
+                          f"int64: {line.decode('ascii', 'replace').strip()!r}")
+    return sizes
 
 
 def _malformed(path, line: bytes) -> ConfigError:

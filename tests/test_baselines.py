@@ -12,7 +12,8 @@ from gclstream.analytic_router import accumulate, new_router_state
 from gclstream.baselines import (
     BASELINE_KINDS, TAG_KMEANS, KMeansRouter, NaiveBayesRouter,
     PrototypeRouter, ShallowRouter, baseline_finalize, baseline_fit_update,
-    baseline_route, new_baseline, oracle_route, _nearest, _sq_dists,
+    baseline_route, new_baseline, oracle_route, _nearest, _row_norms,
+    _sq_dists,
 )
 from gclstream.errors import NotSolvedError, NumericalError, ShapeError
 from gclstream.expansion import ExpandedBatch
@@ -283,9 +284,21 @@ class TestCertifiedAssignment:
     @settings(max_examples=300, deadline=None)
     @given(case=_rows_and_centres())
     def test_equals_the_exact_argmin(self, case):
+        """With its row norms computed inside or passed in."""
         x, centers = case
+        exact = np.argmin(_sq_dists(x, centers), axis=1)
+        np.testing.assert_array_equal(_nearest(x, centers), exact)
         np.testing.assert_array_equal(
-            _nearest(x, centers), np.argmin(_sq_dists(x, centers), axis=1))
+            _nearest(x, centers, _row_norms(x)), exact)
+
+    def test_finalize_takes_each_reservoirs_norms_once(self, monkeypatch):
+        """Lloyd's iterations reuse an expert's row norms: one
+        ``_row_norms`` call per expert, however many assignments."""
+        router = _separated_router(6)
+        norms = _count_distance_passes(monkeypatch, "_row_norms")
+        assignments = _count_distance_passes(monkeypatch)
+        baseline_finalize(router)
+        assert norms == [90, 90] and len(assignments) > 2  # full reservoirs
 
     def test_exact_tie_sends_only_the_tied_rows_to_the_exact_path(
             self, monkeypatch):
@@ -342,13 +355,14 @@ def _separated_router(seed):
 
 def _count_distance_passes(monkeypatch, name="_nearest"):
     """Record the row count of every call to the module's ``name``: the
-    assignment helper by default, or its exact path ``_sq_dists``."""
+    assignment helper by default, its exact path ``_sq_dists`` or its row
+    norms ``_row_norms``."""
     calls = []
     real = getattr(baselines_mod, name)
 
-    def counting(x, centers):
+    def counting(x, *args):
         calls.append(len(x))
-        return real(x, centers)
+        return real(x, *args)
 
     monkeypatch.setattr(baselines_mod, name, counting)
     return calls

@@ -130,8 +130,20 @@ class TestBlasSettings:
     def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
         """A d=256 feature-file run, where BLAS splits the big products
         between threads, writes the same bytes under one and two threads."""
-        stream = {"d": 256, "num_classes": 6, "samples_per_class": 40,
-                  "sessions": 3}
+        self._assert_thread_count_free(tmp_path, {
+            "d": 256, "num_classes": 6, "samples_per_class": 40,
+            "sessions": 3})
+
+    def test_primal_solves_do_not_depend_on_the_thread_count(self, tmp_path):
+        """The same with 480 rows into M=256, solved after every 32-row
+        batch: the router folds into G, factors it, and then solves by the
+        Woodbury identity through the held factor, refactoring once the
+        kept rows pass their cap."""
+        self._assert_thread_count_free(tmp_path, {
+            "d": 256, "num_classes": 6, "samples_per_class": 100,
+            "sessions": 3, "batch_size": 32, "eval_interval": 1})
+
+    def _assert_thread_count_free(self, tmp_path, stream):
         features = tmp_path / "features.csv"
         write_feature_file(features, SyntheticBackbone(StreamConfig(**stream)))
         args = ["--set", f"stream.feature_file={features}", "--set", "M=256"]

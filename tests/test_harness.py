@@ -70,8 +70,10 @@ def _count_parses(monkeypatch, *modules) -> list:
 
 
 # _fast's stream (M=64) after DUAL_SOLVED batches: the router is in the dual
-# form with 61 rows, 49 of them factored; after PAST_M batches it holds G.
-DUAL_SOLVED, PAST_M = 6, 7
+# form with 61 rows, 49 of them factored; after PAST_M batches it holds G;
+# after HELD batches also the factor of its last factorization (batch 8) and
+# the 23 rows kept since, the 11 of the batch-9 solve whitened.
+DUAL_SOLVED, PAST_M, HELD = 6, 7, 10
 
 
 class TestConfigIdentity:
@@ -607,7 +609,7 @@ class TestCheckpointResume:
         checkpoint(state, path)
         _write(path, {**_read(path), "version": 999})
         with pytest.raises(ConfigError, match="checkpoint version 999 != "
-                           "engine checkpoint version 6"):
+                           "engine checkpoint version 7"):
             resume(path, config)
 
     def test_version_5_checkpoint_is_refused_naming_its_version(
@@ -626,7 +628,7 @@ class TestCheckpointResume:
                                      for c in state.pool.trained_classes])
         _write(path, {**entries, "meta": json.dumps(meta)})
         with pytest.raises(ConfigError, match="checkpoint version 5 != "
-                           "engine checkpoint version 6"):
+                           "engine checkpoint version 7"):
             resume(path, config)
 
     def test_truncated_checkpoint_is_refused(self, tmp_path):
@@ -644,7 +646,7 @@ class TestCheckpointResume:
                                      "batch_index", "predictions_log",
                                      "samples_seen", "jitter_used",
                                      "trained_classes", "gram", "rows",
-                                     "row_expert", "factor",
+                                     "row_expert", "factor", "factor_diag",
                                      "baseline_kmeans_seen",
                                      "adapter_scale", "bank_w"])
     def test_checkpoint_missing_an_entry_is_refused(self, tmp_path, key):
@@ -652,7 +654,8 @@ class TestCheckpointResume:
         dual-form router checkpoint, or G past M rows."""
         config = _fast(track_baselines=("kmeans",))
         state = SeedRunState(config, 1)
-        for _ in range(PAST_M if key == "gram" else DUAL_SOLVED):
+        for _ in range(PAST_M if key in ("gram", "factor_diag")
+                       else DUAL_SOLVED):
             run_batch(state, state.cursor.next_batch())
         path = tmp_path / "ck.npz"
         checkpoint(state, path)
@@ -813,10 +816,17 @@ PINNED = {
     "baseline_trained_shallow_W2": ("<f8", (2, 512)),
     "baseline_trained_shallow_b2": ("<f8", (2,)),
 }
-# The router's own entries past M rows (G) and in the dual form (its 61
-# rows, their experts, the factor of the 49 rows its last solve saw and that
-# factor's jitter).
-PINNED_PRIMAL = {**PINNED, "gram": ("<f8", (64, 64))}
+# The router's own entries past M rows (G, with no factor held, so no
+# diagonal, kept rows or capacitance factor), past M rows with a factor held
+# (L's diagonal, the 23 rows kept since and the capacitance factor of the 11
+# whitened ones; by then a third expert has spawned) and in the dual form (its 61 rows, their experts, the factor
+# of the 49 rows its last solve saw); each with its factor's jitter.
+PINNED_PRIMAL = {**PINNED, "gram": ("<f8", (64, 64)),
+                 "factor_diag": ("<f8", (0,)), "rows": ("<f8", (0, 64)),
+                 "factor": ("<f8", (0, 0)), "jitter_used": ("<f8", ())}
+PINNED_HELD = {"gram": ("<f8", (64, 64)), "factor_diag": ("<f8", (64,)),
+               "rows": ("<f8", (23, 64)), "factor": ("<f8", (11, 11)),
+               "jitter_used": ("<f8", ())}
 PINNED_DUAL = {**PINNED, "rows": ("<f8", (61, 64)),
                "row_expert": ("<i8", (61,)), "factor": ("<f8", (49, 49)),
                "jitter_used": ("<f8", ())}
@@ -824,13 +834,14 @@ PINNED_DUAL = {**PINNED, "rows": ("<f8", (61, 64)),
 
 @pytest.fixture(scope="module")
 def every_entry(tmp_path_factory) -> dict:
-    """Batch number -> entries of a checkpoint at DUAL_SOLVED and at PAST_M
-    batches with every baseline tracked."""
+    """Batch number -> entries of a checkpoint at DUAL_SOLVED, PAST_M and
+    HELD batches with every baseline tracked."""
     config = _fast(track_baselines=BASELINE_KINDS)
     path = tmp_path_factory.mktemp("every_entry") / "ck.npz"
     checkpoints = {}
-    for at in (DUAL_SOLVED, PAST_M):
-        assert _checkpoint_at(config, at, path).pool.num_experts == 2
+    for at in (DUAL_SOLVED, PAST_M, HELD):
+        experts = _checkpoint_at(config, at, path).pool.num_experts
+        assert experts == (3 if at == HELD else 2)
         checkpoints[at] = _read(path)
     return checkpoints
 
@@ -841,16 +852,22 @@ def _pinned(entries: dict) -> dict:
 
 
 def test_checkpoint_format_is_pinned(every_entry):
-    """The v6 entries of a checkpoint past M rows: the router stores G.
-    No ledger entry: resume replays the prediction log.  No streamed mask
-    or seen classes: the schedule and the pool give them."""
+    """The v7 entries of a checkpoint past M rows: the router stores G,
+    and with a factor held L's diagonal, the kept rows and their capacitance
+    factor.  No ledger entry: resume replays the prediction log.  No
+    streamed mask or seen classes: the schedule and the pool give them."""
     entries = every_entry[PAST_M]
     assert _pinned(entries) == PINNED_PRIMAL
-    assert entries["version"] == 6 and entries["samples_seen"] == 73
+    assert entries["version"] == 7 and entries["samples_seen"] == 73
+    assert not np.triu(entries["gram"], 1).any()
+    entries = every_entry[HELD]
+    assert _pinned({key: entries[key] for key in PINNED_HELD}) == PINNED_HELD
+    assert entries["samples_seen"] == 108
+    assert (entries["factor_diag"] > 0).all()
 
 
 def test_dual_checkpoint_format_is_pinned(every_entry):
-    """The v6 entries of a checkpoint in the dual form."""
+    """The v7 entries of a checkpoint in the dual form."""
     entries = every_entry[DUAL_SOLVED]
     assert _pinned(entries) == PINNED_DUAL
     assert entries["samples_seen"] == 61 and entries["jitter_used"] == 0.0
@@ -869,7 +886,8 @@ def _ill_typed(value: np.ndarray):
 
 @pytest.mark.parametrize("at, entry", [
     *((DUAL_SOLVED, entry) for entry in PINNED_DUAL),
-    *((PAST_M, entry) for entry in PINNED_PRIMAL)])
+    *((PAST_M, entry) for entry in PINNED_PRIMAL),
+    *((HELD, entry) for entry in ("factor_diag", "rows", "factor"))])
 def test_ill_typed_entry_is_refused_by_name(tmp_path, every_entry, at,
                                             entry):
     """Each entry of a dual and of a primal checkpoint, cast to another
@@ -918,7 +936,9 @@ class TestResumeAnywhere:
     def test_resume_at_every_batch_boundary_across_the_fold(self, tmp_path):
         """Solving every other batch, the router's checkpoints hold the dual
         form with no factor, a factor of all its rows and one of fewer rows,
-        then G; each resumes bit-exactly."""
+        then G with no factor held, with a held factor and no kept rows,
+        with kept rows all whitened, and with some not yet whitened; each
+        resumes bit-exactly."""
         config = _fast(stream={"eval_interval": 2})
         direct, direct_state = run_seed(config, 1)
         forms = set()
@@ -927,13 +947,18 @@ class TestResumeAnywhere:
             router = _checkpoint_at(config, at, path).router
             whole = (router.factored == router.samples_seen
                      if router.factored else None)
-            forms.add((router.dual, whole))
+            forms.add((True, whole) if router.dual else (
+                False, router.factor_diag is not None, router.factored > 0,
+                router.kept > router.factored))
             resumed, resumed_state = run_seed(config, 1,
                                               state=resume(path, config))
             assert resumed == direct, f"resumed at batch {at}"
             assert resumed_state.predictions_log == direct_state.predictions_log
         assert forms == {(True, None), (True, True), (True, False),
-                         (False, None)}
+                         (False, False, False, False),
+                         (False, True, False, False),
+                         (False, True, True, False),
+                         (False, True, True, True)}
 
     @pytest.mark.parametrize("M, folds", [(1024, True), (2048, False)])
     def test_resume_at_every_third_batch_of_the_desk_stream(

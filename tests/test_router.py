@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+import gclstream.analytic_router as analytic_router
 from gclstream.analytic_router import (
-    new_router_state, accumulate, solve, route, grow,
+    new_router_state, accumulate, solve, route, grow, kept_cap,
 )
 from gclstream.expansion import ExpandedBatch, RandomExpansion
 from gclstream.errors import NotSolvedError, NumericalError, ShapeError
@@ -223,6 +224,35 @@ class TestSolve:
                                      state.proto).T
             np.testing.assert_allclose(weights, expected, rtol=1e-9)
 
+    def test_a_capacitance_that_does_not_factor_refactors_g(self,
+                                                             monkeypatch):
+        """The near-singular primal case above with a held factor: when the
+        capacitance factor of the rows kept since fails (forced here), the
+        solve refactors G through the same jitter escalation, drops the
+        kept rows, and solves G + (lam + jitter) I."""
+        M, lam = 16, 1e-12
+        row = np.arange(1.0, M + 1)[None, :] * 1e8
+        state = new_router_state(M, lam, num_experts=1)
+        accumulate(state, ExpandedBatch(np.repeat(row, 17, 0), 0))
+        solve(state)
+        assert state.factor_diag is not None and state.jitter_used > 0
+        accumulate(state, ExpandedBatch(np.repeat(row, 2, 0), 0))
+        assert state.kept == 2
+        failed = []
+
+        def failing(cols, region, k, shift, jitter):
+            failed.append(shift)
+            return None
+
+        monkeypatch.setattr(analytic_router, "_grow", failing)
+        weights = solve(state)
+        assert failed == [1.0]  # the capacitance's shift, tried once
+        assert state.kept == state.factored == 0
+        assert state.factor_diag is not None and state.jitter_used > 0
+        shifted = router_gram_ref(state) + (lam + state.jitter_used) * np.eye(M)
+        expected = cho_solve(cho_factor(shifted, lower=True), state.proto).T
+        np.testing.assert_allclose(weights, expected, rtol=1e-9)
+
     def test_gram_failing_every_jitter_raises(self):
         """Primal: a G that is not PSD.  Dual: a negative ridge, as no rows
         make K indefinite."""
@@ -278,11 +308,15 @@ class TestTwoForms:
         """A stream of M rows with a solve after every batch peaks below the
         dual form's two M x M arrays plus O(M*B); the fold allocates at most
         one M x M array (G), and only once the dual factor is gone; no solve
-        after the first allocates O(M^2)."""
+        after the first allocates O(M^2): neither the dual ones, nor the
+        primal factorizations, nor the Woodbury solves between them, which
+        run past the kept rows' cap of 0.618*M."""
         M, B = 256, 16
         mm, small = M * M * 8, 16 * M * B * 8
         rng = np.random.default_rng(11)
-        batches = [rng.standard_normal((B, M)) for _ in range(M // B + 2)]
+        primal = kept_cap(M) // B + 3  # past the cap, factored again, kept
+        batches = [rng.standard_normal((B, M))
+                   for _ in range(M // B + primal)]
         solve_peaks = []
         tracemalloc.start()
         try:
@@ -304,11 +338,90 @@ class TestTwoForms:
                 solve_peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
-        assert not state.dual
+        assert not state.dual and 0 < state.kept < kept_cap(M)
         assert stream_peak < 2 * mm + small
         assert fold_peak < mm + small and fold_high < 2 * mm + small
         assert solve_peaks[0] >= mm  # the first solve allocates factor_buf
         assert max(solve_peaks[1:]) < small
+
+
+class TestHeldFactor:
+    """Primal solves add the rows kept since the last factorization by the
+    Woodbury identity, and factor G again only when they must."""
+
+    @pytest.mark.parametrize("every", [1, 3, None])
+    def test_solves_match_batch_ridge_past_the_cap(self, every):
+        """Solves after every batch, every third and only at the end, over
+        batches narrower and wider than M, across the fold and past the
+        kept rows' cap, match the batch ridge solution to 1e-9 relative."""
+        M, T, lam = 24, 3, 1.0
+        sizes = [7, 9, 30, 2, 5, 5, 4, 6, 5, 5, 5, 3, 40, 3, 6, 6, 6, 6, 6]
+        rng = np.random.default_rng(12)
+        state = new_router_state(M, lam, num_experts=T)
+        phi, labels, most_kept = np.zeros((0, M)), np.zeros(0, int), 0
+        for i, size in enumerate(sizes):
+            rows, expert = rng.standard_normal((size, M)), int(rng.integers(T))
+            accumulate(state, ExpandedBatch(rows, expert))
+            phi = np.vstack([phi, rows])
+            labels = np.concatenate([labels, np.full(size, expert)])
+            if (i + 1) % (every or len(sizes)) == 0 or i + 1 == len(sizes):
+                ref = batch_ridge(phi, one_hot(labels, T), lam)
+                err = np.abs(solve(state) - ref).max() / np.abs(ref).max()
+                assert err <= 1e-9
+                most_kept = max(most_kept, state.factored)
+        assert sum(sizes[3:12]) > kept_cap(M)  # rows enough to pass the cap
+        assert most_kept > 0 if every else most_kept == 0
+
+    def test_one_and_a_half_m_rows_factor_g_at_most_twice(self, monkeypatch):
+        """1.5*M rows solved after every batch: past the fold, G is factored
+        once, and every later solve is a Woodbury one."""
+        M, B = 256, 16
+        refactors = []
+        refactor = analytic_router._refactor
+        monkeypatch.setattr(analytic_router, "_refactor",
+                            lambda state: refactors.append(1) or
+                            refactor(state))
+        rng = np.random.default_rng(13)
+        state = new_router_state(M, 1.0, num_experts=2)
+        for i in range(3 * M // (2 * B)):
+            accumulate(state, ExpandedBatch(rng.standard_normal((B, M)),
+                                            i % 2))
+            solve(state)
+        assert not state.dual and state.kept == state.factored == M // 2 - B
+        assert 1 <= len(refactors) <= 2
+
+    def test_held_factor_and_kept_rows_resume_bit_exactly(self):
+        """A checkpoint taken with a held factor, rows it has whitened and
+        rows it has not: the loaded state writes the same arrays, holds the
+        same G, factor and kept rows, and its next solves equal the
+        uninterrupted run's bit for bit."""
+        M = 32
+        rng = np.random.default_rng(14)
+        state = new_router_state(M, 1.0, num_experts=2)
+        for size, solves in ((40, True), (6, True), (5, False)):
+            accumulate(state, ExpandedBatch(rng.standard_normal((size, M)),
+                                            size % 2))
+            if solves:
+                solve(state)
+        assert (state.kept, state.factored) == (11, 6)
+        buf = io.BytesIO()
+        np.savez(buf, **state.state())
+        buf.seek(0)
+        with np.load(buf) as stored:
+            snap = dict(stored.items())
+        assert snap["rows"].shape == (11, M) and snap["factor"].shape == (6, 6)
+        assert snap["factor_diag"].shape == (M,)
+        resumed = new_router_state(M, 1.0, num_experts=2)
+        resumed.load(snap)
+        for key, value in resumed.state().items():
+            np.testing.assert_array_equal(value, snap[key])
+        assert resumed.gram.tobytes("A") == state.gram.tobytes("A")
+        for size in (0, 3, 9):
+            rows = rng.standard_normal((size, M))
+            for each in (state, resumed):
+                accumulate(each, ExpandedBatch(rows, 1))
+            assert solve(resumed).tobytes() == solve(state).tobytes()
+        assert resumed.gram.tobytes("A") == state.gram.tobytes("A")
 
 
 class TestRoute:
@@ -383,7 +496,8 @@ class TestSnapshotRestore:
     def test_round_trip_preserves_solution(self):
         """Dual (4 rows of M=5: the rows, their experts and the factor,
         grown by the last row) and primal (19 rows: G as held, its lower
-        triangle in Fortran order)."""
+        triangle in Fortran order and L^T above it, L's diagonal, the row
+        kept since L was taken and its capacitance factor)."""
         rng = np.random.default_rng(9)
         for N in (4, 19):
             state, _, _ = _stream_instance(rng, 5, N - 1, 2, 1.0)
@@ -396,9 +510,11 @@ class TestSnapshotRestore:
                 assert snap["factor"].shape == (N, N)
                 np.testing.assert_array_equal(snap["factor"],
                                               np.tril(snap["factor"]))
-            else:
+            else:  # G as held, with L^T above it and the row kept since
                 assert snap["gram"] is state.gram
-                assert not np.triu(snap["gram"], 1).any()
+                assert snap["factor_diag"].shape == (5,)
+                assert snap["rows"].shape == (1, 5)
+                assert snap["factor"].shape == (1, 1)
             copy = new_router_state(5, 1.0, num_experts=2)
             copy.load(snap)
             assert copy.gram.flags.f_contiguous
@@ -443,12 +559,11 @@ class TestSnapshotRestore:
         for size in before:
             feed([state], size)
         buf = io.BytesIO()
-        np.savez(buf, **{k: v for k, v in state.state().items()
-                         if isinstance(v, np.ndarray)})
+        np.savez(buf, **state.state())
         buf.seek(0)
         with np.load(buf) as stored:
             assert not np.triu(stored["gram"], 1).any()
-            snap = {"samples_seen": state.samples_seen, **stored}
+            snap = dict(stored.items())
         resumed = new_router_state(M, 1.0, num_experts=2)
         resumed.load(snap)
         for size in after:
@@ -464,6 +579,31 @@ class TestSnapshotRestore:
         snap["gram"] = snap["gram"].copy(order="F")
         snap["gram"][3, 4] = 1e-300
         with pytest.raises(ShapeError, match="gram"):
+            new_router_state(5, 1.0, num_experts=2).load(snap)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda snap: snap.update(factor_diag=snap["factor_diag"][:3]),
+         r"factor_diag has shape \(3,\), not \(0,\) or \(5,\)"),
+        (lambda snap: snap["factor_diag"].__setitem__(2, 0.0),
+         "factor_diag has an entry that is not positive and finite"),
+        (lambda snap: snap["factor_diag"].__setitem__(4, np.inf),
+         "factor_diag has an entry that is not positive and finite"),
+        (lambda snap: snap.update(rows=np.zeros((4, 5))),
+         "rows holds 4 kept rows, more than the 3 room"),
+        (lambda snap: snap.update(factor_diag=np.zeros(0)),
+         "gram has a nonzero entry above its diagonal"),
+    ])
+    def test_load_refuses_a_held_factor_that_does_not_fit(self, edit, match):
+        """L's diagonal of another length or with an entry that is not
+        positive and finite, more kept rows than kept_cap(5) = 3, or L^T
+        above G's diagonal with no diagonal to go with it."""
+        rng = np.random.default_rng(9)
+        state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
+        solve(state)
+        accumulate(state, ExpandedBatch(rng.standard_normal((1, 5)), 1))
+        snap = {key: np.array(value) for key, value in state.state().items()}
+        edit(snap)
+        with pytest.raises(ShapeError, match=match):
             new_router_state(5, 1.0, num_experts=2).load(snap)
 
     @pytest.mark.parametrize("key, shape", [("gram", (4, 4)),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gclstream.cli import main
 from gclstream.errors import ConfigError
 from gclstream.stream import (
     StreamConfig, SyntheticBackbone, build_schedule, build_stream,
@@ -356,6 +357,32 @@ class TestFeatureFile:
         with pytest.raises(ConfigError) as err:
             load_feature_file(path)
         assert "malformed header at byte 0" in str(err.value)
+
+    @pytest.mark.parametrize("header", [
+        "d=1 classes=100000000000000000000 rows=1",
+        "d=9223372036854775808 classes=2 rows=1",
+        "d=1 classes=2 rows=-9223372036854775809"])
+    def test_header_value_outside_int64_is_a_config_error(self, tmp_path,
+                                                          header):
+        """Labels and sizes are int64: a larger header value is refused
+        naming the header, before a label of 2**63 or more overflows."""
+        path = tmp_path / "big.txt"
+        path.write_text(f"{header}\n10000000000000000000,1.0\n")
+        with pytest.raises(ConfigError) as err:
+            load_feature_file(path)
+        assert str(err.value) == (f"{path}: header at byte 0 holds a value "
+                                  f"outside int64: {header!r}")
+
+    def test_header_value_outside_int64_exits_1_from_the_cli(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("d=1 classes=100000000000000000000 rows=1\n"
+                        "10000000000000000000,1.0\n")
+        rc = main(["run", "--seeds", "1", "--outdir", str(tmp_path / "runs"),
+                   "--set", f"stream.feature_file={path}",
+                   "--set", "stream.num_classes=100000000000000000000"])
+        assert rc == 1
+        assert "holds a value outside int64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows", [2, 10_000_000_000_000])
     def test_more_declared_rows_than_lines_is_refused_unallocated(

@@ -13,17 +13,16 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, parse_json
 from .harness import (ABLATION_AXES, RunConfig, ablate, apply_overrides,
                       config_from_dict, config_to_dict, dataclass_from_dict,
                       desk_config, merge_config, run)
-from .metrics import check_record, check_session_order, replay
+from .metrics import check_log, replay
 from .stream import StreamConfig, SyntheticBackbone, write_feature_file
 
 
@@ -52,21 +51,18 @@ def _add_config_args(sub):
 def _build_config(args) -> RunConfig:
     base = config_to_dict(desk_config() if args.preset == "desk"
                           else RunConfig())
-    if args.config:
+    if args.config is not None:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            file_data = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: not JSON ({err})") from err
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {args.config!r}")
+        file_data = parse_json(path.read_text(), str(path))
         if not isinstance(file_data, dict):
             raise ConfigError(f"{path}: holds no JSON object")
         merge_config(base, file_data)
     apply_overrides(base, args.overrides)
-    if args.outdir:
+    if args.outdir is not None:
         base["outdir"] = args.outdir
-    if args.seeds:
+    if args.seeds is not None:
         try:
             base["seeds"] = [int(s) for s in args.seeds.split(",") if s]
         except ValueError as err:
@@ -112,54 +108,37 @@ def _cmd_metrics(args) -> int:
     pred_path = run_dir / "predictions.jsonl"
     if not pred_path.exists():
         raise ConfigError(f"no predictions.jsonl under {run_dir}")
-    by_seed: dict[int, tuple] = {}  # seed -> (classes, history, records)
     with open(pred_path) as fh:
-        for number, line in enumerate(fh, start=1):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"{pred_path}:{number}: not JSON ({err})")
-            seed = record.get("seed") if isinstance(record, dict) else None
-            classes, history, records = by_seed.get(
-                seed if isinstance(seed, int) else None, (None, (), None))
-            try:
-                phase = check_record(record, classes, len(history))
-                if phase in ("session", "final"):
-                    check_session_order(record, records, len(classes))
-            except ConfigError as err:
-                raise ConfigError(f"{pred_path}:{number}: {err}") from err
-            if phase == "meta":
-                by_seed[seed] = (record["session_classes"], record["history"],
-                                 [])
-            else:
-                records.append(record)
+        records = [parse_json(line, f"{pred_path}:{number}")
+                   for number, line in enumerate(fh, start=1)]
+    blocks = check_log(records, lambda i: f"{pred_path}:{i + 1}")
 
-    stored: dict[tuple, float] = {}
+    stored: dict[str, dict[str, float]] = {}  # seed -> metric -> value
     metrics_path = run_dir / "metrics.csv"
     if metrics_path.exists():
         lines = metrics_path.read_text().splitlines()
         for number, line in enumerate(lines[1:], start=2):
             try:
                 seed, metric, value = line.split(",")
-                stored[(seed, metric)] = float(value)
+                stored.setdefault(seed, {})[metric] = float(value)
             except ValueError as err:
                 raise ConfigError(f"{metrics_path}:{number}: not "
                                   f"seed,metric,value ({err})") from err
 
     mismatches = 0
-    for seed, (classes, history, records) in sorted(by_seed.items()):
-        _, recomputed = replay(records, classes, [set(h) for h in history])
-        if records and not recomputed:
-            raise ConfigError(f"{pred_path}: seed {seed} has no final record")
-        for metric, value in recomputed.items():
-            key = (str(seed), metric)
-            if key in stored:
-                status = "ok" if stored[key] == value else "MISMATCH"
-                mismatches += status != "ok"
-                print(f"seed {seed} {metric}: recomputed {value:.6f} "
-                      f"stored {stored[key]:.6f} [{status}]")
-            else:
-                print(f"seed {seed} {metric}: recomputed {value:.6f}")
+    for seed, (meta, records) in sorted(blocks.items()):
+        rows = stored.get(str(seed), {})
+        for metric, value in replay(records, meta)[1].items():
+            line = f"seed {seed} {metric}: recomputed {value:.6f}"
+            if metric in rows:
+                want = rows.pop(metric)
+                mismatches += want != value
+                line += (f" stored {want:.6f} "
+                         f"[{'ok' if want == value else 'MISMATCH'}]")
+            print(line)
+    for seed, rows in stored.items():  # what is left was not recomputed
+        if seed not in ("mean", "std") and rows:
+            print(f"seed {seed} unchecked: {', '.join(rows)}")
     if mismatches:
         raise NumericalError(f"{mismatches} stored metrics differ from "
                              "those the logged predictions give")

@@ -7,6 +7,7 @@ plain ValueError.
 """
 
 import dataclasses
+import json
 from numbers import Integral, Real
 
 import numpy as np
@@ -14,6 +15,14 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration (CLI exit code 1)."""
+
+
+def parse_json(text: str, where: str):
+    """The JSON value of ``text``; ConfigError naming ``where`` if none."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{where}: not JSON ({err})") from err
 
 
 _TYPES = {"int": Integral, "float": Real, "str": str, "bool": bool}
@@ -24,12 +33,12 @@ def check_fields(config, prefix: str = "") -> None:
     value does not have its annotated type."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if not _has_type(value, f.type):
+        if not has_type(value, f.type):
             raise ConfigError(f"{prefix}{f.name}={value!r} does not have "
                               f"type {f.type}")
 
 
-def _has_type(value, kind) -> bool:
+def has_type(value, kind) -> bool:
     """Whether ``value`` fits the string annotation ``kind``: a scalar (a
     bool is no number), ``X | None``, ``tuple[X, ...]`` or the nested
     ``StreamConfig``, which checks its own fields. TypeError on any other
@@ -44,7 +53,7 @@ def _has_type(value, kind) -> bool:
     kind = kind.removesuffix(" | None")
     if kind.startswith("tuple[") and kind.endswith(", ...]"):
         return isinstance(value, (list, tuple)) and all(
-            _has_type(v, kind[len("tuple["):-len(", ...]")]) for v in value)
+            has_type(v, kind[len("tuple["):-len(", ...]")]) for v in value)
     if kind not in _TYPES:
         raise TypeError(f"check_fields cannot check annotation {kind!r}")
     return isinstance(value, _TYPES[kind]) and (

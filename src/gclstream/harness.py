@@ -45,13 +45,15 @@ from .analytic_router import accumulate, grow, new_router_state, route, solve
 from .baselines import (BASELINE_KINDS, baseline_fit_update, baseline_route,
                         new_baseline, oracle_route)
 from .ensemble import AGGREGATIONS, EnsembleConfig, full_inference
-from .errors import ConfigError, ShapeError, check_fields, check_shape
+from .errors import (ConfigError, ShapeError, check_fields, check_shape,
+                     parse_json)
 from .expansion import ACTIVATIONS, ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
                       train_step)
-from .metrics import MetricsLedger, adapter_cka, replay, routing_accuracy
-from .stream import (FeatureSource, SessionSchedule, StreamConfig,
-                     StreamCursor, build_stream, load_feature_file)
+from .metrics import (MetricsLedger, adapter_cka, check_log,
+                      expected_records, replay, routing_accuracy)
+from .stream import (FeatureSource, StreamConfig, StreamCursor,
+                     build_stream, load_feature_file)
 
 log = logging.getLogger("gclstream")
 
@@ -269,20 +271,29 @@ class SeedRunState:
         return self.expansion(self.holdout_X)
 
     @property
+    def meta(self) -> dict:
+        """The seed's meta line (``metrics.RECORD_FIELDS``)."""
+        config, schedule = self.config, self.schedule
+        return {"phase": "meta", "seed": self.seed,
+                "session_classes": list(map(sorted, schedule.session_classes)),
+                "history": list(map(sorted, self.pool.trained_classes)),
+                "eval_interval": config.stream.eval_interval,
+                "session_batches": np.bincount(
+                    [session for _, session, _ in schedule.batches]).tolist(),
+                "session_records": config.eval_session_matrix,
+                "oracle_record": (config.track_oracle
+                                  and config.routing != "oracle"),
+                "logged": config.log_predictions}
+
+    @property
     def ledger(self) -> MetricsLedger:
-        return _replay(self)[0]
+        return replay(self.predictions_log, self.meta)[0]
 
     @property
     def cursor(self) -> StreamCursor:
         cur = StreamCursor(self.schedule, self.source)
         cur.skip_to(self.batch_index)
         return cur
-
-
-def _replay(state) -> tuple[MetricsLedger, dict]:
-    """The seed's ledger and logged metrics, from its prediction log."""
-    return replay(state.predictions_log, state.schedule.session_classes,
-                  state.pool.trained_classes)
 
 
 def _grow_routers(state: SeedRunState, experts: int) -> None:
@@ -339,11 +350,6 @@ def _infer(state: SeedRunState, routing: str) -> dict:
             "selections": selections.tolist()}
 
 
-def _log_predictions(state: SeedRunState, phase: str, step,
-                     inferred: dict) -> None:
-    state.predictions_log.append({"phase": phase, "step": step, **inferred})
-
-
 def run_batch(state: SeedRunState, batch) -> None:
     """Train on one batch and fold it into every router's statistics."""
     config = state.config
@@ -378,25 +384,11 @@ def run_batch(state: SeedRunState, batch) -> None:
 
     state.batch_index += 1
 
-    evaluations = _evaluations(state, state.batch_index)
+    evaluations = expected_records(state.meta, state.batch_index)
     if evaluations:
         inferred = _infer(state, config.routing)
-        for phase, step in evaluations:
-            _log_predictions(state, phase, step, inferred)
-
-
-def _evaluations(state: SeedRunState, done: int) -> list[tuple[str, int]]:
-    """The (phase, step) of each record logged once ``done`` batches have
-    run: an anytime record every eval_interval batches and, with the
-    session matrix on, a session record where a session ends."""
-    config, batches = state.config, state.schedule.batches
-    interval = config.stream.eval_interval
-    records = [("anytime", done // interval)] if done % interval == 0 else []
-    # a session ends with the stream or where the next batch starts one
-    if config.eval_session_matrix and (
-            done == len(batches) or batches[done][2]):
-        records.append(("session", batches[done - 1][1]))
-    return records
+        state.predictions_log += [{"phase": phase, "step": step, **inferred}
+                                  for phase, step in evaluations]
 
 
 def finish_seed(state: SeedRunState) -> dict:
@@ -409,10 +401,12 @@ def _finish(state: SeedRunState) -> tuple[dict, MetricsLedger]:
     """``finish_seed``'s metrics, and the ledger of the one replay of the
     seed's log that they come from."""
     config = state.config
-    _log_predictions(state, "final", None, _infer(state, config.routing))
-    if config.track_oracle and config.routing != "oracle":
-        _log_predictions(state, "oracle", None, _infer(state, "oracle"))
-    ledger, metrics = _replay(state)
+    state.predictions_log.append(
+        {"phase": "final", "step": None, **_infer(state, config.routing)})
+    if state.meta["oracle_record"]:
+        state.predictions_log.append(
+            {"phase": "oracle", "step": None, **_infer(state, "oracle")})
+    ledger, metrics = replay(state.predictions_log, state.meta)
 
     rows = _eval_pool(state)
     for kind in sorted(state.baselines):
@@ -482,8 +476,8 @@ def resume(path, config: RunConfig) -> SeedRunState:
     ``batch_index`` batches of the schedule.  A checkpoint that cannot be
     read, lacks an entry, has an entry of another dtype, a shape or a count
     the config and its schedule would not build, trains classes other than
-    those of the streamed rows, or logs records ``replay`` cannot read or
-    other than those its batches end in raises ConfigError.
+    those of the streamed rows, or logs records other than those its
+    batches end in (``metrics.check_log``) raises ConfigError.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -540,22 +534,13 @@ def _restore(snap: dict, config: RunConfig) -> SeedRunState:
         raise ConfigError(f"trained_classes {sorted(state.seen)} are not "
                           f"the classes {sorted(streamed)} of the streamed "
                           "rows")
-    text = check_shape(snap, "predictions_log", (), str).item()
-    try:
-        state.predictions_log = json.loads(text)
-        if not isinstance(state.predictions_log, list):
-            raise ConfigError("not a list of records")
-        _replay(state)
-    except ValueError as err:
-        raise ConfigError(f"predictions_log: {err}") from err
-    logged = [(record["phase"], record.get("step"))
-              for record in state.predictions_log]
-    expected = [evaluation for done in range(1, state.batch_index + 1)
-                for evaluation in _evaluations(state, done)]
-    if logged != expected:
-        raise ConfigError(f"predictions_log holds the records {logged}, not "
-                          f"the {expected} of the first batch_index="
-                          f"{state.batch_index} batches")
+    log = parse_json(check_shape(snap, "predictions_log", (), str).item(),
+                     "predictions_log")
+    if not isinstance(log, list):
+        raise ConfigError("predictions_log is not a list of records")
+    check_log(log, "predictions_log record {}".format, state.meta,
+              state.batch_index)
+    state.predictions_log = log
     return state
 
 
@@ -610,8 +595,7 @@ class SeedRecord(NamedTuple):
     derived.  A SeedRunState has the same attributes (its ``ledger``
     replays the log anew), so ``_write_outputs`` takes either."""
 
-    schedule: SessionSchedule
-    pool: ExpertPool
+    meta: dict
     predictions_log: list
     ledger: MetricsLedger
 
@@ -652,16 +636,7 @@ def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
     with open(run_dir / "predictions.jsonl", "w") as fh:
         for seed in config.seeds:
             state = states[seed]
-            meta = {
-                "phase": "meta",
-                "seed": seed,
-                "session_classes": [sorted(s) for s in
-                                    state.schedule.session_classes],
-                "history": [sorted(s) for s in state.pool.trained_classes],
-                "eval_interval": config.stream.eval_interval,
-                "sessions": config.stream.sessions,
-            }
-            fh.write(json.dumps(meta, sort_keys=True) + "\n")
+            fh.write(json.dumps(state.meta, sort_keys=True) + "\n")
             if config.log_predictions:
                 for record in state.predictions_log:
                     fh.write(json.dumps({"seed": seed, **record},
@@ -686,8 +661,7 @@ def run(config: RunConfig) -> RunResult:
         state = _train(SeedRunState(config, seed, source))
         per_seed[seed], ledger = _finish(state)
         timing[f"seed_{seed}_s"] = time.perf_counter() - started
-        records[seed] = SeedRecord(state.schedule, state.pool,
-                                   state.predictions_log, ledger)
+        records[seed] = SeedRecord(state.meta, state.predictions_log, ledger)
         del state  # G and its factorization go before the next seed starts
         log.info("seed %d done in %.2fs", seed, timing[f"seed_{seed}_s"])
     mean, std = _write_outputs(config, per_seed, records, run_dir, timing)
@@ -728,7 +702,8 @@ ABLATIONS = {
                                     (0.9, 0.99, 0.999)),
                      lambda bank: "+".join(map(str, bank)) or "online_only"),
     "mask": _sweep("mask_kind", MASK_KINDS),
-    "routing_alg": _sweep("routing", ("ridge", *BASELINE_KINDS, "oracle")),
+    "routing_alg": _sweep("routing", ("ridge", "latest", *BASELINE_KINDS,
+                                      "oracle")),
     "M_sweep": _sweep("M", (64, 256, 1024, 4096), "M{}".format),
     "lambda_sweep": _sweep("lam", (1e2, 1e3, 1e4, 1e5), "lam{:g}".format),
     "rd_sweep": _sweep("stream.disjoint_ratio", (0.0, 0.5, 1.0),

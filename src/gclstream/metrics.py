@@ -18,10 +18,12 @@ residual representations on a shared probe set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import merge
+from itertools import accumulate, chain, groupby
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, has_type
 
 
 def _require_complete(row: np.ndarray, what: str) -> None:
@@ -80,8 +82,7 @@ def a_auc(anytime) -> float:
 
 
 def accuracy(predictions, labels) -> float:
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
+    predictions, labels = np.asarray(predictions), np.asarray(labels)
     if predictions.shape != labels.shape:
         raise ValueError("prediction/label length mismatch")
     if predictions.size == 0:
@@ -99,12 +100,8 @@ def session_row(predictions, labels, session_classes) -> list[float]:
 
 def _routing_hits(selections, true_labels, history) -> int:
     """Rows routed to an expert that trained on the row's true class."""
-    selections = np.asarray(selections, dtype=np.int64)
-    true_labels = np.asarray(true_labels, dtype=np.int64)
-    if selections.shape != true_labels.shape:
-        raise ValueError("selection/label length mismatch")
-    return sum(1 for e, y in zip(selections, true_labels)
-               if int(y) in history[int(e)])
+    return sum(int(y) in history[int(e)]
+               for e, y in zip(selections, true_labels, strict=True))
 
 
 def routing_accuracy(selections, true_labels, history) -> float:
@@ -177,108 +174,147 @@ class MetricsLedger:
         return self.routing_hits / self.routing_attempts
 
 
-# The fields each phase of a prediction log carries that ``replay`` (or, for
-# ``meta``, the reader of a log file) reads.
-EVAL_FIELDS = {"anytime": ("labels", "predictions"),
-               "session": ("labels", "predictions", "step"),
-               "final": ("labels", "predictions", "selections"),
-               "oracle": ("labels", "predictions")}
-LOG_FIELDS = {"meta": ("seed", "session_classes", "history"), **EVAL_FIELDS}
+# Each phase's fields and their types as ``errors.has_type`` reads them (a
+# JSON list is a tuple); a record's int lists share one nonzero length.
+_INTS, _INT_LISTS = "tuple[int, ...]", "tuple[tuple[int, ...], ...]"
+RECORD_FIELDS = {
+    "meta": {"seed": "int", "session_classes": _INT_LISTS,
+             "history": _INT_LISTS, "eval_interval": "int",
+             "session_batches": _INTS, "session_records": "bool",
+             "oracle_record": "bool", "logged": "bool"},
+    "anytime": {"step": "int", "labels": _INTS, "predictions": _INTS},
+    "session": {"step": "int", "labels": _INTS, "predictions": _INTS},
+    "final": {"labels": _INTS, "predictions": _INTS, "selections": _INTS},
+    "oracle": {"labels": _INTS, "predictions": _INTS},
+}
 
 
-def check_record(record, session_classes, experts: int,
-                 fields=LOG_FIELDS) -> str:
-    """The record's phase; ConfigError unless it is a JSON object whose
-    phase ``fields`` lists, whose seed, for an evaluation record, has a meta
-    record (``session_classes`` is then not None), and which carries each
-    field ``fields`` names.  A meta record's seed must be an int and its
-    ``session_classes`` and ``history`` lists of lists of ints.  An
-    evaluation record's lists must be of one nonzero length and hold ints
-    (not bools), a session ``step`` must lie in 0..sessions-1 and its labels
-    hold a class of each session up to it, and each final selection must lie
-    in 0..experts-1."""
+def _check_fields(record, phases) -> str:
+    """The record's phase; ConfigError unless it is a JSON object with one
+    of ``phases`` and every field of its phase's RECORD_FIELDS, typed."""
     if not isinstance(record, dict) or "phase" not in record:
         raise ConfigError("not a record with a phase")
     phase = record["phase"]
-    if not isinstance(phase, str) or phase not in fields:
+    if not isinstance(phase, str) or phase not in phases:
         raise ConfigError(f"unexpected phase {phase!r}")
-    if phase != "meta" and session_classes is None:
-        raise ConfigError(f"seed {record.get('seed')} has no meta line")
-    missing = [name for name in fields[phase] if name not in record]
+    types = RECORD_FIELDS[phase]
+    missing = [name for name in types if name not in record]
     if missing:
         raise ConfigError(f"{phase} record lacks {', '.join(missing)}")
-    if phase == "meta":
-        if not _is_int(record["seed"]):
-            raise ConfigError(f"meta record's seed {record['seed']!r} is not "
-                              "an int")
-        for name in ("session_classes", "history"):
-            if not (isinstance(record[name], list) and all(
-                    isinstance(v, list) and all(map(_is_int, v))
-                    for v in record[name])):
-                raise ConfigError(f"meta record's {name} is not a list of "
-                                  "lists of ints")
-        return phase
-    lists = [name for name in fields[phase] if name != "step"]
-    lengths = {len(record[name]) if isinstance(record[name], list) else 0
-               for name in lists}
-    if len(lengths) != 1 or 0 in lengths:
-        raise ConfigError(f"{phase} record's {', '.join(lists)} are not "
-                          "lists of one nonzero length")
-    for name in lists:
-        bad = [v for v in record[name] if not _is_int(v)]
-        if bad:
-            raise ConfigError(f"{phase} record's {name} hold {bad[0]!r}, "
-                              "not an int")
-    if phase == "session":
-        step = record["step"]
-        _check_indices("session step", [step], len(session_classes))
-        labels = set(record["labels"])
-        for j, classes in enumerate(session_classes[:step + 1]):
-            if labels.isdisjoint(classes):
-                raise ConfigError(f"session {step} record's labels hold no "
-                                  f"class of session {j}")
-    elif phase == "final":
-        _check_indices("final selection", record["selections"], experts)
+    for name, kind in types.items():
+        if not has_type(record[name], kind):
+            raise ConfigError(f"{phase} record's {name} does not have type "
+                              f"{kind}")
+    lists = [name for name, kind in types.items() if kind == _INTS]
+    if len({len(record[name]) for name in lists}) > 1 or not record[lists[0]]:
+        raise ConfigError(f"{phase} record's {', '.join(lists)} are not of "
+                          "one nonzero length")
     return phase
 
 
-def check_session_order(record, records, sessions: int) -> None:
-    """ConfigError unless a session or final ``record`` keeps the order of
-    its seed's log so far, ``records``: session steps run 0, 1, ... with
-    none skipped, and a final record follows every session record or
-    none."""
-    logged = sum(r["phase"] == "session" for r in records)
-    seed = record["seed"]
-    if record["phase"] == "session" and record["step"] != logged:
-        raise ConfigError(f"seed {seed}'s session record for step "
-                          f"{record['step']} comes where session step "
-                          f"{logged} is missing")
-    if record["phase"] == "final" and 0 < logged < sessions:
-        raise ConfigError(f"seed {seed}'s final record comes where session "
-                          f"step {logged} is missing")
+def expected_records(meta, done: int) -> list[tuple[str, int]]:
+    """The (phase, step) of each record a seed logs when its ``done``-th
+    batch has run: an anytime record every eval_interval batches and, when
+    its meta line says so, a session record where a session ends."""
+    interval = meta["eval_interval"]
+    records = [("anytime", done // interval)] if done % interval == 0 else []
+    if meta["session_records"]:
+        records += [("session", j) for j, end in enumerate(
+            accumulate(meta["session_batches"])) if end == done]
+    return records
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def log_sequence(meta, done: int | None = None):
+    """Lazily, the (phase, step) of each record a seed logs in its first
+    ``done`` batches or, by default, of its block in a log file: every
+    batch's records, the final and maybe the oracle record."""
+    if done is None and not meta["logged"]:
+        return
+    ends = list(accumulate(meta["session_batches"]))
+    last, interval = ends[-1] if done is None else done, meta["eval_interval"]
+    for batch, _ in groupby(merge(range(interval, last + 1, interval),
+                                  [end for end in ends if end <= last])):
+        yield from expected_records(meta, batch)
+    if done is None:
+        yield ("final", None)
+        if meta["oracle_record"]:
+            yield ("oracle", None)
 
 
-def _check_indices(what: str, values: list, n: int) -> None:
-    bad = [v for v in values if not (_is_int(v) and 0 <= v < n)]
-    if bad:
-        raise ConfigError(f"{what} {bad[0]!r} outside 0..{n - 1}")
+def _named(record) -> str:
+    phase, step = record or ("no", None)
+    return f"{phase} record" + ("" if step is None else f" {step}")
 
 
-def replay(records, session_classes, history) -> tuple[MetricsLedger, dict]:
-    """A seed's ledger rebuilt from its logged evaluations, and every metric
-    those records determine, in emission order: the ``seed_metrics`` suite,
-    ``num_experts``, ``oracle_accuracy`` and, when the log holds session
-    rows, ``oracle_a_last``.  Before the final record there are no metrics.
-    """
+def check_log(records, where, meta=None, done=None) -> dict:
+    """A log's blocks, seed -> (meta line, records): a file holds a block
+    per seed, its meta line and then exactly the records ``log_sequence``
+    gives; a checkpoint holds one seed's records of ``done`` batches, read
+    against the ``meta`` line given.  ConfigError, prefixed by ``where(i)``,
+    at the i-th record refused, or at ``where(len(records))``."""
+    blocks, opened, due = {}, meta, None
+    phases = set(RECORD_FIELDS) - ({"meta"} if meta else set())
+    if meta is not None:
+        sequence = log_sequence(meta, done)
+        blocks[meta["seed"]], due = (meta, []), next(sequence, None)
+    try:
+        for count, record in enumerate(chain(records, [None])):
+            phase = None if record is None else _check_fields(record, phases)
+            if phase in (None, "meta") and due is not None:
+                raise ConfigError(f"seed {opened['seed']}'s {_named(due)} "
+                                  "is missing")
+            if phase is None:
+                break
+            if phase == "meta":
+                seed, counts = record["seed"], record["session_batches"]
+                if seed in blocks:
+                    raise ConfigError(f"seed {seed} has a second meta line")
+                if len(counts) != len(record["session_classes"]) or min(
+                        *counts, record["eval_interval"]) < 1:
+                    raise ConfigError(f"seed {seed}'s eval_interval and "
+                                      "session_batches are not positive "
+                                      "counts, one per session")
+                opened, sequence = record, log_sequence(record)
+                blocks[seed], due = (record, []), next(sequence, None)
+                continue
+            seed = record.get("seed") if meta is None else meta["seed"]
+            got = (phase, record.get("step"))
+            if opened is None or seed != opened["seed"]:
+                raise ConfigError(f"seed {seed!r}'s {_named(got)} is "
+                                  "outside that seed's block")
+            if got != due:
+                raise ConfigError(f"seed {seed}'s {_named(got)} comes where "
+                                  f"{_named(due)} is due")
+            if phase == "session":
+                labels, step = set(record["labels"]), got[1]
+                for j, classes in enumerate(opened["session_classes"]):
+                    if j <= step and labels.isdisjoint(classes):
+                        raise ConfigError(f"session {step} record's labels "
+                                          f"hold no class of session {j}")
+            if phase == "final":
+                experts = len(opened["history"])
+                bad = [e for e in record["selections"] if not 0 <= e < experts]
+                if bad:
+                    raise ConfigError(f"final selection {bad[0]} outside "
+                                      f"0..{experts - 1}")
+            blocks[seed][1].append(record)
+            due = next(sequence, None)
+    except ConfigError as err:
+        raise ConfigError(f"{where(count)}: {err}") from err
+    return blocks
+
+
+def replay(records, meta) -> tuple[MetricsLedger, dict]:
+    """A seed's ledger rebuilt from its logged evaluations, read against its
+    meta line, and every metric those records determine, in emission order:
+    the ``seed_metrics`` suite, ``num_experts``, ``oracle_accuracy`` and,
+    when the log holds session rows, ``oracle_a_last``.  Before the final
+    record there are no metrics."""
+    session_classes, history = meta["session_classes"], meta["history"]
     ledger = MetricsLedger(len(session_classes))
     final = oracle = None
     for record in records:
-        phase = check_record(record, session_classes, len(history),
-                             EVAL_FIELDS)
+        phase = record["phase"]
         predictions, labels = record["predictions"], record["labels"]
         if phase == "anytime":
             ledger.anytime.append(accuracy(predictions, labels))

@@ -17,6 +17,13 @@ from gclstream.stream import (StreamConfig, SyntheticBackbone,
                               load_feature_file, write_feature_file)
 
 
+# The facts a meta line carries besides its seed and classes, as the tail of
+# its JSON object.
+META_FACTS = (', "eval_interval": 4, "session_batches": [5, 4, 4],'
+              ' "session_records": true, "oracle_record": false,'
+              ' "logged": true')
+
+
 def _tiny_overrides():
     """--set flags for a seconds-scale run."""
     pairs = ["stream.num_classes=6", "stream.sessions=3",
@@ -246,51 +253,66 @@ class TestMetricsCommand:
 
     @pytest.mark.parametrize("bad, why", [
         ("{not json", "not JSON"),
-        ('{"phase": "final", "seed": 9}', "seed 9 has no meta line"),
+        ('{"phase": "final", "seed": 9}',
+         "final record lacks labels, predictions, selections"),
+        ('{"phase": "final", "seed": 9, "labels": [0], "predictions": [0],'
+         ' "selections": [0]}', "seed 9's final record is outside that "
+         "seed's block"),
         ('{"seed": 1}', "not a record with a phase"),
         ("[1, 2]", "not a record with a phase"),
         ('{"phase": ["meta"], "seed": 1}', "unexpected phase ['meta']"),
-        ('{"phase": "final", "seed": [1]}', "seed [1] has no meta line"),
+        ('{"phase": "final", "seed": [1], "labels": [0], "predictions": [0],'
+         ' "selections": [0]}', "seed [1]'s final record is outside that "
+         "seed's block"),
         ('{"phase": "meta", "seed": [1], "session_classes": [[0]],'
-         ' "history": [[0]]}', "meta record's seed [1] is not an int"),
+         f' "history": [[0]]{META_FACTS}}}', "meta record's seed does not "
+         "have type int"),
         ('{"phase": "meta", "seed": 1, "session_classes": [[0]],'
-         ' "history": 5}', "meta record's history is not a list of lists of "
-         "ints"),
+         f' "history": 5{META_FACTS}}}', "meta record's history does not "
+         "have type tuple[tuple[int, ...], ...]"),
         ('{"phase": "meta", "seed": 1, "session_classes": [1, 2, 3],'
-         ' "history": [[0]]}', "meta record's session_classes is not a list "
-         "of lists of ints"),
+         f' "history": [[0]]{META_FACTS}}}', "meta record's session_classes "
+         "does not have type tuple[tuple[int, ...], ...]"),
         ('{"phase": "meta", "seed": 1, "session_classes": [[0]],'
-         ' "history": [[true]]}', "meta record's history is not a list of "
-         "lists of ints"),
+         f' "history": [[true]]{META_FACTS}}}', "meta record's history does "
+         "not have type tuple[tuple[int, ...], ...]"),
         ('{"phase": "anytime", "seed": 1}',
-         "anytime record lacks labels, predictions"),
+         "anytime record lacks step, labels, predictions"),
         ('{"phase": "meta", "seed": 1}',
-         "meta record lacks session_classes, history"),
+         "meta record lacks session_classes, history, eval_interval, "
+         "session_batches, session_records, oracle_record, logged"),
         ('{"phase": "final", "seed": 1, "labels": [0], "selections": [0]}',
          "final record lacks predictions"),
         ('{"phase": "session", "seed": 1, "labels": [0], "predictions": [0],'
-         ' "step": 99}', "session step 99 outside 0..2"),
+         ' "step": 99}', "seed 1's session record 99 comes where session "
+         "record 0 is due"),
         ('{"phase": "session", "seed": 1, "labels": [0], "predictions": [0],'
-         ' "step": -1}', "session step -1 outside 0..2"),
+         ' "step": -1}', "seed 1's session record -1 comes where session "
+         "record 0 is due"),
         # class 0 is in session 2 only
         ('{"phase": "session", "seed": 1, "labels": [0], "predictions": [0],'
-         ' "step": 1}', "session 1 record's labels hold no class of session "
+         ' "step": 0}', "session 0 record's labels hold no class of session "
          "0"),
         ('{"phase": "session", "seed": 1, "labels": [[1]], "predictions": [1],'
-         ' "step": 0}', "session record's labels hold [1], not an int"),
-        ('{"phase": "anytime", "seed": 1, "labels": [[0]], "predictions": [0]}',
-         "anytime record's labels hold [0], not an int"),
+         ' "step": 0}', "session record's labels does not have type "
+         "tuple[int, ...]"),
+        ('{"phase": "anytime", "seed": 1, "labels": [[0]], "predictions": [0],'
+         ' "step": 1}', "anytime record's labels does not have type "
+         "tuple[int, ...]"),
         ('{"phase": "final", "seed": 1, "labels": [0], "predictions": [0],'
-         ' "selections": [true]}', "final record's selections hold True, not "
-         "an int"),
+         ' "selections": [true]}', "final record's selections does not have "
+         "type tuple[int, ...]"),
         ('{"phase": "final", "seed": 1, "labels": [0], "predictions": [0],'
-         ' "selections": [99]}', "final selection 99 outside 0..2"),
+         ' "selections": [99]}', "seed 1's final record comes where session "
+         "record 0 is due"),
         ('{"phase": "anytime", "seed": 1, "labels": [0],'
-         ' "predictions": [0, 1]}',
-         "anytime record's labels, predictions are not lists of one nonzero "
+         ' "predictions": [0, 1], "step": 1}',
+         "anytime record's labels, predictions are not of one nonzero "
          "length")])
     def test_bad_prediction_line_is_a_config_error_naming_its_line(
             self, tmp_path, capsys, bad, why):
+        """Each line is inserted as line 3, where seed 1's session record 0
+        is due."""
         run_dir = self._run_once(tmp_path)
         pred_path = run_dir / "predictions.jsonl"
         lines = pred_path.read_text().splitlines()
@@ -300,15 +322,28 @@ class TestMetricsCommand:
         assert rc == 1
         assert f"predictions.jsonl:3: {why}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("steps, number, missing", [
-        ((2,), 2, 0),   # the session record of step 2 alone
-        ((0,), 3, 1),   # the final record right after step 0
+    def test_final_selection_of_no_expert_is_a_config_error(self, tmp_path,
+                                                            capsys):
+        run_dir = self._run_once(tmp_path)
+        pred_path = run_dir / "predictions.jsonl"
+        records = [json.loads(line) for line in pred_path.open()]
+        experts = len(records[0]["history"])
+        records[-1]["selections"][0] = experts
+        pred_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["metrics", "--run-dir", str(run_dir)]) == 1
+        assert (f"predictions.jsonl:{len(records)}: final selection "
+                f"{experts} outside 0..{experts - 1}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("steps, seen", [
+        ((2,), 2),   # the session record of step 2 alone
+        ((0,), 0),   # the final record right after step 0
     ])
     def test_skipped_session_step_is_a_config_error_naming_it(
-            self, tmp_path, capsys, steps, number, missing):
+            self, tmp_path, capsys, steps, seen):
         """A log cut to its meta line, some session records and its final
-        record is refused at the line where a session step goes missing,
-        not left to the metrics to trip over."""
+        record is refused at its first record, where an anytime record is
+        due, not left to the metrics to trip over."""
         run_dir = self._run_once(tmp_path)
         pred_path = run_dir / "predictions.jsonl"
         records = map(json.loads, pred_path.read_text().splitlines())
@@ -319,8 +354,8 @@ class TestMetricsCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
-        assert f"predictions.jsonl:{number}: seed 1's " in err
-        assert f"session step {missing} is missing" in err
+        assert (f"predictions.jsonl:2: seed 1's session record {seen} comes "
+                "where anytime record 1 is due") in err
 
     @pytest.mark.parametrize("bad", ["1,a_auc", "1,a_auc,high", "1,a,b,0.5"])
     def test_bad_metrics_row_is_a_config_error_naming_its_line(
@@ -363,9 +398,111 @@ def oracle_run(tmp_path_factory) -> Path:
     return next(outdir.glob("run-*"))
 
 
+@pytest.fixture(scope="module")
+def two_seed_run(tmp_path_factory) -> Path:
+    """Seeds 1 and 2 with the oracle and the session matrix on."""
+    outdir = tmp_path_factory.mktemp("two_seed_run")
+    rc = main(["run", *_tiny_overrides(), "--set", "track_oracle=true",
+               "--outdir", str(outdir), "--seeds", "1,2"])
+    assert rc == 0
+    return next(outdir.glob("run-*"))
+
+
+def _verify_cut(run_dir: Path, tmp_path: Path, cut, capsys) -> tuple:
+    """`metrics` on a copy of ``run_dir`` whose log lines ``cut`` rewrote:
+    its exit code and stderr."""
+    copy = tmp_path / run_dir.name
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(run_dir, copy)
+    pred_path = copy / "predictions.jsonl"
+    lines = cut(pred_path.read_text().splitlines())
+    pred_path.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    rc = main(["metrics", "--run-dir", str(copy)])
+    return rc, capsys.readouterr().err
+
+
+def _phase(line: str) -> str:
+    return json.loads(line)["phase"]
+
+
+def _meta_with(**facts):
+    def cut(lines):
+        return [json.dumps({**json.loads(lines[0]), **facts}), *lines[1:]]
+    return cut
+
+
+class TestCutLogs:
+    """Every reader of a log checks it as the exact record sequence its meta
+    lines give.  Seed 1's block is lines 1-9: meta, anytime 1, session 0,
+    anytime 2, session 1, anytime 3, session 2, final, oracle; seed 2's is
+    lines 10-18."""
+
+    def test_untouched_log_verifies(self, two_seed_run, tmp_path, capsys):
+        rc, err = _verify_cut(two_seed_run, tmp_path, list, capsys)
+        assert rc == 0 and err == ""
+
+    @pytest.mark.parametrize("cut, number, why", [
+        # every anytime record dropped
+        (lambda lines: [line for line in lines if _phase(line) != "anytime"],
+         2, "seed 1's session record 0 comes where anytime record 1 is due"),
+        # seed 1's final record appended twice
+        (lambda lines: [*lines, lines[7], lines[7]], 19,
+         "seed 1's final record is outside that seed's block"),
+        # seed 2's final record appended twice, in its own block
+        (lambda lines: [*lines[:17], lines[16], lines[16], lines[17]], 18,
+         "seed 2's final record comes where oracle record is due"),
+        # the meta line repeated before the final record
+        (lambda lines: [*lines[:7], lines[0], *lines[7:]], 8,
+         "seed 1's final record is missing"),
+        # the meta line, the step-2 session record and the final record
+        (lambda lines: [lines[0], lines[6], lines[7]], 2,
+         "seed 1's session record 2 comes where anytime record 1 is due"),
+        # a record after the oracle record
+        (lambda lines: [*lines[:9], lines[1], *lines[9:]], 10,
+         "seed 1's anytime record 1 comes where no record is due"),
+        # session batch counts that disagree with the records
+        (_meta_with(session_batches=[3, 6, 4]), 2,
+         "seed 1's anytime record 1 comes where session record 0 is due"),
+        (_meta_with(session_batches=[5, 4]), 1,
+         "seed 1's eval_interval and session_batches are not positive "
+         "counts, one per session"),
+        (_meta_with(oracle_record=False), 9,
+         "seed 1's oracle record comes where no record is due"),
+        (lambda lines: lines[:-1], 18, "seed 2's oracle record is missing"),
+    ])
+    def test_cut_log_is_a_config_error_naming_line_and_seed(
+            self, two_seed_run, tmp_path, capsys, cut, number, why):
+        rc, err = _verify_cut(two_seed_run, tmp_path, cut, capsys)
+        assert rc == 1 and "Traceback" not in err
+        assert err.startswith("config error: ")
+        assert err.endswith(f"predictions.jsonl:{number}: {why}\n")
+
+    @pytest.mark.parametrize("mutation", ["delete", "duplicate", "swap"])
+    def test_every_single_record_mutant_is_refused_at_its_line(
+            self, two_seed_run, tmp_path, capsys, mutation):
+        """Deleting a line refuses the line that takes its place (or the
+        end of the log); a duplicate is refused at its copy; two swapped
+        neighbours at the first of them."""
+        count = len((two_seed_run / "predictions.jsonl").read_text()
+                    .splitlines())
+        for i in range(count - (mutation == "swap")):
+            cut, number = {
+                "delete": (lambda lines: lines[:i] + lines[i + 1:], i + 1),
+                "duplicate": (lambda lines: lines[:i + 1] + lines[i:], i + 2),
+                "swap": (lambda lines: [*lines[:i], lines[i + 1], lines[i],
+                                        *lines[i + 2:]], i + 1),
+            }[mutation]
+            rc, err = _verify_cut(two_seed_run, tmp_path, cut, capsys)
+            assert rc == 1, (mutation, i)
+            assert f"predictions.jsonl:{number}: seed " in err, (
+                mutation, i, err)
+
+
 class TestMetricsFamilies:
     """`metrics` compares every value the log determines exactly: one ulp
-    off in any of them is a MISMATCH (exit 2); CKA rows are not checked."""
+    off in any of them is a MISMATCH (exit 2); it names each stored row it
+    did not check, CKA rows among them."""
 
     @staticmethod
     def _nudge(run_dir: Path, tmp_path: Path, metric: str) -> Path:
@@ -383,9 +520,14 @@ class TestMetricsFamilies:
 
     def test_clean_run_checks_ten_values_exactly(self, oracle_run, capsys):
         assert main(["metrics", "--run-dir", str(oracle_run)]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert [line.split()[2][:-1] for line in out] == list(RECOMPUTED)
-        assert all(line.endswith("[ok]") for line in out)
+        *checked, unchecked = capsys.readouterr().out.splitlines()
+        assert [line.split()[2][:-1] for line in checked] == list(RECOMPUTED)
+        assert all(line.endswith("[ok]") for line in checked)
+        stored = [line.split(",")[1] for line in
+                  (oracle_run / "metrics.csv").read_text().splitlines()
+                  if line.startswith("1,")]
+        assert unchecked == "seed 1 unchecked: " + ", ".join(
+            m for m in stored if m not in RECOMPUTED)
 
     @pytest.mark.parametrize("metric", RECOMPUTED)
     def test_one_ulp_off_is_a_mismatch(self, oracle_run, tmp_path, capsys,
@@ -401,7 +543,30 @@ class TestMetricsFamilies:
         run_dir = self._nudge(oracle_run, tmp_path, "cka_0_1")
         assert main(["metrics", "--run-dir", str(run_dir)]) == 0
         out = capsys.readouterr().out
-        assert "MISMATCH" not in out and "cka" not in out
+        assert "MISMATCH" not in out
+        assert [line for line in out.splitlines() if "cka_0_1" in line] == [
+            line for line in out.splitlines()
+            if line.startswith("seed 1 unchecked: ")]
+
+    def test_rows_the_log_does_not_determine_are_named(self, tmp_path,
+                                                       capsys):
+        """A run tracking a baseline: its routing accuracy and every session
+        size are stored and named unchecked, seed by seed."""
+        assert main(["run", *_tiny_overrides(), "--set",
+                     'track_baselines=["prototype"]', "--outdir",
+                     str(tmp_path), "--seeds", "1,2"]) == 0
+        capsys.readouterr()
+        run_dir = next(tmp_path.glob("run-*"))
+        assert main(["metrics", "--run-dir", str(run_dir)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if " unchecked: " in line]
+        assert [line.split()[1] for line in lines] == ["1", "2"]
+        for line in lines:
+            names = line.split(": ")[1].split(", ")
+            assert "routing_accuracy_prototype" in names
+            assert {"session_size_0", "session_size_1",
+                    "session_size_2"} <= set(names)
+            assert not set(names) & set(RECOMPUTED)
 
 
 class TestExitCodes:
@@ -456,6 +621,27 @@ class TestExitCodes:
         assert rc == 1 and "Traceback" not in err
         assert names in err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("option, refusal", [
+        ("--seeds", "need at least one seed"),
+        ("--config", "config file not found: ''"),
+        ("--outdir", None)])
+    def test_empty_option_is_taken_as_given(self, tmp_path, monkeypatch,
+                                            capsys, option, refusal):
+        """An empty ``--seeds`` or ``--config`` is refused, not read as
+        absent; an empty ``--outdir`` puts the run directory in the working
+        directory, as ``--set outdir=`` does."""
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", *_tiny_overrides(), "--seeds", "1", "--outdir",
+                   "out", option, ""])
+        err = capsys.readouterr().err
+        written = sorted(p.name for p in tmp_path.iterdir())
+        if refusal is None:
+            assert rc == 0 and len(written) == 1
+            assert written[0].startswith("run-")
+        else:
+            assert rc == 1 and "Traceback" not in err and refusal in err
+            assert written == []
 
     def test_gen_features_refuses_keys_outside_the_stream(self, tmp_path,
                                                           capsys):

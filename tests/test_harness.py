@@ -320,9 +320,9 @@ class TestSeedRuns:
     def test_ledger_is_the_replay_of_the_log(self):
         """The ledger is read from the prediction log, never written."""
         metrics, state = run_seed(_fast(track_oracle=True), 1)
-        ledger, replayed = replay(state.predictions_log,
-                                  state.schedule.session_classes,
-                                  state.pool.trained_classes)
+        ledger, replayed = replay(state.predictions_log, {
+            "session_classes": state.schedule.session_classes,
+            "history": state.pool.trained_classes})
         np.testing.assert_array_equal(state.ledger.session_matrix,
                                       ledger.session_matrix)
         assert state.ledger.anytime == ledger.anytime
@@ -755,6 +755,10 @@ TAMPERED = {
     "session_1_without_a_row_of_session_0": (
         "predictions_log", _edit_log(lambda log: log[0].update(
             phase="session", step=1, labels=[0], predictions=[0]))),
+    # no session holds class 999
+    "session_0_without_a_row_of_session_0": (
+        "predictions_log", _edit_log(lambda log: log[1].update(
+            labels=[999], predictions=[999]))),
     "label_that_is_a_list": ("predictions_log", _edit_log(
         lambda log: log[0]["labels"].__setitem__(0, [0]))),
     "labels_shorter_than_predictions": ("predictions_log", _edit_log(
@@ -788,6 +792,35 @@ def test_checkpoint_that_does_not_fit_the_config_is_refused(tmp_path, case):
     _write(path, entries)
     with pytest.raises(ConfigError, match=rf"ck\.npz: .*\b{entry}\b"):
         resume(path, config)
+
+
+def _mutants(log: list):
+    """Each single-record mutation of ``log`` (a record deleted or
+    duplicated, or two neighbours swapped), with the index of the first
+    record the mutant does not hold where ``log`` does."""
+    for i in range(len(log)):
+        yield log[:i] + log[i + 1:], i
+        yield log[:i + 1] + log[i:], i + 1
+        if i + 1 < len(log):
+            yield [*log[:i], log[i + 1], log[i], *log[i + 2:]], i
+
+
+def test_every_single_record_mutant_of_a_checkpoint_log_is_refused(
+        tmp_path):
+    """``resume`` reads a checkpoint's log through ``metrics.check_log``,
+    the checker of ``gclstream metrics``: each mutant of a log at the end of
+    the stream is refused at its record, and the untouched log resumes."""
+    config, path = _fast(), tmp_path / "ck.npz"
+    state = _checkpoint_at(config, len(SeedRunState(config, 1).schedule
+                                       .batches), path)
+    entries = _read(path)
+    assert len(state.predictions_log) == 6
+    assert resume(path, config).predictions_log == state.predictions_log
+    for log, index in _mutants(state.predictions_log):
+        _write(path, {**entries, "predictions_log": json.dumps(log)})
+        with pytest.raises(ConfigError, match=rf"ck\.npz: predictions_log "
+                           rf"record {index}: seed 1's "):
+            resume(path, config)
 
 
 # Every entry of a checkpoint of _fast's stream (M=64, d=8, 6 classes) with
@@ -1188,8 +1221,8 @@ class TestAblate:
             "decays": ["online_only", "0.9", "0.99", "0.999", "0.9+0.99",
                        "0.9+0.99+0.999"],
             "mask": ["none", "random", "seen_class", "batch_seen_class"],
-            "routing_alg": ["ridge", "prototype", "naive_bayes", "kmeans",
-                            "trained_shallow", "oracle"],
+            "routing_alg": ["ridge", "latest", "prototype", "naive_bayes",
+                            "kmeans", "trained_shallow", "oracle"],
             "M_sweep": ["M64", "M256", "M1024", "M4096"],
             "lambda_sweep": ["lam100", "lam1000", "lam10000", "lam100000"],
             "rd_sweep": ["rd0", "rd0.5", "rd1"],

@@ -5,8 +5,9 @@ import pytest
 
 from gclstream.errors import ConfigError
 from gclstream.metrics import (
-    EVAL_FIELDS, MetricsLedger, a_auc, a_avg, a_last, accuracy, adapter_cka,
-    bwt, f_last, replay, routing_accuracy, seed_metrics,
+    RECORD_FIELDS, MetricsLedger, a_auc, a_avg, a_last, accuracy, adapter_cka,
+    bwt, check_log, expected_records, f_last, log_sequence, replay,
+    routing_accuracy, seed_metrics,
 )
 
 from oracles import (
@@ -219,21 +220,24 @@ class TestLedger:
 
 
 def _record(phase, predictions, labels, step=None, selections=None):
-    return {"phase": phase, "step": step, "ids": list(range(len(labels))),
+    return {"phase": phase, "seed": 1, "step": step,
+            "ids": list(range(len(labels))),
             "labels": labels, "predictions": predictions,
             "selections": selections or [0] * len(labels)}
 
 
 class TestReplay:
-    """Two sessions: classes {0, 1} then {2}; expert 0 trained 0 and 1,
-    expert 1 trained 2."""
+    """Two sessions of one batch each: classes {0, 1} then {2}; expert 0
+    trained 0 and 1, expert 1 trained 2; an evaluation after every batch."""
 
-    SESSIONS = [{0, 1}, {2}]
-    HISTORY = [{0, 1}, {2}]
+    META = {"phase": "meta", "seed": 1, "session_classes": [[0, 1], [2]],
+            "history": [[0, 1], [2]], "eval_interval": 1,
+            "session_batches": [1, 1], "session_records": True,
+            "oracle_record": True, "logged": True}
     LOG = [
-        _record("anytime", [0, 1, 0], [0, 1, 1]),
+        _record("anytime", [0, 1, 0], [0, 1, 1], step=1),
         _record("session", [0, 1, 0], [0, 1, 1], step=0),
-        _record("anytime", [0, 0, 2, 2], [0, 1, 2, 2]),
+        _record("anytime", [0, 0, 2, 2], [0, 1, 2, 2], step=2),
         _record("session", [0, 0, 2, 2], [0, 1, 2, 2], step=1),
         _record("final", [0, 0, 2, 2], [0, 1, 2, 2],
                 selections=[0, 1, 1, 1]),
@@ -242,7 +246,7 @@ class TestReplay:
     ]
 
     def test_rebuilds_the_ledger_and_every_logged_metric_in_order(self):
-        ledger, metrics = replay(self.LOG, self.SESSIONS, self.HISTORY)
+        ledger, metrics = replay(self.LOG, self.META)
         np.testing.assert_array_equal(ledger.anytime, [2 / 3, 0.75])
         np.testing.assert_array_equal(ledger.session_matrix,
                                       [[2 / 3, nan], [0.5, 1.0]])
@@ -258,48 +262,149 @@ class TestReplay:
                                       "oracle_a_last"]
 
     def test_before_the_final_record_there_are_no_metrics(self):
-        ledger, metrics = replay(self.LOG[:4], self.SESSIONS, self.HISTORY)
+        ledger, metrics = replay(self.LOG[:4], self.META)
         assert metrics == {} and ledger.routing_attempts == 0
         assert len(ledger.anytime) == 2
 
     def test_oracle_a_last_needs_session_rows(self):
         log = [r for r in self.LOG if r["phase"] != "session"]
-        _, metrics = replay(log, self.SESSIONS, self.HISTORY)
+        _, metrics = replay(log, self.META)
         assert "oracle_accuracy" in metrics and "a_last" not in metrics
         assert "oracle_a_last" not in metrics
 
+    def _check(self, log):
+        """``check_log`` on the seed's log, given its meta line."""
+        return check_log(log, "record {}".format, self.META)
+
+    def test_the_log_is_the_sequence_its_meta_line_gives(self):
+        assert list(log_sequence(self.META)) == [
+            (r["phase"], r["step"]) for r in self.LOG]
+        assert self._check(self.LOG) == {1: (self.META, self.LOG)}
+        assert check_log([self.META, *self.LOG], "line {}".format) == {
+            1: (self.META, self.LOG)}
+
     @pytest.mark.parametrize("phase, field", [
-        (phase, field) for phase, fields in EVAL_FIELDS.items()
+        (phase, field) for phase, fields in RECORD_FIELDS.items()
         for field in fields])
     def test_record_without_a_field_its_phase_reads_is_refused(self, phase,
                                                                field):
-        log = [dict(r) for r in self.LOG]
-        record = next(r for r in log if r["phase"] == phase)
-        del record[field]
-        with pytest.raises(ConfigError, match=rf"{phase} record lacks {field}"):
-            replay(log, self.SESSIONS, self.HISTORY)
+        log = [dict(r) for r in [self.META, *self.LOG]]
+        index = next(i for i, r in enumerate(log) if r["phase"] == phase)
+        del log[index][field]
+        with pytest.raises(ConfigError, match=rf"^line {index}: "
+                           rf"{phase} record lacks {field}$"):
+            check_log(log, "line {}".format)
 
     @pytest.mark.parametrize("index, edit, why", [
-        (1, {"step": 2}, "session step 2 outside 0..1"),
-        (1, {"step": -1}, "session step -1 outside 0..1"),
-        (1, {"step": 0.0}, "session step 0.0 outside 0..1"),
+        (1, {"step": 2}, "seed 1's session record 2 comes where session "
+                         "record 0 is due"),
+        (1, {"step": -1}, "session record -1 comes where session record 0"),
+        (1, {"step": 0.0}, "session record's step does not have type int"),
+        (1, {"step": True}, "session record's step does not have type int"),
         (4, {"selections": [0, 1, 2, 1]}, "final selection 2 outside 0..1"),
         (0, {"labels": [0, 1]}, "anytime record's labels, predictions are "
-                                "not lists of one nonzero length"),
+                                "not of one nonzero length"),
         (4, {"selections": [0, 1]}, "final record's labels, predictions, "
-                                    "selections are not lists"),
-        (5, {"labels": 7}, "oracle record's labels, predictions are not"),
+                                    "selections are not of one nonzero"),
+        (5, {"labels": 7}, r"oracle record's labels does not have type "
+                           r"tuple\[int, \.\.\.\]"),
+        (0, {"labels": [[0], 1, 1]}, "anytime record's labels does not have"),
         (2, {"labels": [], "predictions": []}, "one nonzero length"),
+        (3, {"labels": [0, 1, 0, 1]}, "session 1 record's labels hold no "
+                                      "class of session 1"),
+        (0, {"phase": "session", "step": 0}, "session record 0 comes where "
+                                             "anytime record 1 is due"),
+        (4, {"step": 2}, "final record 2 comes where final record is due"),
     ])
     def test_record_that_replay_would_misread_is_refused(self, index, edit,
                                                          why):
         log = [dict(r) for r in self.LOG]
         log[index].update(edit)
-        with pytest.raises(ConfigError, match=why):
-            replay(log, self.SESSIONS, self.HISTORY)
+        with pytest.raises(ConfigError, match=rf"^record {index}: .*{why}"):
+            self._check(log)
 
     @pytest.mark.parametrize("phase", ["meta", "train", None])
     def test_record_of_another_phase_is_refused(self, phase):
         log = [*self.LOG, {**self.LOG[0], "phase": phase}]
-        with pytest.raises(ConfigError, match="unexpected phase"):
-            replay(log, self.SESSIONS, self.HISTORY)
+        with pytest.raises(ConfigError, match="^record 6: unexpected phase"):
+            self._check(log)
+
+    @pytest.mark.parametrize("cut, why", [
+        (lambda log: log[:-1], "record 5: seed 1's oracle record is missing"),
+        (lambda log: [*log, log[-1]], "record 6: seed 1's oracle record "
+                                      "comes where no record is due"),
+        (lambda log: [r for r in log if r["phase"] != "anytime"],
+         "record 0: seed 1's session record 0 comes where anytime record 1 "
+         "is due")])
+    def test_log_that_is_not_the_sequence_due_is_refused(self, cut, why):
+        with pytest.raises(ConfigError, match=f"^{why}$"):
+            self._check(cut(self.LOG))
+
+    @pytest.mark.parametrize("edit, why", [
+        ({"session_batches": [1]}, "are not positive counts, one per session"),
+        ({"session_batches": [1, 0]}, "are not positive counts"),
+        ({"eval_interval": 0}, "are not positive counts"),
+        ({"logged": 1}, "meta record's logged does not have type bool"),
+        ({"seed": [1]}, "meta record's seed does not have type int"),
+        ({"history": [[0], 1]}, "meta record's history does not have type "
+                                "tuple"),
+        ({"session_batches": [2, 1]}, "line 2: seed 1's session record 0 "
+                                      "comes where anytime record 2 is due"),
+        ({"oracle_record": False}, "line 6: seed 1's oracle record comes "
+                                   "where no record is due"),
+        ({"logged": False}, "line 1: seed 1's anytime record 1 comes where "
+                            "no record is due"),
+    ])
+    def test_meta_line_that_does_not_give_the_log_is_refused(self, edit, why):
+        with pytest.raises(ConfigError, match=why):
+            check_log([{**self.META, **edit}, *self.LOG], "line {}".format)
+
+    def test_blocks_of_a_file_follow_one_another(self):
+        """A block ends with its last record due: a second meta line for a
+        seed, or a record of an earlier seed's, is refused at its line."""
+        second = {**self.META, "seed": 2}
+        log = [self.META, *self.LOG, second,
+               *({**r, "seed": 2} for r in self.LOG)]
+        assert list(check_log(log, "line {}".format)) == [1, 2]
+        with pytest.raises(ConfigError, match="^line 7: seed 1 has a second "
+                           "meta line$"):
+            check_log([self.META, *self.LOG, self.META], "line {}".format)
+        with pytest.raises(ConfigError, match="^line 8: seed 1's anytime "
+                           "record 1 is outside that seed's block$"):
+            check_log([self.META, *self.LOG, second, self.LOG[0]],
+                      "line {}".format)
+
+
+class TestRecordSequence:
+    """``expected_records`` and ``log_sequence``, from the facts of a meta
+    line: sessions of 5, 4 and 4 batches, an anytime point every 4."""
+
+    META = {"eval_interval": 4, "session_batches": [5, 4, 4],
+            "session_records": True, "oracle_record": False, "logged": True}
+
+    def test_each_batch_logs_its_anytime_point_and_session_end(self):
+        assert [expected_records(self.META, done) for done in (4, 5, 8, 9,
+                                                                12, 13)] == [
+            [("anytime", 1)], [("session", 0)], [("anytime", 2)],
+            [("session", 1)], [("anytime", 3)], [("session", 2)]]
+        assert expected_records({**self.META, "eval_interval": 1}, 5) == [
+            ("anytime", 5), ("session", 0)]
+        assert expected_records({**self.META, "session_records": False},
+                                5) == []
+
+    def test_the_sequence_is_every_batch_records_in_order(self):
+        per_batch = [r for done in range(1, 14)
+                     for r in expected_records(self.META, done)]
+        assert list(log_sequence(self.META, done=13)) == per_batch
+        assert list(log_sequence(self.META)) == [*per_batch, ("final", None)]
+        assert list(log_sequence(self.META, done=7)) == per_batch[:2]
+        assert list(log_sequence({**self.META, "logged": False})) == []
+        assert list(log_sequence({**self.META, "logged": False}, 7)) == (
+            per_batch[:2])
+
+    def test_only_batches_where_an_evaluation_may_fall_are_visited(self):
+        """A meta line claiming 10^15 batches costs no walk over them."""
+        meta = {**self.META, "eval_interval": 10**15,
+                "session_batches": [10**15 - 1, 1]}
+        assert list(log_sequence(meta)) == [
+            ("session", 0), ("anytime", 1), ("session", 1), ("final", None)]

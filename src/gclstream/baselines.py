@@ -378,7 +378,8 @@ class ShallowRouter(_Baseline):
         self.iters = iters
         rng = np.random.default_rng(
             np.random.SeedSequence([seed, TAG_SHALLOW]))
-        self.W1 = rng.standard_normal((hidden, M)) / np.sqrt(M)
+        self.W1 = rng.standard_normal((hidden, M))
+        self.W1 /= np.sqrt(M)
         self.b1 = np.zeros(hidden)
         self.W2 = np.zeros((num_experts, hidden))
         self.b2 = np.zeros(num_experts)

@@ -3,7 +3,8 @@
 Subcommands: ``run`` a configured experiment over its seed list; ``ablate``
 one axis with everything else fixed; ``gen-features`` to export the synthetic
 backbone as a feature file; ``metrics`` to recompute a run's metrics from its
-logged predictions and check them against the stored CSV.
+logged predictions and check them against the stored CSV, and its config
+hash against the stored config.
 
 Configuration comes from an optional JSON file plus repeated ``--set
 key=value`` overrides (dotted keys reach into the stream block; CLI wins).
@@ -20,8 +21,8 @@ from pathlib import Path
 
 from .errors import ConfigError, NumericalError, parse_json
 from .harness import (ABLATION_AXES, RunConfig, ablate, apply_overrides,
-                      config_from_dict, config_to_dict, dataclass_from_dict,
-                      desk_config, merge_config, run)
+                      config_dict_hash, config_from_dict, config_to_dict,
+                      dataclass_from_dict, desk_config, merge_config, run)
 from .metrics import check_log, replay
 from .stream import StreamConfig, SyntheticBackbone, write_feature_file
 
@@ -103,6 +104,25 @@ def _cmd_gen_features(args) -> int:
     return 0
 
 
+def _check_config_hash(run_dir: Path) -> int:
+    """Print whether config.json's ``config_hash`` is the hash of its
+    ``config``; returns 1 on a mismatch, else 0."""
+    path = run_dir / "config.json"
+    if not path.exists():
+        print("config_hash: not checked, no config.json")
+        return 0
+    payload = parse_json(path.read_text(), str(path))
+    if not (isinstance(payload, dict)
+            and isinstance(payload.get("config"), dict)
+            and isinstance(payload.get("config_hash"), str)):
+        raise ConfigError(f"{path}: holds no config and config_hash")
+    stored = payload["config_hash"]
+    value = config_dict_hash(payload["config"])
+    print(f"config_hash {stored[:12]}: the config hashes to {value[:12]} "
+          f"[{'ok' if value == stored else 'MISMATCH'}]")
+    return int(value != stored)
+
+
 def _cmd_metrics(args) -> int:
     run_dir = Path(args.run_dir)
     pred_path = run_dir / "predictions.jsonl"
@@ -125,7 +145,7 @@ def _cmd_metrics(args) -> int:
                 raise ConfigError(f"{metrics_path}:{number}: not "
                                   f"seed,metric,value ({err})") from err
 
-    mismatches = 0
+    mismatches = _check_config_hash(run_dir)
     for seed, (meta, records) in sorted(blocks.items()):
         rows = stored.get(str(seed), {})
         for metric, value in replay(records, meta)[1].items():
@@ -140,8 +160,8 @@ def _cmd_metrics(args) -> int:
         if seed not in ("mean", "std") and rows:
             print(f"seed {seed} unchecked: {', '.join(rows)}")
     if mismatches:
-        raise NumericalError(f"{mismatches} stored metrics differ from "
-                             "those the logged predictions give")
+        raise NumericalError(f"{mismatches} stored values differ from "
+                             "those recomputed from the run directory")
     return 0
 
 

@@ -27,10 +27,18 @@ def _gaussian_columns(d: int, M: int, seed: int) -> np.ndarray:
     column's key restarts it exactly as a new generator with that key would
     start, without building a generator (and seeding it from OS entropy
     only to override it) per column.
+
+    The written-back state holds Python ints, not the uint64 arrays the
+    getter returns: the setter converts each of its ten words to C on
+    every write, and a numpy uint64 scalar costs several times what an int
+    does to convert.  The first generator is keyed through a uint64 array,
+    so a seed outside 0..2**64-1 is refused.
     """
     bg = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bg)
     fresh = bg.state
+    fresh["state"] = {name: a.tolist() for name, a in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     cols = np.empty((M, d), dtype=np.float64)
     for j in range(M):

@@ -126,8 +126,11 @@ class RunConfig:
         if not all(a < b for a, b in zip(bounded, bounded[1:])):
             raise ConfigError("ema_decays must increase strictly inside "
                               f"(0, 1), got {list(self.ema_decays)}")
-        if self.spawn_budget < 1 or (self.expansion_seed or 0) < 0:
-            raise ConfigError("spawn_budget must be >= 1; expansion_seed >= 0")
+        if self.spawn_budget < 1:
+            raise ConfigError("spawn_budget must be >= 1")
+        if not 0 <= (self.expansion_seed or 0) < 2**64:  # the Philox key
+            raise ConfigError(f"expansion_seed {self.expansion_seed} must "
+                              "lie in 0..2**64-1")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if not all(0 <= s < 2**63 for s in self.seeds):  # a checkpoint's int64
@@ -178,8 +181,14 @@ def dataclass_from_dict(cls, data, prefix: str = ""):
 
 def config_hash(config: RunConfig) -> str:
     """Identity of the run's science; where results land does not matter."""
-    content = config_to_dict(config)
-    content.pop("outdir")
+    return config_dict_hash(config_to_dict(config))
+
+
+def config_dict_hash(content: dict) -> str:
+    """``config_hash`` of a config given as plain data, such as the
+    ``config`` that config.json stores."""
+    content = {key: value for key, value in content.items()
+               if key != "outdir"}
     blob = json.dumps(content, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -647,15 +656,26 @@ def _write_outputs(config: RunConfig, per_seed: dict, states: dict,
     return mean, std
 
 
-def run(config: RunConfig) -> RunResult:
-    """Execute every seed and emit the run directory; pure in config."""
+def _load_source(config: RunConfig) -> FeatureSource | None:
+    """The parsed feature file of ``config.stream``, None for a synthetic
+    stream."""
+    feature_file = config.stream.feature_file
+    return load_feature_file(feature_file) if feature_file else None
+
+
+def run(config: RunConfig, source: FeatureSource | None = None) -> RunResult:
+    """Execute every seed and emit the run directory; pure in config.
+
+    ``source`` is the parsed feature file when the caller has read it
+    already; by default the file, if the stream names one, is parsed here.
+    """
     chash = config_hash(config)
     run_dir = Path(config.outdir) / f"run-{chash[:12]}"
     per_seed: dict[int, dict] = {}
     records: dict[int, SeedRecord] = {}
     timing: dict[str, float] = {}
-    feature_file = config.stream.feature_file
-    source = load_feature_file(feature_file) if feature_file else None
+    if source is None:
+        source = _load_source(config)
     for seed in config.seeds:
         started = time.perf_counter()
         state = _train(SeedRunState(config, seed, source))
@@ -715,15 +735,20 @@ ABLATION_AXES = tuple(ABLATIONS)
 
 
 def ablate(config: RunConfig, axis: str):
-    """Sweep one axis with everything else fixed; emits a combined CSV."""
+    """Sweep one axis with everything else fixed; emits a combined CSV.
+
+    No axis changes the stream's feature file, ``d`` or ``num_classes``, so
+    a feature file is parsed once and handed to every cell's run.
+    """
     if axis not in ABLATIONS:
         raise ConfigError(
             f"unknown ablation axis {axis!r}; choose from {ABLATION_AXES}")
     base_out = Path(config.outdir) / f"ablate_{axis}"
+    source = _load_source(config)
     results = []
     lines = ["cell,seed,metric,value"]
     for name, cell_config in ABLATIONS[axis](config):
-        result = run(replace(cell_config, outdir=str(base_out)))
+        result = run(replace(cell_config, outdir=str(base_out)), source)
         results.append((name, result))
         lines += _metric_rows(f"{name},", result.config.seeds,
                               result.per_seed, result.mean, result.std)

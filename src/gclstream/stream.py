@@ -309,6 +309,10 @@ def build_schedule(config: StreamConfig, source) -> SessionSchedule:
     All randomness comes from one generator seeded by (seed, TAG_STREAM),
     consumed in a fixed order (partition, then per-class splits ascending,
     then per-session shuffles), so equal configs give identical schedules.
+    Sample ids and labels become Python ints through one ``tolist`` per
+    array rather than one ``int`` per sample; the blurry scatter still draws
+    one ``rng.integers`` per sample, since a vector draw would consume the
+    stream differently and change every schedule.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, TAG_STREAM]))
@@ -333,19 +337,19 @@ def build_schedule(config: StreamConfig, source) -> SessionSchedule:
     session_lists: list[list[int]] = [[] for _ in range(T)]
     home: dict[int, int] = dict(disjoint_map)
     for c, t in sorted(disjoint_map.items()):
-        session_lists[t].extend(int(i) for i in train_by_class[c])
+        session_lists[t].extend(train_by_class[c].tolist())
     for c in blurry:
         train = train_by_class[c]
         h = int(rng.integers(T))
         home[c] = h
         want = math.ceil(config.blurry_ratio * len(per_class[c]))
         k = 0 if T == 1 else min(want, len(train))
-        for i in train[:k]:
+        for i in train[:k].tolist():
             other = int(rng.integers(T - 1))
             if other >= h:
                 other += 1
-            session_lists[other].append(int(i))
-        session_lists[h].extend(int(i) for i in train[k:])
+            session_lists[other].append(i)
+        session_lists[h].extend(train[k:].tolist())
 
     sessions = []
     session_classes = []
@@ -356,7 +360,7 @@ def build_schedule(config: StreamConfig, source) -> SessionSchedule:
                 f"classes/samples or fewer sessions")
         order = rng.permutation(np.array(session_lists[t], dtype=np.int64))
         sessions.append(order)
-        session_classes.append(set(int(l) for l in source.labels[order]))
+        session_classes.append(set(source.labels[order].tolist()))
 
     batches = []
     for t, ids in enumerate(sessions):

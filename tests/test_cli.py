@@ -247,6 +247,44 @@ class TestMetricsCommand:
         assert rc == 2
         assert "MISMATCH" in capsys.readouterr().out
 
+    def test_config_one_ulp_off_its_hash_is_a_mismatch(self, tmp_path,
+                                                       capsys):
+        """config.json's config_hash must be the hash of its config: a
+        one-ulp edit to lam is a MISMATCH (exit 2), the metrics still ok."""
+        run_dir = self._run_once(tmp_path)
+        path = run_dir / "config.json"
+        payload = json.loads(path.read_text())
+        payload["config"]["lam"] = float(np.nextafter(payload["config"]["lam"],
+                                                      np.inf))
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        capsys.readouterr()
+        assert main(["metrics", "--run-dir", str(run_dir)]) == 2
+        out = capsys.readouterr().out
+        flagged = [line for line in out.splitlines() if "MISMATCH" in line]
+        assert len(flagged) == 1 and flagged[0].startswith("config_hash ")
+        assert "[ok]" in out
+
+    @pytest.mark.parametrize("text", ["[1]", '{"config": {}}',
+                                      '{"config": 1, "config_hash": "a"}'])
+    def test_config_json_without_config_and_hash_is_a_config_error(
+            self, tmp_path, capsys, text):
+        run_dir = self._run_once(tmp_path)
+        (run_dir / "config.json").write_text(text)
+        capsys.readouterr()
+        assert main(["metrics", "--run-dir", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "config.json" in err
+
+    def test_run_without_config_json_says_the_hash_was_not_checked(
+            self, tmp_path, capsys):
+        run_dir = self._run_once(tmp_path)
+        (run_dir / "config.json").unlink()
+        capsys.readouterr()
+        assert main(["metrics", "--run-dir", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "config_hash: not checked, no config.json"
+        assert "MISMATCH" not in out
+
     def test_missing_predictions_is_a_config_error(self, tmp_path):
         rc = main(["metrics", "--run-dir", str(tmp_path)])
         assert rc == 1
@@ -520,7 +558,8 @@ class TestMetricsFamilies:
 
     def test_clean_run_checks_ten_values_exactly(self, oracle_run, capsys):
         assert main(["metrics", "--run-dir", str(oracle_run)]) == 0
-        *checked, unchecked = capsys.readouterr().out.splitlines()
+        hashed, *checked, unchecked = capsys.readouterr().out.splitlines()
+        assert hashed.startswith("config_hash ") and hashed.endswith("[ok]")
         assert [line.split()[2][:-1] for line in checked] == list(RECOMPUTED)
         assert all(line.endswith("[ok]") for line in checked)
         stored = [line.split(",")[1] for line in
@@ -609,7 +648,8 @@ class TestExitCodes:
         (["--config", "{not json"], "not JSON"),
         (["--config", "[1, 2]"], "holds no JSON object"),
         (["--seeds", "1,a"], "--seeds '1,a'"),
-        (["--seeds", "1,1"], "seeds repeat 1")])
+        (["--seeds", "1,1"], "seeds repeat 1"),
+        (["--set", "expansion_seed=18446744073709551616"], "expansion_seed")])
     def test_bad_run_input_exits_one_naming_it(self, tmp_path, capsys, args,
                                                names):
         if args[0] == "--config":

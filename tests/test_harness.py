@@ -147,6 +147,7 @@ class TestConfigIdentity:
         ("ema_decays", [0.9, 1.0]),
         ("spawn_budget", 0),
         ("expansion_seed", -1),
+        ("expansion_seed", 2**64),  # the Philox key is two uint64 words
         ("stream", {"seed": 7}),  # each run seed seeds its own stream
         ("stream", {"holdout_fraction": 0.0}),  # nothing left to evaluate
         ("stream", {"foo": 1}),
@@ -185,6 +186,7 @@ class TestConfigIdentity:
     @pytest.mark.parametrize("key, value", [
         ("ema_decays", []), ("ema_decays", [0.5]), ("spawn_budget", 1),
         ("expansion_seed", 0), ("expansion_seed", None),
+        ("expansion_seed", 2**64 - 1),
         ("activation", "tanh"), ("lam", 100), ("lr", np.float64(0.01)),
         ("M", np.int64(32))])
     def test_field_at_its_domain_edge_is_accepted(self, key, value):
@@ -1207,6 +1209,16 @@ class TestAblate:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigError):
             ablate(_fast(), "optimizer")
+
+    def test_a_feature_file_is_parsed_once_per_ablation(self, tmp_path,
+                                                        monkeypatch):
+        """No axis changes the feature file, d or num_classes, so ablate
+        parses the file once for all four mask cells."""
+        config = _feature_file_config(tmp_path, outdir=str(tmp_path),
+                                      log_predictions=False)
+        calls = _count_parses(monkeypatch, harness, stream_module)
+        assert len(ablate(config, "mask")) == 4
+        assert calls == [config.stream.feature_file]
 
     def test_every_axis_lists_its_cells_without_running(self):
         config = _fast()

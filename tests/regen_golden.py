@@ -56,6 +56,9 @@ CONFIGS = {
     # At M=2 about a fifth of the held-out rows expand to zero and score 0
     # for every expert, so the ridge router's tie rule (lowest id) picks.
     "ridge_ties_M2": ((1, 2), {}, {"M": 2}),
+    # No session records: seed 1's stream has 13 batches, so its last batch
+    # logs no anytime record either and its final inference stands alone.
+    "final_alone": ((1, 2), {}, {"eval_session_matrix": False}),
 }
 
 

@@ -3,8 +3,9 @@
 Subcommands: ``run`` a configured experiment over its seed list; ``ablate``
 one axis with everything else fixed; ``gen-features`` to export the synthetic
 backbone as a feature file; ``metrics`` to recompute a run's metrics from its
-logged predictions and check them against the stored CSV, and its config
-hash against the stored config.
+logged predictions and check them against the stored CSV, its config hash
+against the stored config, and a ``run-<12 hex>`` directory name against
+that hash.
 
 Configuration comes from an optional JSON file plus repeated ``--set
 key=value`` overrides (dotted keys reach into the stream block; CLI wins).
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -106,7 +108,8 @@ def _cmd_gen_features(args) -> int:
 
 def _check_config_hash(run_dir: Path) -> int:
     """Print whether config.json's ``config_hash`` is the hash of its
-    ``config``; returns 1 on a mismatch, else 0."""
+    ``config`` and, for a directory named ``run-<12 hex>`` as ``run`` names
+    it, whether those are the hash's first 12; returns the mismatches."""
     path = run_dir / "config.json"
     if not path.exists():
         print("config_hash: not checked, no config.json")
@@ -120,7 +123,14 @@ def _check_config_hash(run_dir: Path) -> int:
     value = config_dict_hash(payload["config"])
     print(f"config_hash {stored[:12]}: the config hashes to {value[:12]} "
           f"[{'ok' if value == stored else 'MISMATCH'}]")
-    return int(value != stored)
+    name = run_dir.resolve().name
+    if not re.fullmatch("run-[0-9a-f]{12}", name):
+        print(f"directory {name}: name not checked, not run-<12 hex>")
+        return int(value != stored)
+    named = name == f"run-{stored[:12]}"
+    print(f"directory {name}: config_hash prefix {stored[:12]} "
+          f"[{'ok' if named else 'MISMATCH'}]")
+    return int(value != stored) + int(not named)
 
 
 def _cmd_metrics(args) -> int:

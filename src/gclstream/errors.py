@@ -8,6 +8,7 @@ plain ValueError.
 
 import dataclasses
 import json
+import sys
 from numbers import Integral, Real
 
 import numpy as np
@@ -30,12 +31,17 @@ _TYPES = {"int": Integral, "float": Real, "str": str, "bool": bool}
 
 def check_fields(config, prefix: str = "") -> None:
     """ConfigError naming the first field of the config dataclass whose
-    value does not have its annotated type."""
+    value does not have its annotated type, or is a float field's value no
+    finite float holds: NaN and infinities (Python's JSON reads both) or an
+    int past the float range."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if not has_type(value, f.type):
             raise ConfigError(f"{prefix}{f.name}={value!r} does not have "
                               f"type {f.type}")
+        if f.type == "float" and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{prefix}{f.name}={value!r} is not a finite "
+                              "float")
 
 
 def has_type(value, kind) -> bool:

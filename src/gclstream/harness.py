@@ -4,13 +4,13 @@ multi-seed aggregation, checkpoint/resume, and CSV/JSONL emission.
 A run parses its feature file, if any, once, then executes, per seed: build
 the stream; for every batch — spawn an expert if the policy says so, build the
 logit mask, take k masked-CE gradient steps with EMA updates, expand the
-(adapted) features and fold them into the router's statistics — then every
-eval_interval batches and at every session end run one inference on held-out
-samples of the classes seen so far: select an expert per row (``_select``,
-which solves the router lazily for ridge routing and scores the holdout pool,
-expanded once per seed), ensemble-predict, and log the predictions as an
-anytime and/or a session record; after the stream, run and log the final (and
-oracle) inference, replay the log into the metrics, and add the baselines'
+(adapted) features and fold them into the router's statistics — then log
+the records ``metrics.expected_records`` says the batch ends in (anytime,
+session; final and oracle after the last batch) from one inference per
+routing mode on held-out samples of the classes seen so far: select an
+expert per row (``_select``, which solves the router lazily for ridge routing
+and scores the holdout pool, expanded once per seed) and ensemble-predict.
+Finishing the seed replays the log into the metrics and adds the baselines'
 routing accuracies and the representation-similarity probe.
 
 Everything stochastic is keyed by (seed, purpose tag, counters), never by a
@@ -34,7 +34,7 @@ import logging
 import time
 import zipfile
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -128,6 +128,9 @@ class RunConfig:
                               f"(0, 1), got {list(self.ema_decays)}")
         if self.spawn_budget < 1:
             raise ConfigError("spawn_budget must be >= 1")
+        if self.cka_probe < 0:
+            raise ConfigError(f"cka_probe={self.cka_probe} must be >= 0; 0 "
+                              "skips the probe")
         if not 0 <= (self.expansion_seed or 0) < 2**64:  # the Philox key
             raise ConfigError(f"expansion_seed {self.expansion_seed} must "
                               "lie in 0..2**64-1")
@@ -136,10 +139,13 @@ class RunConfig:
         if not all(0 <= s < 2**63 for s in self.seeds):  # a checkpoint's int64
             raise ConfigError(f"seeds {list(self.seeds)} must lie in "
                               "0..2**63-1")
-        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
-        if repeated:
-            raise ConfigError(f"seeds repeat {', '.join(map(str, repeated))}:"
-                              " each seed runs once")
+        for name, values in (("seeds", self.seeds),
+                             ("track_baselines", self.track_baselines)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{name} repeat "
+                                  f"{', '.join(map(str, repeated))}: each "
+                                  "runs once")
         if self.stream.seed != StreamConfig.seed:
             raise ConfigError(
                 f"stream.seed={self.stream.seed} has no effect: each run "
@@ -360,7 +366,8 @@ def _infer(state: SeedRunState, routing: str) -> dict:
 
 
 def run_batch(state: SeedRunState, batch) -> None:
-    """Train on one batch and fold it into every router's statistics."""
+    """Train on one batch, fold it into every router's statistics and log
+    the records it ends in (``expected_records``), one inference per mode."""
     config = state.config
     X, y, ids, _, is_start = batch
 
@@ -393,28 +400,25 @@ def run_batch(state: SeedRunState, batch) -> None:
 
     state.batch_index += 1
 
-    evaluations = expected_records(state.meta, state.batch_index)
-    if evaluations:
-        inferred = _infer(state, config.routing)
-        state.predictions_log += [{"phase": phase, "step": step, **inferred}
-                                  for phase, step in evaluations]
+    infer = cache(lambda routing: _infer(state, routing))
+    for phase, step in expected_records(state.meta, state.batch_index):
+        state.predictions_log.append({"phase": phase, "step": step, **infer(
+            "oracle" if phase == "oracle" else config.routing)})
 
 
 def finish_seed(state: SeedRunState) -> dict:
-    """Final (and oracle) inference, the metrics its log then determines,
-    paired comparisons, CKA probe; returns metric dict."""
+    """A finished seed's metrics: those its log determines, baselines'
+    routing accuracies, CKA probe, session sizes.  Pure; ValueError before
+    the stream's last batch."""
     return _finish(state)[0]
 
 
 def _finish(state: SeedRunState) -> tuple[dict, MetricsLedger]:
     """``finish_seed``'s metrics, and the ledger of the one replay of the
     seed's log that they come from."""
-    config = state.config
-    state.predictions_log.append(
-        {"phase": "final", "step": None, **_infer(state, config.routing)})
-    if state.meta["oracle_record"]:
-        state.predictions_log.append(
-            {"phase": "oracle", "step": None, **_infer(state, "oracle")})
+    if state.batch_index < len(state.schedule.batches):
+        raise ValueError(f"seed {state.seed} has run {state.batch_index} of "
+                         f"its {len(state.schedule.batches)} batches")
     ledger, metrics = replay(state.predictions_log, state.meta)
 
     rows = _eval_pool(state)
@@ -423,10 +427,10 @@ def _finish(state: SeedRunState) -> tuple[dict, MetricsLedger]:
             _select(state, rows, kind), state.holdout_y[rows],
             state.pool.trained_classes)
 
-    if state.pool.num_experts > 1 and config.cka_probe > 0:
+    if state.pool.num_experts > 1 and state.config.cka_probe > 0:
         probe_rng = np.random.default_rng(
             np.random.SeedSequence([state.seed, TAG_CKA]))
-        n = min(config.cka_probe, len(state.holdout_X))
+        n = min(state.config.cka_probe, len(state.holdout_X))
         probe = state.holdout_X[
             probe_rng.choice(len(state.holdout_X), size=n, replace=False)]
         cka = adapter_cka([ad.scale for ad in state.pool.adapters], probe)

@@ -9,8 +9,9 @@ Final/average accuracy, forgetting, and backward transfer read the matrix;
 the anytime mean summarizes the whole trajectory.  Routing accuracy counts a
 prediction as correctly routed when the chosen expert trained on the true
 class (a one-to-many correspondence: blurry classes have several correct
-experts).  ``seed_metrics`` derives the suite of one seed; ``replay`` rebuilds
-a seed's ledger and every metric its prediction log determines, for the
+experts).  ``seed_metrics`` derives the suite of one seed.  The harness logs,
+and ``check_log`` checks, the records ``expected_records`` defines; ``replay``
+rebuilds a seed's ledger and every metric the log determines, for the
 harness and the ``metrics`` command alike.  Linear CKA compares the experts'
 residual representations on a shared probe set.
 """
@@ -212,22 +213,26 @@ def _check_fields(record, phases) -> str:
     return phase
 
 
-def expected_records(meta, done: int) -> list[tuple[str, int]]:
+def expected_records(meta, done: int) -> list[tuple[str, int | None]]:
     """The (phase, step) of each record a seed logs when its ``done``-th
-    batch has run: an anytime record every eval_interval batches and, when
-    its meta line says so, a session record where a session ends."""
-    interval = meta["eval_interval"]
+    batch has run: anytime every eval_interval batches, session at a session
+    end if the meta line says so, final and maybe oracle after the last."""
+    interval, counts = meta["eval_interval"], meta["session_batches"]
     records = [("anytime", done // interval)] if done % interval == 0 else []
     if meta["session_records"]:
         records += [("session", j) for j, end in enumerate(
-            accumulate(meta["session_batches"])) if end == done]
+            accumulate(counts)) if end == done]
+    if done == sum(counts):
+        records.append(("final", None))
+        if meta["oracle_record"]:
+            records.append(("oracle", None))
     return records
 
 
 def log_sequence(meta, done: int | None = None):
     """Lazily, the (phase, step) of each record a seed logs in its first
-    ``done`` batches or, by default, of its block in a log file: every
-    batch's records, the final and maybe the oracle record."""
+    ``done`` batches or, by default, of its block in a log file: the
+    ``expected_records`` of every batch where one may fall."""
     if done is None and not meta["logged"]:
         return
     ends = list(accumulate(meta["session_batches"]))
@@ -235,10 +240,6 @@ def log_sequence(meta, done: int | None = None):
     for batch, _ in groupby(merge(range(interval, last + 1, interval),
                                   [end for end in ends if end <= last])):
         yield from expected_records(meta, batch)
-    if done is None:
-        yield ("final", None)
-        if meta["oracle_record"]:
-            yield ("oracle", None)
 
 
 def _named(record) -> str:

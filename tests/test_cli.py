@@ -264,6 +264,30 @@ class TestMetricsCommand:
         assert len(flagged) == 1 and flagged[0].startswith("config_hash ")
         assert "[ok]" in out
 
+    def test_run_directory_named_by_another_hash_is_a_mismatch(
+            self, tmp_path, capsys):
+        """A ``run-<12 hex>`` name must be the config_hash prefix: the run
+        copied to run-000000000000 exits 2, its metrics still ok."""
+        copy = tmp_path / "copies" / "run-000000000000"
+        shutil.copytree(self._run_once(tmp_path), copy)
+        capsys.readouterr()
+        assert main(["metrics", "--run-dir", str(copy)]) == 2
+        out = capsys.readouterr().out
+        flagged = [line for line in out.splitlines() if "MISMATCH" in line]
+        assert len(flagged) == 1
+        assert flagged[0].startswith("directory run-000000000000: "
+                                     "config_hash prefix ")
+        assert "[ok]" in out
+
+    def test_other_directory_names_are_not_checked(self, tmp_path, capsys):
+        copy = tmp_path / "seed-1"
+        shutil.copytree(self._run_once(tmp_path / "runs"), copy)
+        capsys.readouterr()
+        assert main(["metrics", "--run-dir", f"{copy}/"]) == 0
+        out = capsys.readouterr().out
+        assert "directory seed-1: name not checked, not run-<12 hex>" in out
+        assert "MISMATCH" not in out
+
     @pytest.mark.parametrize("text", ["[1]", '{"config": {}}',
                                       '{"config": 1, "config_hash": "a"}'])
     def test_config_json_without_config_and_hash_is_a_config_error(
@@ -558,8 +582,11 @@ class TestMetricsFamilies:
 
     def test_clean_run_checks_ten_values_exactly(self, oracle_run, capsys):
         assert main(["metrics", "--run-dir", str(oracle_run)]) == 0
-        hashed, *checked, unchecked = capsys.readouterr().out.splitlines()
+        hashed, named, *checked, unchecked = (
+            capsys.readouterr().out.splitlines())
         assert hashed.startswith("config_hash ") and hashed.endswith("[ok]")
+        assert named == (f"directory {oracle_run.name}: config_hash prefix "
+                         f"{oracle_run.name[len('run-'):]} [ok]")
         assert [line.split()[2][:-1] for line in checked] == list(RECOMPUTED)
         assert all(line.endswith("[ok]") for line in checked)
         stored = [line.split(",")[1] for line in
@@ -649,7 +676,19 @@ class TestExitCodes:
         (["--config", "[1, 2]"], "holds no JSON object"),
         (["--seeds", "1,a"], "--seeds '1,a'"),
         (["--seeds", "1,1"], "seeds repeat 1"),
-        (["--set", "expansion_seed=18446744073709551616"], "expansion_seed")])
+        (["--set", "expansion_seed=18446744073709551616"], "expansion_seed"),
+        (["--set", "lam=NaN"], "lam=nan is not a finite float"),
+        (["--set", "lam=Infinity"], "lam=inf is not a finite float"),
+        (["--set", "lr=NaN"], "lr=nan is not a finite float"),
+        (["--set", "lr=Infinity"], "lr=inf is not a finite float"),
+        (["--set", "stream.noise_scale=NaN"], "stream.noise_scale=nan"),
+        (["--set", "stream.cluster_spread=Infinity"],
+         "stream.cluster_spread=inf"),
+        (["--config", '{"lam": -Infinity}'], "lam=-inf is not a finite float"),
+        (["--set", f"lam={10**400}"], "is not a finite float"),
+        (["--set", "cka_probe=-3"], "cka_probe=-3"),
+        (["--set", 'track_baselines=["kmeans","kmeans"]'],
+         "track_baselines repeat kmeans")])
     def test_bad_run_input_exits_one_naming_it(self, tmp_path, capsys, args,
                                                names):
         if args[0] == "--config":

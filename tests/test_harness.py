@@ -162,6 +162,15 @@ class TestConfigIdentity:
         ("seeds", [-1]),  # numpy seeds no generator from it
         ("seeds", [2**63]),  # a checkpoint stores the seed as an int64
         ("track_oracle", 1),
+        ("lam", float("nan")),  # every comparison with NaN is false
+        ("lam", float("inf")),
+        ("lr", float("nan")),
+        ("lr", float("-inf")),
+        ("lam", 10**400),  # no float holds it
+        ("stream", {"noise_scale": float("nan")}),
+        ("stream", {"cluster_spread": float("inf")}),
+        ("cka_probe", -3),  # would skip the probe, as 0 does
+        ("track_baselines", ["kmeans", "kmeans"]),  # would track it once
     ])
     def test_field_outside_its_domain_is_a_config_error(self, key, value):
         """Each value would otherwise fail deep inside a seed's set-up."""
@@ -256,11 +265,12 @@ class TestSeedRuns:
             assert key in metrics, key
         assert 0.0 <= metrics["routing_accuracy"] <= 1.0
 
-    @pytest.mark.parametrize("tracked, calls", [((), 2), (("prototype",), 3)])
+    @pytest.mark.parametrize("tracked, calls", [((), 1), (("prototype",), 2)])
     def test_final_step_scores_the_routing_baseline_like_the_others(
             self, monkeypatch, tracked, calls):
-        """The final inference routes by the routing kind once, and the
-        baseline loop routes by every baseline it holds, that kind too."""
+        """The last batch's final inference routes by the routing kind, so
+        finishing routes only in the baseline loop, by every baseline it
+        holds, that kind too."""
         state = SeedRunState(_fast(routing="kmeans", track_baselines=tracked),
                              1)
         cursor = state.cursor
@@ -435,6 +445,38 @@ class TestSeedRuns:
         assert (anytime["phase"], session["phase"]) == ("anytime", "session")
         assert anytime["predictions"] == session["predictions"]
         assert not np.isnan(state.ledger.session_matrix[0, 0])
+
+    def test_a_seed_infers_once_per_evaluated_batch_and_once_for_oracle(
+            self, monkeypatch):
+        """The last batch's session and final records share one inference,
+        and finishing the seed infers nothing: a desk seed's 7 evaluated
+        batches and its oracle record make 8 inferences."""
+        calls = []
+        infer = harness._infer
+        monkeypatch.setattr(harness, "_infer", lambda state, routing: (
+            calls.append(routing) or infer(state, routing)))
+        _, state = run_seed(desk_config(seeds=(1,)), 1)
+        assert calls == ["ridge"] * 7 + ["oracle"]
+        assert [r["phase"] for r in state.predictions_log[-3:]] == [
+            "session", "final", "oracle"]
+
+    def test_finishing_a_seed_twice_gives_the_same_metrics(self):
+        state = SeedRunState(_fast(track_oracle=True,
+                                   track_baselines=("kmeans",)), 1)
+        harness._train(state)
+        log = json.dumps(state.predictions_log)
+        metrics = harness.finish_seed(state)
+        assert harness.finish_seed(state) == metrics
+        assert json.dumps(state.predictions_log) == log
+
+    def test_finishing_a_seed_before_its_last_batch_raises(self):
+        state = SeedRunState(_fast(), 1)
+        cursor = state.cursor
+        for _ in range(len(state.schedule.batches) - 1):
+            run_batch(state, cursor.next_batch())
+        with pytest.raises(ValueError, match="12 of its 13 batches"):
+            harness.finish_seed(state)
+        assert not any(r["phase"] == "final" for r in state.predictions_log)
 
 
 class TestSelect:
@@ -816,13 +858,28 @@ def test_every_single_record_mutant_of_a_checkpoint_log_is_refused(
     state = _checkpoint_at(config, len(SeedRunState(config, 1).schedule
                                        .batches), path)
     entries = _read(path)
-    assert len(state.predictions_log) == 6
+    assert len(state.predictions_log) == 7
+    assert state.predictions_log[-1]["phase"] == "final"
     assert resume(path, config).predictions_log == state.predictions_log
     for log, index in _mutants(state.predictions_log):
         _write(path, {**entries, "predictions_log": json.dumps(log)})
         with pytest.raises(ConfigError, match=rf"ck\.npz: predictions_log "
                            rf"record {index}: seed 1's "):
             resume(path, config)
+
+
+def test_an_end_of_stream_checkpoint_without_its_final_record_is_refused(
+        tmp_path):
+    """The last batch logs the final record, so a checkpoint taken after it
+    holds one; a log without it (as an older engine wrote) is refused."""
+    config, path = _fast(), tmp_path / "ck.npz"
+    state = _checkpoint_at(config, len(SeedRunState(config, 1).schedule
+                                       .batches), path)
+    log = state.predictions_log[:-1]
+    _write(path, {**_read(path), "predictions_log": json.dumps(log)})
+    with pytest.raises(ConfigError, match=rf"predictions_log record "
+                       rf"{len(log)}: seed 1's final record is missing"):
+        resume(path, config)
 
 
 # Every entry of a checkpoint of _fast's stream (M=64, d=8, 6 classes) with

@@ -386,17 +386,27 @@ class TestRecordSequence:
         assert [expected_records(self.META, done) for done in (4, 5, 8, 9,
                                                                 12, 13)] == [
             [("anytime", 1)], [("session", 0)], [("anytime", 2)],
-            [("session", 1)], [("anytime", 3)], [("session", 2)]]
+            [("session", 1)], [("anytime", 3)],
+            [("session", 2), ("final", None)]]
         assert expected_records({**self.META, "eval_interval": 1}, 5) == [
             ("anytime", 5), ("session", 0)]
         assert expected_records({**self.META, "session_records": False},
                                 5) == []
 
+    def test_the_last_batch_logs_the_final_and_oracle_records_last(self):
+        assert expected_records({**self.META, "eval_interval": 1,
+                                 "oracle_record": True}, 13) == [
+            ("anytime", 13), ("session", 2), ("final", None),
+            ("oracle", None)]
+        assert expected_records({**self.META, "session_records": False},
+                                13) == [("final", None)]
+
     def test_the_sequence_is_every_batch_records_in_order(self):
         per_batch = [r for done in range(1, 14)
                      for r in expected_records(self.META, done)]
+        assert per_batch[-1] == ("final", None)
         assert list(log_sequence(self.META, done=13)) == per_batch
-        assert list(log_sequence(self.META)) == [*per_batch, ("final", None)]
+        assert list(log_sequence(self.META)) == per_batch
         assert list(log_sequence(self.META, done=7)) == per_batch[:2]
         assert list(log_sequence({**self.META, "logged": False})) == []
         assert list(log_sequence({**self.META, "logged": False}, 7)) == (

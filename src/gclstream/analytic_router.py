@@ -38,7 +38,7 @@ from math import isqrt
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import NotSolvedError, NumericalError, ShapeError, check_shape
+from .errors import NotSolvedError, NumericalError, ShapeError
 from .expansion import ExpandedBatch
 
 # The fold adds the rows to G this many at a time: wider dsyrk panels touch
@@ -66,7 +66,8 @@ class RouterState:
     in ``row_expert``; in the primal form G's lower triangle, and above the
     diagonal the strict upper triangle of L^T while ``factor_diag`` holds
     L's diagonal (L the Cholesky factor of G + (lambda + ``jitter_used``) I
-    at the last factorization), else zeros as a checkpoint writes them.
+    at the last factorization), else scratch: zeros from the fold to the
+    first factorization, a stale L^T once the held factor is dropped.
     ``solved`` holds U (T x M) until the next accumulate/grow.
     ``factor_buf`` is solve()'s Fortran-ordered M x M workspace, allocated
     on first use.  Its flat head holds, in the dual form, the Cholesky
@@ -102,67 +103,6 @@ class RouterState:
     @property
     def dual(self) -> bool:
         return self.samples_seen <= self.M
-
-    def state(self) -> dict:
-        """The arrays as held; in the primal form with no factor held, G's
-        strict upper triangle (scratch until then) is zeroed first."""
-        k, r = self.factored, self.samples_seen if self.dual else self.kept
-        snap = {"proto": self.proto, "samples_seen": self.samples_seen,
-                "jitter_used": self.jitter_used,
-                "factor": np.tril(_head(self._region(), k)) if k
-                else np.zeros((0, 0))}
-        if self.dual:
-            return {"rows": self.gram[:, :r].T, "row_expert": self.row_expert,
-                    **snap}
-        if self.factor_diag is None:
-            for j in range(1, self.M):
-                self.gram[:j, j] = 0.0
-        return {"gram": self.gram, "factor_diag": np.zeros(0)
-                if self.factor_diag is None else self.factor_diag,
-                "rows": self.factor_buf[:, :r].T if r
-                else np.zeros((0, self.M)), **snap}
-
-    def load(self, snap: dict) -> None:
-        """Keeps ``gram`` F-contiguous float64, as ``accumulate`` needs."""
-        M, n = self.M, check_shape(snap, "samples_seen", (), np.int64).item()
-        self.proto = np.array(check_shape(snap, "proto", self.proto.shape))
-        self.jitter_used = check_shape(snap, "jitter_used", ()).item()
-        self.solved, self.factor_buf, self.factor_diag = None, None, None
-        self.row_expert, self.samples_seen = np.zeros(0, np.int64), n
-        if n > M:
-            gram = check_shape(snap, "gram", (M, M))
-            diag = check_shape(snap, "factor_diag", (None,))
-            if len(diag) not in (0, M):
-                raise ShapeError(f"factor_diag has shape {diag.shape}, not "
-                                 f"(0,) or ({M},)")
-            if len(diag) and not ((diag > 0) & (diag < np.inf)).all():
-                raise ShapeError("factor_diag has an entry that is not "
-                                 "positive and finite")
-            if not len(diag) and any(gram[:j, j].any() for j in range(1, M)):
-                raise ShapeError("gram has a nonzero entry above its diagonal "
-                                 "while no factor is held")  # no M x M temp
-            r = len(check_shape(snap, "rows", (None, M)))
-            room = kept_cap(M) if len(diag) else 0
-            if r > room:
-                raise ShapeError(f"rows holds {r} kept rows, more than the "
-                                 f"{room} room for them")
-            self.gram = np.asfortranarray(gram)
-            self.factor_diag = np.array(diag) if len(diag) else None
-        else:
-            r, experts = n, check_shape(snap, "row_expert", (n,), np.int64)
-            if ((experts < 0) | (experts >= self.num_experts)).any():
-                raise ShapeError(
-                    f"row_expert id outside 0..{self.num_experts - 1}")
-            self.gram, self.row_expert = np.zeros((M, M), order="F"), experts
-        rows = check_shape(snap, "rows", (r, M))
-        k = min(len(check_shape(snap, "factor", (None, None))), r)  # factored
-        factor = check_shape(snap, "factor", (k, k))
-        self.factored, self.kept = k, 0 if self.dual else r
-        if k or self.factor_diag is not None:
-            self.factor_buf = np.empty((M, M), order="F")
-            _head(self._region(), k)[...] = factor
-        if r:
-            (self.gram if self.dual else self.factor_buf)[:, :r] = rows.T
 
     def _region(self) -> np.ndarray:
         """The flat stretch of factor_buf whose head holds the factor over

@@ -7,10 +7,8 @@ analytic router's statistics or the experts' parameters.
 Each kind is one class that holds only the arrays its ``route`` reads and
 takes only its own parameters, behind one protocol: ``register_expert()``
 returns the new id, ``update(e, phi)`` folds in expert ``e``'s rows,
-``finalize()`` fits what ``update`` leaves stale, ``route(phi)`` picks an
-expert per row (ties to the lowest id), and ``state()``/``load(dict)``
-checkpoint the arrays (``load`` reads only its own keys, of this router's
-shapes).  ``baseline_fit_update`` checks a batch with ``ExpandedBatch.rows``,
+``finalize()`` fits what ``update`` leaves stale and ``route(phi)`` picks an
+expert per row (ties to the lowest id).  ``baseline_fit_update`` checks a batch with ``ExpandedBatch.rows``,
 as the analytic router's ``accumulate`` does; ``baseline_finalize`` and
 ``baseline_route`` are the other entry points.
 
@@ -39,7 +37,7 @@ import inspect
 
 import numpy as np
 
-from .errors import NotSolvedError, NumericalError, ShapeError, check_shape
+from .errors import NotSolvedError, NumericalError
 from .expansion import ExpandedBatch
 
 TAG_RESERVOIR = 21
@@ -65,24 +63,12 @@ LLOYD_MAX_ITERS = 25
 class _Baseline:
     """Protocol defaults shared by the four kinds."""
 
-    STATE: tuple = ()  # the arrays state() saves and load() restores
-
     def finalize(self) -> None:
         """Nothing to fit: ``route`` reads what ``update`` keeps current."""
-
-    def state(self) -> dict:
-        return {key: getattr(self, key) for key in self.STATE}
-
-    def load(self, snap: dict) -> None:
-        for key, held in self.state().items():
-            setattr(self, key, np.array(
-                check_shape(snap, key, held.shape, held.dtype)))
 
 
 class PrototypeRouter(_Baseline):
     """Cosine similarity to each expert's running mean of expanded rows."""
-
-    STATE = ("counts", "means")
 
     def __init__(self, M: int, num_experts: int = 1):
         self.M = M
@@ -123,8 +109,6 @@ class PrototypeRouter(_Baseline):
 class NaiveBayesRouter(PrototypeRouter):
     """Diagonal-Gaussian likelihood per expert from Welford's running mean
     and m2; population variance is m2 / count, smoothed by NB_EPS."""
-
-    STATE = ("counts", "means", "m2")
 
     def __init__(self, M: int, num_experts: int = 1):
         super().__init__(M, num_experts)
@@ -325,19 +309,6 @@ class KMeansRouter(_Baseline):
                 "kmeans baseline not finalized; call baseline_finalize first")
         return self.centroid_owner[_nearest(phi, self.centroids)]
 
-    def state(self) -> dict:
-        return {"seen": np.array(self.seen, dtype=np.int64),
-                **{f"reservoir_{e}": r for e, r in enumerate(self.reservoirs)}}
-
-    def load(self, snap: dict) -> None:
-        E, row = (self.num_experts,), (self.reservoir_cap, self.M)
-        self.seen = check_shape(snap, "seen", E, np.int64).tolist()
-        if min(self.seen, default=0) < 0:
-            raise ShapeError("seen holds a negative count")
-        self.reservoirs = [np.array(check_shape(snap, f"reservoir_{e}", row))
-                           for e in range(self.num_experts)]
-        self.centroids = self.centroid_owner = None
-
 
 class ShallowRouter(_Baseline):
     """A ReLU hidden layer and a linear expert scorer trained online by
@@ -361,15 +332,12 @@ class ShallowRouter(_Baseline):
     W1 none of them.
 
     ``grad_buf`` is the hidden-weight gradient's H x M workspace, allocated
-    on the first update and never checkpointed: a fresh one per batch
-    (4 MiB at the desk preset) would page-fault its memory in anew each
-    time.  Subtracting the gradient with an in-place ``blas.dgemm`` into
+    on the first update and kept: a fresh one per batch (4 MiB at the desk
+    preset) would page-fault its memory in anew each time.  Subtracting the gradient with an in-place ``blas.dgemm`` into
     ``W1.T`` (beta=1) instead writes W1 before the gradient can be checked,
     and measured slower than this GEMM and one pass: 0.14-0.22 s against
     0.12-0.15 s of updates per desk seed (2-core Xeon).
     """
-
-    STATE = ("W1", "b1", "W2", "b2")
 
     def __init__(self, M: int, seed: int, num_experts: int = 1,
                  hidden: int = 512, lr: float = 0.005, iters: int = 3):

@@ -145,27 +145,26 @@ def _cmd_metrics(args) -> int:
 
     stored: dict[str, dict[str, float]] = {}  # seed -> metric -> value
     metrics_path = run_dir / "metrics.csv"
-    if metrics_path.exists():
-        lines = metrics_path.read_text().splitlines()
-        for number, line in enumerate(lines[1:], start=2):
-            try:
-                seed, metric, value = line.split(",")
-                stored.setdefault(seed, {})[metric] = float(value)
-            except ValueError as err:
-                raise ConfigError(f"{metrics_path}:{number}: not "
-                                  f"seed,metric,value ({err})") from err
+    if not metrics_path.exists():
+        raise ConfigError(f"no metrics.csv under {run_dir}")
+    lines = metrics_path.read_text().splitlines()
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            seed, metric, value = line.split(",")
+            stored.setdefault(seed, {})[metric] = float(value)
+        except ValueError as err:
+            raise ConfigError(f"{metrics_path}:{number}: not "
+                              f"seed,metric,value ({err})") from err
 
     mismatches = _check_config_hash(run_dir)
     for seed, (meta, records) in sorted(blocks.items()):
         rows = stored.get(str(seed), {})
         for metric, value in replay(records, meta)[1].items():
-            line = f"seed {seed} {metric}: recomputed {value:.6f}"
-            if metric in rows:
-                want = rows.pop(metric)
-                mismatches += want != value
-                line += (f" stored {want:.6f} "
-                         f"[{'ok' if want == value else 'MISMATCH'}]")
-            print(line)
+            want = rows.pop(metric, None)
+            mismatches += want != value
+            print(f"seed {seed} {metric}: recomputed {value:.6f} "
+                  + ("not stored" if want is None else f"stored {want:.6f}")
+                  + f" [{'ok' if want == value else 'MISMATCH'}]")
     for seed, rows in stored.items():  # what is left was not recomputed
         if seed not in ("mean", "std") and rows:
             print(f"seed {seed} unchecked: {', '.join(rows)}")

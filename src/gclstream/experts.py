@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, check_shape
+from .errors import NumericalError, ShapeError
 
 # Finite stand-in for -inf in logit masks. Added pre-softmax with
 # max-subtraction, then masked probabilities are clamped to exactly 0.
@@ -338,46 +338,3 @@ class ExpertPool:
         """Record a trained batch under the active expert."""
         self.trained_classes[-1].update(int(c) for c in labels)
         self.samples_under_current += len(labels)
-
-    def state(self) -> dict:
-        """Online head; adapters, EMA heads and class masks by expert."""
-        n, k = self.num_experts, len(self.decays)
-        C, d = self.num_classes, self.d
-        ads, hs = self.adapters, [h for b in self.banks for h in b.heads]
-        trained = np.zeros((n, C), dtype=bool)
-        for e, classes in enumerate(self.trained_classes):
-            trained[e, sorted(classes)] = True
-        return {"online_w": self.online.weights, "online_b": self.online.bias,
-                "samples_under_current": self.samples_under_current,
-                "trained_classes": trained,
-                "adapter_scale": np.reshape([a.scale for a in ads], (n, d)),
-                "adapter_shift": np.reshape([a.shift for a in ads], (n, d)),
-                "bank_w": np.reshape([h.weights for h in hs], (n, k, C, d)),
-                "bank_b": np.reshape([h.bias for h in hs], (n, k, C))}
-
-    def load(self, snap: dict) -> None:
-        """Rebuild from a ``state()`` of this d, class count and decays;
-        one expert per ``trained_classes`` row, all but the newest frozen
-        (only ``spawn`` freezes)."""
-        k, C, d = len(self.decays), self.num_classes, self.d
-        trained = check_shape(snap, "trained_classes", (None, C), bool)
-        n = len(trained)
-        self.online = Head(np.array(check_shape(snap, "online_w", (C, d))),
-                           np.array(check_shape(snap, "online_b", (C,))))
-        scale = np.array(check_shape(snap, "adapter_scale", (n, d)))
-        shift = np.array(check_shape(snap, "adapter_shift", (n, d)))
-        bank_w = np.array(check_shape(snap, "bank_w", (n, k, C, d)))
-        bank_b = np.array(check_shape(snap, "bank_b", (n, k, C)))
-        self.adapters, self.banks = [], []
-        for e in range(n):
-            self.adapters.append(ExpertAdapter(e, scale[e], shift[e]))
-            if e < n - 1:
-                self.adapters[e].freeze()
-            self.banks.append(EmaBank(self.decays, [
-                Head(bank_w[e, j], bank_b[e, j]) for j in range(k)]))
-        self.trained_classes = [set(np.flatnonzero(row).tolist())
-                                for row in trained]
-        self.samples_under_current = check_shape(
-            snap, "samples_under_current", (), np.int64).item()
-        if self.samples_under_current < 0:
-            raise ShapeError("samples_under_current is negative")

@@ -14,15 +14,15 @@ Finishing the seed replays the log into the metrics and adds the baselines'
 routing accuracies and the representation-similarity probe.
 
 Everything stochastic is keyed by (seed, purpose tag, counters), never by a
-shared sequential generator, so a checkpoint is just arrays and counters and
-resuming reproduces the remainder of the run bit for bit.  The router, the
-expert pool and each baseline checkpoint their own ``state()``; their
-``load()`` refuses a shape the config would not build, or another dtype.
-A seed's prediction log is its one record of its evaluations:
-``metrics.replay`` derives the ledger and the logged metrics from it.  Outputs live in
-``<outdir>/<run-id>/`` where the run id is a config-hash prefix; repeated
-runs of an equal config overwrite the same files with identical bytes
-(wall-clock timings go to a separate file outside that contract).
+shared sequential generator, so a seed's state after a batch is a function
+of (config, seed, batch index): a checkpoint is those counters and the
+prediction log, and resuming reruns the batches before it, then the rest of
+the run bit for bit.  A seed's prediction log is its one record of its
+evaluations: ``metrics.replay`` derives the ledger and the logged metrics
+from it.  Outputs live in ``<outdir>/<run-id>/`` where the run id is a
+config-hash prefix; repeated runs of an equal config overwrite the same
+files with identical bytes (wall-clock timings go to a separate file
+outside that contract).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .analytic_router import accumulate, grow, new_router_state, route, solve
 from .baselines import (BASELINE_KINDS, baseline_fit_update, baseline_route,
                         new_baseline, oracle_route)
 from .ensemble import AGGREGATIONS, EnsembleConfig, full_inference
-from .errors import (ConfigError, ShapeError, check_fields, check_shape,
+from .errors import (ConfigError, ShapeError, check_fields, check_scalar,
                      parse_json)
 from .expansion import ACTIVATIONS, ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
@@ -61,7 +61,7 @@ TAG_ADAPTER = 31
 TAG_MASK = 32
 TAG_CKA = 33
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def merge_config(data: dict, update: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 class SeedRunState:
-    """Everything one seed's run carries between batches (checkpointable)."""
+    """Everything one seed's run carries between batches."""
 
     def __init__(self, config: RunConfig, seed: int,
                  source: FeatureSource | None = None):
@@ -282,7 +282,7 @@ class SeedRunState:
     @cached_property
     def holdout_phi(self) -> np.ndarray:
         """The holdout pool expanded, once per seed at its first read; every
-        evaluation's router scores it.  Derived, so never checkpointed."""
+        evaluation's router scores it."""
         return self.expansion(self.holdout_X)
 
     @property
@@ -463,21 +463,14 @@ def run_seed(config: RunConfig, seed: int,
 # checkpointing
 # ---------------------------------------------------------------------------
 
-def _components(state: SeedRunState) -> list:
-    """(entry prefix, component) for everything with ``state``/``load``."""
-    return [("", state.pool), ("", state.router)] + [
-        (f"baseline_{kind}_", b) for kind, b in state.baselines.items()]
-
-
 def checkpoint(state: SeedRunState, path) -> None:
-    """Write a lossless batch-boundary snapshot of a seed's run as one flat
-    npz: the counters, each ``state()`` value prefixed, the log as JSON."""
+    """Write a batch-boundary snapshot of a seed's run as one flat npz: its
+    counters and its prediction log as JSON, from which ``resume`` rebuilds
+    everything else."""
     entries = {"version": CHECKPOINT_VERSION,
                "config_hash": config_hash(state.config), "seed": state.seed,
                "batch_index": state.batch_index,
                "predictions_log": json.dumps(state.predictions_log)}
-    for prefix, component in _components(state):
-        entries.update({prefix + k: v for k, v in component.state().items()})
     with open(path, "wb") as fh:
         np.savez(fh, **entries)
 
@@ -485,12 +478,12 @@ def checkpoint(state: SeedRunState, path) -> None:
 def resume(path, config: RunConfig) -> SeedRunState:
     """Rebuild a SeedRunState from a snapshot; config must hash-match.
 
-    The streamed mask is not stored: it is the ids of the first
-    ``batch_index`` batches of the schedule.  A checkpoint that cannot be
-    read, lacks an entry, has an entry of another dtype, a shape or a count
-    the config and its schedule would not build, trains classes other than
-    those of the streamed rows, or logs records other than those its
-    batches end in (``metrics.check_log``) raises ConfigError.
+    The seed reruns its first ``batch_index`` batches, which rebuild every
+    array, and must log the very records the snapshot holds.  A checkpoint
+    that cannot be read, lacks an entry, has an entry of another dtype or
+    shape, a batch index outside the schedule, or a log other than the one
+    its batches write (first read by ``metrics.check_log``) raises
+    ConfigError.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -509,51 +502,33 @@ def resume(path, config: RunConfig) -> SeedRunState:
 
 
 def _restore(snap: dict, config: RunConfig) -> SeedRunState:
-    version = check_shape(snap, "version", (), np.int64).item()
+    version = check_scalar(snap, "version", np.int64)
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint version {version} != engine "
                           f"checkpoint version {CHECKPOINT_VERSION}")
-    chash = check_shape(snap, "config_hash", (), str).item()
+    chash = check_scalar(snap, "config_hash", str)
     if chash != config_hash(config):
         raise ConfigError("checkpoint was written under a different config "
                           f"({chash[:12]} != {config_hash(config)[:12]}); "
                           "refusing to resume")
-
-    seed = check_shape(snap, "seed", (), np.int64).item()
-    state = SeedRunState(config, seed)
-    state.batch_index = check_shape(snap, "batch_index", (), np.int64).item()
-    batches = state.schedule.batches
-    if not 0 <= state.batch_index <= len(batches):
-        raise ShapeError(f"batch_index {state.batch_index} outside "
-                         f"0..{len(batches)}")
-    for ids, _, _ in batches[:state.batch_index]:
-        state.streamed[ids] = True
-
-    for prefix, component in _components(state):
-        try:
-            component.load({k[len(prefix):]: v for k, v in snap.items()
-                            if k.startswith(prefix)})
-        except (KeyError, ShapeError) as err:  # name the full entry
-            raise type(err)(f"{prefix}{err.args[0]}") from err
-        # the pool loads first and sizes the routers before they load
-        _grow_routers(state, state.pool.num_experts)
-    rows = int(state.streamed.sum())
-    if state.router.samples_seen != rows:
-        raise ShapeError(f"samples_seen {state.router.samples_seen} is not "
-                         f"the {rows} rows of the first batch_index="
-                         f"{state.batch_index} batches")
-    streamed = set(np.unique(state.source.labels[state.streamed]).tolist())
-    if state.seen != streamed:
-        raise ConfigError(f"trained_classes {sorted(state.seen)} are not "
-                          f"the classes {sorted(streamed)} of the streamed "
-                          "rows")
-    log = parse_json(check_shape(snap, "predictions_log", (), str).item(),
+    state = SeedRunState(config, check_scalar(snap, "seed", np.int64))
+    done = check_scalar(snap, "batch_index", np.int64)
+    if not 0 <= done <= len(state.schedule.batches):
+        raise ShapeError(f"batch_index {done} outside "
+                         f"0..{len(state.schedule.batches)}")
+    log = parse_json(check_scalar(snap, "predictions_log", str),
                      "predictions_log")
     if not isinstance(log, list):
         raise ConfigError("predictions_log is not a list of records")
-    check_log(log, "predictions_log record {}".format, state.meta,
-              state.batch_index)
-    state.predictions_log = log
+
+    cursor = state.cursor
+    for _ in range(done):
+        run_batch(state, cursor.next_batch())
+    # after the replay: the meta line's expert history is the batches' own
+    check_log(log, "predictions_log record {}".format, state.meta, done)
+    if log != state.predictions_log:
+        raise ConfigError(f"predictions_log is not the log its {done} "
+                          "batches write")
     return state
 
 

@@ -434,14 +434,6 @@ class TestLloydFixedPoint:
         assert router.centroids is not centroids
         assert calls
 
-    def test_restore_drops_stale_centroids(self):
-        router = _separated_router(3)
-        other = _separated_router(4)
-        baseline_finalize(router)
-        router.load(other.state())
-        assert router.centroids is None and router.centroid_owner is None
-        self._assert_matches_reference(router)
-
 
 # the kernel-form update rounds differently from the plain steps; the gap is
 # bounded relative to the largest magnitude of the terms summed into an array
@@ -449,9 +441,12 @@ class TestLloydFixedPoint:
 # cancel down to far less than their rounding
 SHALLOW_RTOL = 1e-12
 
+# the arrays a ShallowRouter learns
+SHALLOW_ARRAYS = ("W1", "b1", "W2", "b2")
+
 
 def _assert_shallow_matches(router, kernel, plain, scales):
-    for key, k_ref, p_ref, scale in zip(ShallowRouter.STATE, kernel, plain,
+    for key, k_ref, p_ref, scale in zip(SHALLOW_ARRAYS, kernel, plain,
                                         scales):
         got = getattr(router, key)
         np.testing.assert_array_equal(got, k_ref, err_msg=key)
@@ -482,12 +477,12 @@ class TestTrainedShallow:
     def test_gradient_workspace_keeps_the_plain_update(self):
         """The kernel-form update leaves W1, b1, W2 and b2 bit-equal to its
         reference with no array reused, and within SHALLOW_RTOL of the
-        plain steps, across an expert registration and a state()/load()
-        round trip; the H x M workspace stays out of the checkpoint."""
+        plain steps, across an expert registration and onto a router that
+        copies the learnt arrays and allocates its own H x M workspace."""
         rng = np.random.default_rng(8)
         router = ShallowRouter(24, seed=3, num_experts=2, hidden=16,
                                lr=0.05, iters=3)
-        ref = tuple(np.array(getattr(router, k)) for k in ShallowRouter.STATE)
+        ref = tuple(np.array(getattr(router, k)) for k in SHALLOW_ARRAYS)
         refs = (ref, ref, ref)  # kernel form, plain steps, their scales
 
         def step(r, refs, e):
@@ -513,10 +508,10 @@ class TestTrainedShallow:
         for e in (2, 1):
             refs = step(router, refs, e)
         assert router.grad_buf is buf
-        assert set(router.state()) == set(ShallowRouter.STATE)
         copy = ShallowRouter(24, seed=3, num_experts=3, hidden=16,
                              lr=0.05, iters=3)
-        copy.load(router.state())
+        for key in SHALLOW_ARRAYS:
+            setattr(copy, key, getattr(router, key).copy())
         for e in (0, 2):
             refs = step(copy, refs, e)
 
@@ -536,7 +531,7 @@ class TestTrainedShallow:
         router = ShallowRouter(M, seed=seed, num_experts=3, hidden=hidden,
                                lr=0.05, iters=iters)
         kernel = plain = scales = tuple(
-            np.array(getattr(router, k)) for k in ShallowRouter.STATE)
+            np.array(getattr(router, k)) for k in SHALLOW_ARRAYS)
         for e in (1, 0, 2):
             phi = rng.standard_normal((B, M)) + 0.5 * e
             if relu:
@@ -560,7 +555,7 @@ class TestTrainedShallow:
             router.W1[:] = 1.0
             router.W2[:] = [[1e308], [-1e308]]
         phi = np.abs(rng.standard_normal((4, 6))) + 1.0
-        before = {k: np.array(getattr(router, k)) for k in ShallowRouter.STATE}
+        before = {k: np.array(getattr(router, k)) for k in SHALLOW_ARRAYS}
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalError):
             _feed(router, phi, 1, chunk=4)
@@ -601,21 +596,16 @@ class TestLifecycle:
             assert router.num_experts == 2
             _feed(router, np.ones((2, 3)), 1)
 
-    def test_each_kind_holds_and_saves_only_its_own_state(self):
-        held = {
-            "prototype": ({"counts", "means"}, {"counts", "means"}),
-            "naive_bayes": ({"counts", "means", "m2"},
-                            {"counts", "means", "m2"}),
-            "kmeans": ({"reservoirs", "seen"},
-                       {"seen", "reservoir_0", "reservoir_1"}),
-            "trained_shallow": ({"W1", "b1", "W2", "b2"},
-                                {"W1", "b1", "W2", "b2"}),
-        }
+    def test_each_kind_holds_only_its_own_arrays(self):
+        held = {"prototype": {"counts", "means"},
+                "naive_bayes": {"counts", "means", "m2"},
+                "kmeans": {"reservoirs", "seen"},
+                "trained_shallow": set(SHALLOW_ARRAYS)}
         for kind in BASELINE_KINDS:
             router = new_baseline(kind, 3, seed=0, num_experts=2)
             arrays = {k for k, v in vars(router).items()
                       if isinstance(v, (np.ndarray, list))}
-            assert (arrays, set(router.state())) == held[kind], kind
+            assert arrays == held[kind], kind
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError):
@@ -636,27 +626,3 @@ class TestLifecycle:
         router = PrototypeRouter(3, num_experts=1)
         with pytest.raises(ShapeError):
             _feed(router, np.ones((2, 4)), 0)
-
-    def test_snapshot_restore_round_trip(self):
-        rng = np.random.default_rng(5)
-        for kind in BASELINE_KINDS:
-            router = new_baseline(kind, 3, seed=0, num_experts=2,
-                                  reservoir_cap=8)
-            _feed(router, rng.standard_normal((30, 3)), 0)
-            _feed(router, rng.standard_normal((30, 3)) + 2.0, 1)
-            copy = new_baseline(kind, 3, seed=0, reservoir_cap=8)
-            with pytest.raises(ShapeError):  # one expert short
-                copy.load(router.state())
-            copy.register_expert()
-            copy.load(router.state())
-            assert copy.num_experts == 2
-            more = rng.standard_normal((20, 3))
-            _feed(router, more, 1)
-            _feed(copy, more, 1)
-            saved = copy.state()
-            for key, value in router.state().items():
-                np.testing.assert_array_equal(saved[key], value)
-            probe = rng.standard_normal((10, 3))
-            np.testing.assert_array_equal(
-                baseline_route(router, probe),
-                baseline_route(copy, probe))

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -246,6 +247,29 @@ class TestMetricsCommand:
         rc = main(["metrics", "--run-dir", str(run_dir)])
         assert rc == 2
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_missing_metrics_csv_is_a_config_error_naming_it(self, tmp_path,
+                                                              capsys):
+        run_dir = self._run_once(tmp_path)
+        (run_dir / "metrics.csv").unlink()
+        capsys.readouterr()
+        rc = main(["metrics", "--run-dir", str(run_dir)])
+        assert rc == 1
+        assert f"no metrics.csv under {run_dir}" in capsys.readouterr().err
+
+    def test_recomputed_metric_the_store_lacks_is_a_mismatch(self, tmp_path,
+                                                             capsys):
+        run_dir = self._run_once(tmp_path)
+        csv_path = run_dir / "metrics.csv"
+        lines = [line for line in csv_path.read_text().splitlines()
+                 if not line.startswith("1,a_auc,")]
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["metrics", "--run-dir", str(run_dir)])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert re.search(r"^seed 1 a_auc: recomputed \S+ not stored "
+                         r"\[MISMATCH\]$", out, re.M)
 
     def test_config_one_ulp_off_its_hash_is_a_mismatch(self, tmp_path,
                                                        capsys):

@@ -441,61 +441,3 @@ class TestExpertPool:
         np.testing.assert_array_equal(pool.online.weights, np.zeros((6, 4)))
         np.testing.assert_array_equal(pool.banks[1].heads[0].weights,
                                       np.zeros((6, 4)))
-
-    def _train(self, pool, rng, experts):
-        """Spawn ``experts`` experts, each trained on one batch."""
-        for _ in range(experts):
-            pool.spawn()
-            X, y = rng.standard_normal((8, 4)), rng.integers(6, size=8)
-            bank = pool.banks[-1] if pool.decays else None
-            train_step(pool.adapters[-1], pool.online, X, y, _open_mask(6),
-                       0.1, 2, bank)
-            pool.observe(y)
-
-    @pytest.mark.parametrize("decays", [(0.9, 0.99), ()])
-    def test_state_load_round_trip(self, decays):
-        pool = self._pool(decays)
-        self._train(pool, np.random.default_rng(2), 3)
-        snap = pool.state()
-        assert snap["bank_w"].shape == (3, len(decays), 6, 4)
-        assert snap["trained_classes"].shape == (3, 6)
-        copy = self._pool(decays)
-        copy.load(snap)
-        assert [a.frozen for a in copy.adapters] == [True, True, False]
-        assert not copy.adapters[0].scale.flags.writeable
-        assert copy.trained_classes == pool.trained_classes
-        assert [len(bank) for bank in copy.banks] == [len(decays)] * 3
-        # both continue the same way: train the live expert, spawn another
-        self._train(pool, np.random.default_rng(3), 1)
-        self._train(copy, np.random.default_rng(3), 1)
-        saved = copy.state()
-        assert saved.keys() == pool.state().keys()
-        for key, value in pool.state().items():
-            if isinstance(value, np.ndarray):
-                np.testing.assert_array_equal(saved[key], value, err_msg=key)
-            else:
-                assert saved[key] == value, key
-
-    def test_empty_pool_round_trip_writes_empty_expert_entries(self):
-        """Before the first spawn every expert entry is there, with no
-        rows."""
-        snap = self._pool().state()
-        assert {key: value.shape for key, value in snap.items()
-                if key.startswith(("adapter", "bank", "trained"))} == {
-            "adapter_scale": (0, 4), "adapter_shift": (0, 4),
-            "bank_w": (0, 1, 6, 4), "bank_b": (0, 1, 6),
-            "trained_classes": (0, 6)}
-        copy = self._pool()
-        copy.load(snap)
-        assert copy.num_experts == 0 and copy.banks == []
-
-    @pytest.mark.parametrize("d, num_classes, decays", [
-        (3, 6, (0.9,)), (4, 5, (0.9,)), (4, 6, (0.9, 0.99))])
-    def test_load_refuses_another_width_class_count_or_bank(
-            self, d, num_classes, decays):
-        pool = self._pool()
-        self._train(pool, np.random.default_rng(2), 2)
-        other = ExpertPool(d=d, num_classes=num_classes, decays=decays,
-                           rng=np.random.default_rng(0))
-        with pytest.raises(ShapeError):
-            other.load(pool.state())

@@ -556,29 +556,9 @@ class TestCheckpointResume:
         resumed, _ = run_seed(config, 1, state=resume(path, config))
         assert resumed == direct
 
-    def test_gram_checkpoints_as_held_and_resumes_bit_exactly(self, tmp_path):
-        """Past M rows a checkpoint stores G as the router holds it: its
-        lower triangle in Fortran order, zeros above the diagonal.  Resume
-        takes it back bit for bit and finishes the seed as the uninterrupted
-        run does."""
-        config = _fast(track_baselines=("kmeans",))
-        direct, _ = run_seed(config, 1)
-        path = tmp_path / "ck.npz"
-        state = _checkpoint_at(config, PAST_M, path)
-        with np.load(path, allow_pickle=False) as data:
-            stored = data["gram"]
-        assert stored.flags.f_contiguous and not stored.flags.c_contiguous
-        assert stored.tobytes("F") == state.router.gram.tobytes("F")
-        assert not np.triu(stored, 1).any()
-        resumed = resume(path, config)
-        assert resumed.router.gram.flags.f_contiguous
-        assert resumed.router.gram.tobytes("F") == stored.tobytes("F")
-        assert run_seed(config, 1, state=resumed)[0] == direct
-
     def test_primal_checkpoint_allocates_no_m_by_m_array(self, tmp_path):
-        """At M=1024 a checkpoint past M rows peaks below 1.1 times G's
-        bytes: it writes G as held, so the one transient of G's size is
-        numpy's write buffer (at most 16 MiB)."""
+        """At M=1024 a checkpoint past M rows writes only counters and the
+        log, so it peaks far below G's bytes."""
         state = SeedRunState(_fast(M=1024), 1)
         phi = np.random.default_rng(4).standard_normal((1025, 1024))
         accumulate(state.router, ExpandedBatch(phi, 0))
@@ -590,53 +570,7 @@ class TestCheckpointResume:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * state.router.gram.nbytes
-
-    def test_resumed_gram_updates_in_place_and_saves_as_held(self, tmp_path):
-        """Past M rows, resume normalises G whatever its stored layout, later
-        batches update that very array, and checkpoint saves it as held."""
-        config = _fast()
-        state = SeedRunState(config, 1)
-        for _ in range(PAST_M):
-            run_batch(state, state.cursor.next_batch())
-        path = tmp_path / "ck.npz"
-        checkpoint(state, path)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {k: np.array(v) for k, v in data.items()}
-        arrays["gram"] = np.ascontiguousarray(arrays["gram"])
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-
-        resumed = resume(path, config)
-        gram = resumed.router.gram
-        before = gram.copy()
-        run_batch(resumed, resumed.cursor.next_batch())
-        assert resumed.router.gram is gram
-        assert not np.array_equal(np.tril(gram), np.tril(before))
-        checkpoint(resumed, path)
-        with np.load(path, allow_pickle=False) as data:
-            saved = data["gram"]
-        assert saved.flags.f_contiguous
-        assert saved.tobytes("F") == gram.tobytes("F")
-
-    @pytest.mark.parametrize("edit", ["drop", "add"])
-    def test_trained_classes_that_are_not_the_streamed_labels_are_refused(
-            self, tmp_path, edit):
-        """Resume rebuilds the streamed rows from the schedule; a pool that
-        dropped a streamed class from every expert, or trained one not yet
-        streamed, is refused."""
-        config, path = _fast(), tmp_path / "ck.npz"
-        state = _checkpoint_at(config, 3, path)
-        entries = _read(path)
-        if edit == "drop":
-            entries["trained_classes"][:, min(state.seen)] = False
-        else:
-            unstreamed = min(set(range(6)) - state.seen)
-            entries["trained_classes"][-1, unstreamed] = True
-        _write(path, entries)
-        with pytest.raises(ConfigError, match="trained_classes .* are not "
-                           "the classes .* of the streamed rows"):
-            resume(path, config)
+        assert peak < 0.01 * state.router.gram.nbytes
 
     def test_altered_config_is_refused(self, tmp_path):
         config = _fast()
@@ -653,7 +587,7 @@ class TestCheckpointResume:
         checkpoint(state, path)
         _write(path, {**_read(path), "version": 999})
         with pytest.raises(ConfigError, match="checkpoint version 999 != "
-                           "engine checkpoint version 7"):
+                           "engine checkpoint version 8"):
             resume(path, config)
 
     def test_version_5_checkpoint_is_refused_naming_its_version(
@@ -662,17 +596,28 @@ class TestCheckpointResume:
         the prediction log in one JSON ``meta`` entry."""
         config, path = _fast(), tmp_path / "ck.npz"
         state = _checkpoint_at(config, 3, path)
-        entries = _read(path)
-        moved = ("version", "config_hash", "seed", "batch_index",
-                 "samples_seen", "samples_under_current", "trained_classes",
-                 "predictions_log", "jitter_used")
-        meta = {key: entries.pop(key).tolist() for key in moved}
+        meta = {key: value.tolist() for key, value in _read(path).items()}
         meta.update(version=5, predictions_log=state.predictions_log,
                     trained_classes=[sorted(c)
                                      for c in state.pool.trained_classes])
-        _write(path, {**entries, "meta": json.dumps(meta)})
+        _write(path, {"meta": json.dumps(meta),
+                      "gram": np.zeros((64, 64), order="F")})
         with pytest.raises(ConfigError, match="checkpoint version 5 != "
-                           "engine checkpoint version 7"):
+                           "engine checkpoint version 8"):
+            resume(path, config)
+
+    def test_version_7_checkpoint_is_refused_naming_its_version(
+            self, tmp_path):
+        """A v7 checkpoint held the router's, the pool's and the baselines'
+        arrays next to the counters and the log."""
+        config, path = _fast(), tmp_path / "ck.npz"
+        state = _checkpoint_at(config, 3, path)
+        _write(path, {**_read(path), "version": 7,
+                      "samples_seen": state.router.samples_seen,
+                      "proto": state.router.proto,
+                      "online_w": state.pool.online.weights})
+        with pytest.raises(ConfigError, match="checkpoint version 7 != "
+                           "engine checkpoint version 8"):
             resume(path, config)
 
     def test_truncated_checkpoint_is_refused(self, tmp_path):
@@ -687,22 +632,11 @@ class TestCheckpointResume:
             resume(path, config)
 
     @pytest.mark.parametrize("key", ["version", "config_hash", "seed",
-                                     "batch_index", "predictions_log",
-                                     "samples_seen", "jitter_used",
-                                     "trained_classes", "gram", "rows",
-                                     "row_expert", "factor", "factor_diag",
-                                     "baseline_kmeans_seen",
-                                     "adapter_scale", "bank_w"])
+                                     "batch_index", "predictions_log"])
     def test_checkpoint_missing_an_entry_is_refused(self, tmp_path, key):
-        """Each counter, the log, the pool's class mask and each entry of a
-        dual-form router checkpoint, or G past M rows."""
-        config = _fast(track_baselines=("kmeans",))
-        state = SeedRunState(config, 1)
-        for _ in range(PAST_M if key in ("gram", "factor_diag")
-                       else DUAL_SOLVED):
-            run_batch(state, state.cursor.next_batch())
-        path = tmp_path / "ck.npz"
-        checkpoint(state, path)
+        """Each counter and the log."""
+        config, path = _fast(track_baselines=("kmeans",)), tmp_path / "ck.npz"
+        _checkpoint_at(config, DUAL_SOLVED, path)
         entries = _read(path)
         del entries[key]
         _write(path, entries)
@@ -731,10 +665,6 @@ def _write(path, entries: dict) -> None:
         np.savez(fh, **entries)
 
 
-def _shrink_cols(key, cols):
-    return lambda entries: entries.update({key: entries[key][:, :cols]})
-
-
 def _bump(key, by):
     return lambda entries: entries.update({key: entries[key] + by})
 
@@ -748,44 +678,16 @@ def _edit_log(edit):
     return edit_entries
 
 
-def _train_class_999(entries):
-    trained = np.zeros((2, 1000), dtype=bool)
-    trained[:, :6] = entries["trained_classes"]
-    trained[-1, 999] = True
-    entries["trained_classes"] = trained
-
-
 # Each edit leaves a checkpoint that still reads and hash-matches but whose
-# shapes, counts, class ids, G's zero upper triangle or prediction log do not
-# fit the config below and its schedule: M=64, d=8, 6 classes, 3 sessions,
-# 13 batches and, at batch 7, two experts.  Each case names the entry the
-# refusal must name.
+# batch index or prediction log does not fit the config below and its
+# schedule: 6 classes, 3 sessions, 13 batches and, at batch 7, two experts.
+# Each case names the entry the refusal must name.
 TAMPERED = {
-    "gram_32x32": ("gram", lambda entries: entries.update(
-        gram=np.zeros((32, 32)))),
-    "gram_upper_corner": ("gram", lambda entries: entries.update(
-        gram=entries["gram"] + np.eye(64, k=63))),
-    "proto_10_rows": ("proto", lambda entries: entries.update(
-        proto=entries["proto"][:10])),
-    "online_w_d3": ("online_w", _shrink_cols("online_w", 3)),
-    "adapter_scale_d3": ("adapter_scale", _shrink_cols("adapter_scale", 3)),
-    "prototype_means_width_7": ("baseline_prototype_means", _shrink_cols(
-        "baseline_prototype_means", 7)),
-    "prototype_one_expert_short": (
-        "baseline_prototype_counts", lambda entries: entries.update(
-            {key: entries[key][:-1] for key in ("baseline_prototype_counts",
-                                                "baseline_prototype_means")})),
-    "kmeans_seen_negative": ("baseline_kmeans_seen", lambda entries:
-                             entries.update(baseline_kmeans_seen=-entries[
-                                 "baseline_kmeans_seen"])),
-    "batch_index_plus_2": ("batch_index", _bump("batch_index", 2)),
+    # in range, but the two more batches log anytime record 2
+    "batch_index_plus_2": ("predictions_log", _bump("batch_index", 2)),
     "batch_index_past_the_schedule": ("batch_index",
                                       _bump("batch_index", 100)),
-    "samples_seen_plus_1": ("samples_seen", _bump("samples_seen", 1)),
-    "trained_class_999": ("trained_classes", _train_class_999),
-    "samples_under_current_negative": (
-        "samples_under_current",
-        lambda entries: entries.update(samples_under_current=-5)),
+    "batch_index_negative": ("batch_index", _bump("batch_index", -8)),
     "record_without_labels": ("predictions_log", _edit_log(
         lambda log: log[0].pop("labels"))),
     "session_step_99": ("predictions_log", _edit_log(
@@ -882,58 +784,50 @@ def test_an_end_of_stream_checkpoint_without_its_final_record_is_refused(
         resume(path, config)
 
 
-# Every entry of a checkpoint of _fast's stream (M=64, d=8, 6 classes) with
-# two experts, an EMA bank of two heads and every baseline tracked, besides
-# the router's form-specific ones, as (dtype, shape); a str entry's dtype is
-# its kind, "U", whatever its length.
-PINNED = {
-    "version": ("<i8", ()), "config_hash": ("U", ()), "seed": ("<i8", ()),
-    "batch_index": ("<i8", ()), "predictions_log": ("U", ()),
-    "samples_seen": ("<i8", ()), "proto": ("<f8", (64, 2)),
-    "online_w": ("<f8", (6, 8)), "online_b": ("<f8", (6,)),
-    "samples_under_current": ("<i8", ()),
-    "trained_classes": ("|b1", (2, 6)),
-    "adapter_scale": ("<f8", (2, 8)), "adapter_shift": ("<f8", (2, 8)),
-    "bank_w": ("<f8", (2, 2, 6, 8)), "bank_b": ("<f8", (2, 2, 6)),
-    "baseline_prototype_counts": ("<i8", (2,)),
-    "baseline_prototype_means": ("<f8", (2, 64)),
-    "baseline_naive_bayes_counts": ("<i8", (2,)),
-    "baseline_naive_bayes_means": ("<f8", (2, 64)),
-    "baseline_naive_bayes_m2": ("<f8", (2, 64)),
-    "baseline_kmeans_seen": ("<i8", (2,)),
-    "baseline_kmeans_reservoir_0": ("<f8", (512, 64)),
-    "baseline_kmeans_reservoir_1": ("<f8", (512, 64)),
-    "baseline_trained_shallow_W1": ("<f8", (512, 64)),
-    "baseline_trained_shallow_b1": ("<f8", (512,)),
-    "baseline_trained_shallow_W2": ("<f8", (2, 512)),
-    "baseline_trained_shallow_b2": ("<f8", (2,)),
-}
-# The router's own entries past M rows (G, with no factor held, so no
-# diagonal, kept rows or capacitance factor), past M rows with a factor held
-# (L's diagonal, the 23 rows kept since and the capacitance factor of the 11
-# whitened ones; by then a third expert has spawned) and in the dual form (its 61 rows, their experts, the factor
-# of the 49 rows its last solve saw); each with its factor's jitter.
-PINNED_PRIMAL = {**PINNED, "gram": ("<f8", (64, 64)),
-                 "factor_diag": ("<f8", (0,)), "rows": ("<f8", (0, 64)),
-                 "factor": ("<f8", (0, 0)), "jitter_used": ("<f8", ())}
-PINNED_HELD = {"gram": ("<f8", (64, 64)), "factor_diag": ("<f8", (64,)),
-               "rows": ("<f8", (23, 64)), "factor": ("<f8", (11, 11)),
-               "jitter_used": ("<f8", ())}
-PINNED_DUAL = {**PINNED, "rows": ("<f8", (61, 64)),
-               "row_expert": ("<i8", (61,)), "factor": ("<f8", (49, 49)),
-               "jitter_used": ("<f8", ())}
+def test_a_log_with_one_prediction_changed_is_refused(tmp_path):
+    """Mid-stream, a log that ``check_log`` reads as well formed but whose
+    one prediction is not the one its batches make is refused: resume
+    reruns the batches and requires their very log."""
+    config, path = _fast(), tmp_path / "ck.npz"
+    state = _checkpoint_at(config, PAST_M, path)
+    log = json.loads(json.dumps(state.predictions_log))
+    log[-1]["predictions"][0] = (log[-1]["predictions"][0] + 1) % 6
+    _write(path, {**_read(path), "predictions_log": json.dumps(log)})
+    with pytest.raises(ConfigError, match=r"ck\.npz: predictions_log is not "
+                       rf"the log its {PAST_M} batches write"):
+        resume(path, config)
+
+
+def test_a_checkpoint_of_a_rewritten_feature_file_is_refused(tmp_path):
+    """A feature-file run checkpointed mid-stream resumes bit-exactly from
+    the same file, and is refused once the file holds another backbone's
+    features under the same path, labels and config hash."""
+    config, path = _feature_file_config(tmp_path), tmp_path / "ck.npz"
+    direct, _ = run_seed(config, 1)
+    _checkpoint_at(config, PAST_M, path)
+    assert run_seed(config, 1, state=resume(path, config))[0] == direct
+    write_feature_file(config.stream.feature_file, SyntheticBackbone(
+        StreamConfig(num_classes=6, samples_per_class=30, d=8, seed=2)))
+    with pytest.raises(ConfigError, match=r"ck\.npz: predictions_log"):
+        resume(path, config)
+
+
+# Every entry of a checkpoint, as (dtype, shape); a str entry's dtype is its
+# kind, "U", whatever its length.
+PINNED = {"version": ("<i8", ()), "config_hash": ("U", ()),
+          "seed": ("<i8", ()), "batch_index": ("<i8", ()),
+          "predictions_log": ("U", ())}
 
 
 @pytest.fixture(scope="module")
 def every_entry(tmp_path_factory) -> dict:
-    """Batch number -> entries of a checkpoint at DUAL_SOLVED, PAST_M and
-    HELD batches with every baseline tracked."""
+    """Batch number -> entries of a checkpoint of _fast's stream with every
+    baseline tracked, at DUAL_SOLVED, PAST_M and HELD batches."""
     config = _fast(track_baselines=BASELINE_KINDS)
     path = tmp_path_factory.mktemp("every_entry") / "ck.npz"
     checkpoints = {}
     for at in (DUAL_SOLVED, PAST_M, HELD):
-        experts = _checkpoint_at(config, at, path).pool.num_experts
-        assert experts == (3 if at == HELD else 2)
+        _checkpoint_at(config, at, path)
         checkpoints[at] = _read(path)
     return checkpoints
 
@@ -944,52 +838,33 @@ def _pinned(entries: dict) -> dict:
 
 
 def test_checkpoint_format_is_pinned(every_entry):
-    """The v7 entries of a checkpoint past M rows: the router stores G,
-    and with a factor held L's diagonal, the kept rows and their capacitance
-    factor.  No ledger entry: resume replays the prediction log.  No
-    streamed mask or seen classes: the schedule and the pool give them."""
-    entries = every_entry[PAST_M]
-    assert _pinned(entries) == PINNED_PRIMAL
-    assert entries["version"] == 7 and entries["samples_seen"] == 73
-    assert not np.triu(entries["gram"], 1).any()
-    entries = every_entry[HELD]
-    assert _pinned({key: entries[key] for key in PINNED_HELD}) == PINNED_HELD
-    assert entries["samples_seen"] == 108
-    assert (entries["factor_diag"] > 0).all()
-
-
-def test_dual_checkpoint_format_is_pinned(every_entry):
-    """The v7 entries of a checkpoint in the dual form."""
-    entries = every_entry[DUAL_SOLVED]
-    assert _pinned(entries) == PINNED_DUAL
-    assert entries["samples_seen"] == 61 and entries["jitter_used"] == 0.0
+    """The v8 entries: the counters and the log, whatever form the router
+    is in and whichever baselines are tracked.  No array: resume rebuilds
+    every one by rerunning the batches before the checkpoint."""
+    for at, entries in every_entry.items():
+        assert _pinned(entries) == PINNED, at
+        assert entries["version"] == 8 and entries["batch_index"] == at
 
 
 def _ill_typed(value: np.ndarray):
     """``value`` cast to another dtype, as strings, and with one more
     axis."""
     kind = value.dtype.kind
-    yield value.astype({"f": np.float32, "i": np.float64, "b": np.int64,
-                        "U": np.bytes_}[kind])
+    yield value.astype({"i": np.float64, "U": np.bytes_}[kind])
     if kind != "U":
         yield value.astype(str)
     yield value[None]
 
 
-@pytest.mark.parametrize("at, entry", [
-    *((DUAL_SOLVED, entry) for entry in PINNED_DUAL),
-    *((PAST_M, entry) for entry in PINNED_PRIMAL),
-    *((HELD, entry) for entry in ("factor_diag", "rows", "factor"))])
-def test_ill_typed_entry_is_refused_by_name(tmp_path, every_entry, at,
-                                            entry):
-    """Each entry of a dual and of a primal checkpoint, cast to another
-    dtype (an int count to float, say), to strings or to one more axis, is
-    refused as a config error naming it."""
+@pytest.mark.parametrize("entry", PINNED)
+def test_ill_typed_entry_is_refused_by_name(tmp_path, every_entry, entry):
+    """Each entry cast to another dtype (an int count to float, say), to
+    strings or to one more axis, is refused as a config error naming it."""
     config, path = _fast(track_baselines=BASELINE_KINDS), tmp_path / "ck.npz"
-    for value in _ill_typed(every_entry[at][entry]):
-        _write(path, {**every_entry[at], entry: value})
-        why = re.escape(f"dtype {value.dtype}" if value.ndim == np.ndim(
-            every_entry[at][entry]) else f"shape {value.shape}")
+    for value in _ill_typed(every_entry[PAST_M][entry]):
+        _write(path, {**every_entry[PAST_M], entry: value})
+        why = re.escape(f"dtype {value.dtype}" if value.ndim == 0
+                        else f"shape {value.shape}")
         with pytest.raises(ConfigError, match=rf"ck\.npz: {entry} has {why}"):
             resume(path, config)
 

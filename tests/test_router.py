@@ -1,6 +1,5 @@
 """Streaming ridge router: accumulation, closed-form solve, growth, routing."""
 
-import io
 import tracemalloc
 
 import numpy as np
@@ -390,39 +389,6 @@ class TestHeldFactor:
         assert not state.dual and state.kept == state.factored == M // 2 - B
         assert 1 <= len(refactors) <= 2
 
-    def test_held_factor_and_kept_rows_resume_bit_exactly(self):
-        """A checkpoint taken with a held factor, rows it has whitened and
-        rows it has not: the loaded state writes the same arrays, holds the
-        same G, factor and kept rows, and its next solves equal the
-        uninterrupted run's bit for bit."""
-        M = 32
-        rng = np.random.default_rng(14)
-        state = new_router_state(M, 1.0, num_experts=2)
-        for size, solves in ((40, True), (6, True), (5, False)):
-            accumulate(state, ExpandedBatch(rng.standard_normal((size, M)),
-                                            size % 2))
-            if solves:
-                solve(state)
-        assert (state.kept, state.factored) == (11, 6)
-        buf = io.BytesIO()
-        np.savez(buf, **state.state())
-        buf.seek(0)
-        with np.load(buf) as stored:
-            snap = dict(stored.items())
-        assert snap["rows"].shape == (11, M) and snap["factor"].shape == (6, 6)
-        assert snap["factor_diag"].shape == (M,)
-        resumed = new_router_state(M, 1.0, num_experts=2)
-        resumed.load(snap)
-        for key, value in resumed.state().items():
-            np.testing.assert_array_equal(value, snap[key])
-        assert resumed.gram.tobytes("A") == state.gram.tobytes("A")
-        for size in (0, 3, 9):
-            rows = rng.standard_normal((size, M))
-            for each in (state, resumed):
-                accumulate(each, ExpandedBatch(rows, 1))
-            assert solve(resumed).tobytes() == solve(state).tobytes()
-        assert resumed.gram.tobytes("A") == state.gram.tobytes("A")
-
 
 class TestRoute:
     def test_requires_solved_state(self):
@@ -490,132 +456,6 @@ class TestGrow:
         state = new_router_state(3, 1.0, num_experts=2)
         with pytest.raises(ValueError):
             grow(state, 2)
-
-
-class TestSnapshotRestore:
-    def test_round_trip_preserves_solution(self):
-        """Dual (4 rows of M=5: the rows, their experts and the factor,
-        grown by the last row) and primal (19 rows: G as held, its lower
-        triangle in Fortran order and L^T above it, L's diagonal, the row
-        kept since L was taken and its capacitance factor)."""
-        rng = np.random.default_rng(9)
-        for N in (4, 19):
-            state, _, _ = _stream_instance(rng, 5, N - 1, 2, 1.0)
-            solve(state)
-            accumulate(state, ExpandedBatch(rng.standard_normal((1, 5)), 1))
-            solve(state)
-            snap = state.state()
-            if state.dual:
-                assert snap["rows"].shape == (N, 5)
-                assert snap["factor"].shape == (N, N)
-                np.testing.assert_array_equal(snap["factor"],
-                                              np.tril(snap["factor"]))
-            else:  # G as held, with L^T above it and the row kept since
-                assert snap["gram"] is state.gram
-                assert snap["factor_diag"].shape == (5,)
-                assert snap["rows"].shape == (1, 5)
-                assert snap["factor"].shape == (1, 1)
-            copy = new_router_state(5, 1.0, num_experts=2)
-            copy.load(snap)
-            assert copy.gram.flags.f_contiguous
-            assert copy.gram.dtype == np.float64
-            for key, value in copy.state().items():  # factor included
-                np.testing.assert_array_equal(value, snap[key])
-            np.testing.assert_array_equal(router_gram_ref(copy),
-                                          router_gram_ref(state))
-            np.testing.assert_array_equal(solve(copy), solve(state))
-
-    def test_load_drops_a_stale_solution(self):
-        rng = np.random.default_rng(9)
-        for N in (4, 18):
-            state, _, _ = _stream_instance(rng, 5, N, 2, 1.0)
-            copy = new_router_state(5, 1.0, num_experts=2)
-            solve(copy)
-            copy.load(state.state())
-            assert copy.solved is None
-            np.testing.assert_array_equal(solve(copy), solve(state))
-
-    @settings(max_examples=40, deadline=None)
-    @given(M=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
-           data=st.data())
-    def test_nothing_is_written_above_the_diagonal_of_g(self, M, seed, data):
-        """Random batches across the fold, a round trip through an npz file,
-        then more batches: from the fold on, G's strict upper triangle is
-        exactly zero, in memory and in what ``state()`` writes, and the
-        resumed state matches the uninterrupted one bit for bit."""
-        sizes = st.lists(st.integers(1, 12), min_size=1, max_size=8)
-        before = data.draw(sizes, label="batches before the checkpoint")
-        before.append(M + 1)  # the fold happens by the checkpoint at latest
-        after = data.draw(sizes, label="batches after the checkpoint")
-        rng = np.random.default_rng(seed)
-        state = new_router_state(M, 1.0, num_experts=2)
-
-        def feed(states, size):
-            rows, e = rng.standard_normal((size, M)), int(rng.integers(2))
-            for each in states:
-                accumulate(each, ExpandedBatch(rows, e))
-                assert each.dual or not np.triu(each.gram, 1).any()
-
-        for size in before:
-            feed([state], size)
-        buf = io.BytesIO()
-        np.savez(buf, **state.state())
-        buf.seek(0)
-        with np.load(buf) as stored:
-            assert not np.triu(stored["gram"], 1).any()
-            snap = dict(stored.items())
-        resumed = new_router_state(M, 1.0, num_experts=2)
-        resumed.load(snap)
-        for size in after:
-            feed([state, resumed], size)
-        assert resumed.gram.tobytes("A") == state.gram.tobytes("A")
-        np.testing.assert_array_equal(solve(resumed), solve(state))
-
-    def test_load_refuses_a_nonzero_entry_above_the_diagonal(self):
-        """Even one, in G's last column: ``load`` scans every column."""
-        rng = np.random.default_rng(9)
-        state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
-        snap = state.state()
-        snap["gram"] = snap["gram"].copy(order="F")
-        snap["gram"][3, 4] = 1e-300
-        with pytest.raises(ShapeError, match="gram"):
-            new_router_state(5, 1.0, num_experts=2).load(snap)
-
-    @pytest.mark.parametrize("edit, match", [
-        (lambda snap: snap.update(factor_diag=snap["factor_diag"][:3]),
-         r"factor_diag has shape \(3,\), not \(0,\) or \(5,\)"),
-        (lambda snap: snap["factor_diag"].__setitem__(2, 0.0),
-         "factor_diag has an entry that is not positive and finite"),
-        (lambda snap: snap["factor_diag"].__setitem__(4, np.inf),
-         "factor_diag has an entry that is not positive and finite"),
-        (lambda snap: snap.update(rows=np.zeros((4, 5))),
-         "rows holds 4 kept rows, more than the 3 room"),
-        (lambda snap: snap.update(factor_diag=np.zeros(0)),
-         "gram has a nonzero entry above its diagonal"),
-    ])
-    def test_load_refuses_a_held_factor_that_does_not_fit(self, edit, match):
-        """L's diagonal of another length or with an entry that is not
-        positive and finite, more kept rows than kept_cap(5) = 3, or L^T
-        above G's diagonal with no diagonal to go with it."""
-        rng = np.random.default_rng(9)
-        state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
-        solve(state)
-        accumulate(state, ExpandedBatch(rng.standard_normal((1, 5)), 1))
-        snap = {key: np.array(value) for key, value in state.state().items()}
-        edit(snap)
-        with pytest.raises(ShapeError, match=match):
-            new_router_state(5, 1.0, num_experts=2).load(snap)
-
-    @pytest.mark.parametrize("key, shape", [("gram", (4, 4)),
-                                            ("proto", (5, 3)),
-                                            ("proto", (4, 2))])
-    def test_load_refuses_another_width_or_expert_count(self, key, shape):
-        rng = np.random.default_rng(9)
-        state, _, _ = _stream_instance(rng, 5, 18, 2, 1.0)
-        snap = state.state()
-        snap[key] = np.zeros(shape)
-        with pytest.raises(ShapeError):
-            new_router_state(5, 1.0, num_experts=2).load(snap)
 
 
 class TestConstruction:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gclstream.harness as harness
-from gclstream.analytic_router import accumulate, new_router_state
+from gclstream.analytic_router import _head, accumulate, new_router_state
 from gclstream.baselines import (BASELINE_KINDS, baseline_fit_update,
                                  baseline_route, new_baseline)
 from gclstream.errors import ConfigError, check_fields
@@ -867,6 +867,125 @@ def test_ill_typed_entry_is_refused_by_name(tmp_path, every_entry, entry):
                         else f"shape {value.shape}")
         with pytest.raises(ConfigError, match=rf"ck\.npz: {entry} has {why}"):
             resume(path, config)
+
+
+def _stacked(arrays, shape) -> np.ndarray:
+    return np.reshape(list(arrays), shape)
+
+
+def _router_factor(router) -> np.ndarray:
+    """The Cholesky factor over the router's first ``factored`` rows."""
+    k = router.factored
+    return (np.tril(_head(router._region(), k)) if k
+            else np.zeros((0, 0)))
+
+
+def _router_rows(router) -> np.ndarray:
+    """The dual form's rows, or the rows kept since the primal form's last
+    factorization."""
+    if router.dual:
+        return router.gram[:, :router.samples_seen].T
+    return router.factor_buf[:, :router.kept].T if router.kept else (
+        np.zeros((0, router.M)))
+
+
+def _trained_classes(pool) -> np.ndarray:
+    mask = np.zeros((pool.num_experts, pool.num_classes), dtype=bool)
+    for e, classes in enumerate(pool.trained_classes):
+        mask[e, sorted(classes)] = True
+    return mask
+
+
+def _bank(pool, part) -> list:
+    return [getattr(h, part) for b in pool.banks for h in b.heads]
+
+
+# Each array a v7 checkpoint stored, under its v7 entry name, and the rest
+# of what a seed carries between batches (the counters that sized the v7
+# entries, the adapters' spawn generator, the streamed mask, the log), as a
+# reader of a SeedRunState.  The pool's adapters and heads, the baselines'
+# per-expert rows and the k-means reservoirs read stacked.
+REBUILT = {
+    "proto": lambda s: s.router.proto,
+    "samples_seen": lambda s: s.router.samples_seen,
+    "jitter_used": lambda s: s.router.jitter_used,
+    "factored": lambda s: s.router.factored,
+    "kept": lambda s: s.router.kept,
+    "gram": lambda s: s.router.gram,
+    "rows": lambda s: _router_rows(s.router),
+    "row_expert": lambda s: s.router.row_expert,
+    "factor": lambda s: _router_factor(s.router),
+    "factor_diag": lambda s: s.router.factor_diag,
+    "online_w": lambda s: s.pool.online.weights,
+    "online_b": lambda s: s.pool.online.bias,
+    "samples_under_current": lambda s: s.pool.samples_under_current,
+    "trained_classes": lambda s: _trained_classes(s.pool),
+    "adapter_scale": lambda s: _stacked(
+        (a.scale for a in s.pool.adapters), (s.pool.num_experts, -1)),
+    "adapter_shift": lambda s: _stacked(
+        (a.shift for a in s.pool.adapters), (s.pool.num_experts, -1)),
+    "adapter_frozen": lambda s: [a.frozen for a in s.pool.adapters],
+    "adapter_rng": lambda s: str(s.pool._rng.bit_generator.state),
+    "bank_w": lambda s: _stacked(_bank(s.pool, "weights"),
+                                 (s.pool.num_experts, 2, 6, 8)),
+    "bank_b": lambda s: _stacked(_bank(s.pool, "bias"),
+                                 (s.pool.num_experts, 2, 6)),
+    "baseline_prototype_counts": lambda s: s.baselines["prototype"].counts,
+    "baseline_prototype_means": lambda s: s.baselines["prototype"].means,
+    "baseline_naive_bayes_counts": lambda s: s.baselines[
+        "naive_bayes"].counts,
+    "baseline_naive_bayes_means": lambda s: s.baselines["naive_bayes"].means,
+    "baseline_naive_bayes_m2": lambda s: s.baselines["naive_bayes"].m2,
+    "baseline_kmeans_seen": lambda s: s.baselines["kmeans"].seen,
+    "baseline_kmeans_reservoirs": lambda s: s.baselines["kmeans"].reservoirs,
+    "baseline_kmeans_centroids": lambda s: s.baselines["kmeans"].centroids,
+    "baseline_kmeans_centroid_owner": lambda s: s.baselines[
+        "kmeans"].centroid_owner,
+    "baseline_trained_shallow_W1": lambda s: s.baselines[
+        "trained_shallow"].W1,
+    "baseline_trained_shallow_b1": lambda s: s.baselines[
+        "trained_shallow"].b1,
+    "baseline_trained_shallow_W2": lambda s: s.baselines[
+        "trained_shallow"].W2,
+    "baseline_trained_shallow_b2": lambda s: s.baselines[
+        "trained_shallow"].b2,
+    "batch_index": lambda s: s.batch_index,
+    "streamed": lambda s: s.streamed,
+    "seen": lambda s: sorted(s.seen),
+    "predictions_log": lambda s: json.dumps(s.predictions_log),
+}
+# _fast's 13 batches end the stream.
+END = 13
+
+
+@pytest.fixture(scope="module")
+def rebuilt(tmp_path_factory) -> dict:
+    """Batch number -> (the state of seed 1 run to that batch, the state
+    resumed from its checkpoint), every baseline tracked."""
+    config = _fast(track_baselines=BASELINE_KINDS)
+    path = tmp_path_factory.mktemp("rebuilt") / "ck.npz"
+    states = {}
+    for at in (DUAL_SOLVED, PAST_M, HELD, END):
+        direct = _checkpoint_at(config, at, path)
+        states[at] = direct, resume(path, config)
+    assert len(states[END][0].schedule.batches) == END
+    return states
+
+
+@pytest.mark.parametrize("at", [DUAL_SOLVED, PAST_M, HELD, END])
+@pytest.mark.parametrize("entry", REBUILT)
+def test_resume_rebuilds_what_a_v7_checkpoint_stored(rebuilt, at, entry):
+    """In the dual form, past M rows, with a factor held and at the end of
+    the stream, the rerun batches rebuild each array bit for bit, dtype and
+    shape included, as the uninterrupted seed holds it: what v7 stored and
+    its load checked, v8 reruns."""
+    direct, resumed = (REBUILT[entry](state) for state in rebuilt[at])
+    if direct is None:
+        assert resumed is None
+        return
+    direct, resumed = np.asarray(direct), np.asarray(resumed)
+    assert (resumed.dtype, resumed.shape) == (direct.dtype, direct.shape)
+    assert resumed.tobytes() == direct.tobytes()
 
 
 def _interrupted(config, at, path):

@@ -35,6 +35,7 @@ import time
 import zipfile
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
+from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,8 +51,8 @@ from .errors import (ConfigError, ShapeError, check_fields, check_scalar,
 from .expansion import ACTIVATIONS, ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
                       train_step)
-from .metrics import (MetricsLedger, adapter_cka, check_log,
-                      expected_records, replay, routing_accuracy)
+from .metrics import (MetricsLedger, adapter_cka, expected_records,
+                      record_name, replay, routing_accuracy)
 from .stream import (FeatureSource, StreamConfig, StreamCursor,
                      build_stream, load_feature_file)
 
@@ -479,11 +480,10 @@ def resume(path, config: RunConfig) -> SeedRunState:
     """Rebuild a SeedRunState from a snapshot; config must hash-match.
 
     The seed reruns its first ``batch_index`` batches, which rebuild every
-    array, and must log the very records the snapshot holds.  A checkpoint
-    that cannot be read, lacks an entry, has an entry of another dtype or
-    shape, a batch index outside the schedule, or a log other than the one
-    its batches write (first read by ``metrics.check_log``) raises
-    ConfigError.
+    array, and the snapshot's log must be the very text ``checkpoint``
+    writes of theirs.  A checkpoint that cannot be read, lacks an entry,
+    has an entry of another dtype or shape, a batch index outside the
+    schedule, or a log other than that text raises ConfigError.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -516,20 +516,25 @@ def _restore(snap: dict, config: RunConfig) -> SeedRunState:
     if not 0 <= done <= len(state.schedule.batches):
         raise ShapeError(f"batch_index {done} outside "
                          f"0..{len(state.schedule.batches)}")
-    log = parse_json(check_scalar(snap, "predictions_log", str),
-                     "predictions_log")
-    if not isinstance(log, list):
-        raise ConfigError("predictions_log is not a list of records")
-
-    cursor = state.cursor
+    stored = check_scalar(snap, "predictions_log", str)
     for _ in range(done):
-        run_batch(state, cursor.next_batch())
-    # after the replay: the meta line's expert history is the batches' own
-    check_log(log, "predictions_log record {}".format, state.meta, done)
-    if log != state.predictions_log:
-        raise ConfigError(f"predictions_log is not the log its {done} "
-                          "batches write")
+        run_batch(state, state.cursor.next_batch())
+    if stored != json.dumps(state.predictions_log):
+        raise ConfigError(_departure(stored, state.predictions_log, done))
     return state
+
+
+def _departure(stored: str, log: list, done: int) -> str:
+    """The refusal naming where the stored log text departs from ``log``'s."""
+    records = parse_json(stored, "predictions_log")
+    records = records if isinstance(records, list) else []
+    texts = zip_longest(map(json.dumps, records), map(json.dumps, log))
+    i = next((i for i, (text, ours) in enumerate(texts) if text != ours), None)
+    if i is None:  # every record alike: the text between them departs
+        return "predictions_log is not the text checkpoint writes"
+    due = (log[i]["phase"], log[i]["step"]) if i < len(log) else None
+    return (f"predictions_log record {i} departs from the log its {done} "
+            f"batches write, which holds {record_name(due)} there")
 
 
 # ---------------------------------------------------------------------------

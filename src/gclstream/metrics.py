@@ -10,10 +10,10 @@ the anytime mean summarizes the whole trajectory.  Routing accuracy counts a
 prediction as correctly routed when the chosen expert trained on the true
 class (a one-to-many correspondence: blurry classes have several correct
 experts).  ``seed_metrics`` derives the suite of one seed.  The harness logs,
-and ``check_log`` checks, the records ``expected_records`` defines; ``replay``
-rebuilds a seed's ledger and every metric the log determines, for the
-harness and the ``metrics`` command alike.  Linear CKA compares the experts'
-residual representations on a shared probe set.
+and ``check_log`` checks in a log file, the records ``expected_records``
+defines; ``replay`` rebuilds a seed's ledger and every metric the log
+determines, for the harness and the ``metrics`` command alike.  Linear CKA
+compares the experts' residual representations on a shared probe set.
 """
 
 from __future__ import annotations
@@ -190,13 +190,13 @@ RECORD_FIELDS = {
 }
 
 
-def _check_fields(record, phases) -> str:
-    """The record's phase; ConfigError unless it is a JSON object with one
-    of ``phases`` and every field of its phase's RECORD_FIELDS, typed."""
+def _check_fields(record) -> str:
+    """The record's phase; ConfigError unless it is a JSON object with a
+    phase of RECORD_FIELDS and every field of that phase, typed."""
     if not isinstance(record, dict) or "phase" not in record:
         raise ConfigError("not a record with a phase")
     phase = record["phase"]
-    if not isinstance(phase, str) or phase not in phases:
+    if not isinstance(phase, str) or phase not in RECORD_FIELDS:
         raise ConfigError(f"unexpected phase {phase!r}")
     types = RECORD_FIELDS[phase]
     missing = [name for name in types if name not in record]
@@ -229,41 +229,36 @@ def expected_records(meta, done: int) -> list[tuple[str, int | None]]:
     return records
 
 
-def log_sequence(meta, done: int | None = None):
-    """Lazily, the (phase, step) of each record a seed logs in its first
-    ``done`` batches or, by default, of its block in a log file: the
-    ``expected_records`` of every batch where one may fall."""
-    if done is None and not meta["logged"]:
+def log_sequence(meta):
+    """Lazily, the (phase, step) of each record of a seed's block in a log
+    file: the ``expected_records`` of every batch where one may fall."""
+    if not meta["logged"]:
         return
     ends = list(accumulate(meta["session_batches"]))
-    last, interval = ends[-1] if done is None else done, meta["eval_interval"]
-    for batch, _ in groupby(merge(range(interval, last + 1, interval),
-                                  [end for end in ends if end <= last])):
+    interval = meta["eval_interval"]
+    for batch, _ in groupby(merge(range(interval, ends[-1] + 1, interval),
+                                  ends)):
         yield from expected_records(meta, batch)
 
 
-def _named(record) -> str:
+def record_name(record) -> str:
+    """A (phase, step) pair as the refusals name it, None as no record."""
     phase, step = record or ("no", None)
     return f"{phase} record" + ("" if step is None else f" {step}")
 
 
-def check_log(records, where, meta=None, done=None) -> dict:
-    """A log's blocks, seed -> (meta line, records): a file holds a block
-    per seed, its meta line and then exactly the records ``log_sequence``
-    gives; a checkpoint holds one seed's records of ``done`` batches, read
-    against the ``meta`` line given.  ConfigError, prefixed by ``where(i)``,
-    at the i-th record refused, or at ``where(len(records))``."""
-    blocks, opened, due = {}, meta, None
-    phases = set(RECORD_FIELDS) - ({"meta"} if meta else set())
-    if meta is not None:
-        sequence = log_sequence(meta, done)
-        blocks[meta["seed"]], due = (meta, []), next(sequence, None)
+def check_log(records, where) -> dict:
+    """A log file's blocks, seed -> (meta line, records): a block per seed,
+    its meta line and then exactly the records ``log_sequence`` gives.
+    ConfigError, prefixed by ``where(i)``, at the i-th record refused, or
+    at ``where(len(records))``."""
+    blocks, opened, due = {}, None, None
     try:
         for count, record in enumerate(chain(records, [None])):
-            phase = None if record is None else _check_fields(record, phases)
+            phase = None if record is None else _check_fields(record)
             if phase in (None, "meta") and due is not None:
-                raise ConfigError(f"seed {opened['seed']}'s {_named(due)} "
-                                  "is missing")
+                raise ConfigError(f"seed {opened['seed']}'s "
+                                  f"{record_name(due)} is missing")
             if phase is None:
                 break
             if phase == "meta":
@@ -278,14 +273,13 @@ def check_log(records, where, meta=None, done=None) -> dict:
                 opened, sequence = record, log_sequence(record)
                 blocks[seed], due = (record, []), next(sequence, None)
                 continue
-            seed = record.get("seed") if meta is None else meta["seed"]
-            got = (phase, record.get("step"))
+            seed, got = record.get("seed"), (phase, record.get("step"))
             if opened is None or seed != opened["seed"]:
-                raise ConfigError(f"seed {seed!r}'s {_named(got)} is "
+                raise ConfigError(f"seed {seed!r}'s {record_name(got)} is "
                                   "outside that seed's block")
             if got != due:
-                raise ConfigError(f"seed {seed}'s {_named(got)} comes where "
-                                  f"{_named(due)} is due")
+                raise ConfigError(f"seed {seed}'s {record_name(got)} comes "
+                                  f"where {record_name(due)} is due")
             if phase == "session":
                 labels, step = set(record["labels"]), got[1]
                 for j, classes in enumerate(opened["session_classes"]):

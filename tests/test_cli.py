@@ -162,6 +162,48 @@ class TestBlasSettings:
             for threads in ("1", "2"))
         assert a == b
 
+    # Seed 1 of the config file argv[1]: checkpointed three quarters of the
+    # way through to argv[2], or, given a run directory argv[3], resumed
+    # from argv[2], finished and emitted there.
+    _CHECKPOINT_OR_RESUME = """
+import json, sys
+from pathlib import Path
+from gclstream.harness import (SeedRunState, _write_outputs, checkpoint,
+                               config_from_dict, resume, run_batch, run_seed)
+config = config_from_dict(json.loads(Path(sys.argv[1]).read_text()))
+if len(sys.argv) == 3:
+    state = SeedRunState(config, 1)
+    for _ in range(len(state.schedule.batches) * 3 // 4):
+        run_batch(state, state.cursor.next_batch())
+    checkpoint(state, sys.argv[2])
+else:
+    metrics, state = run_seed(config, 1, state=resume(sys.argv[2], config))
+    _write_outputs(config, {1: metrics}, {1: state}, Path(sys.argv[3]), {})
+"""
+
+    def test_a_checkpoint_resumes_under_another_thread_count(self, tmp_path):
+        """``resume`` accepts a checkpoint only if its rerun writes the
+        stored log byte for byte: one written under two threads, past the
+        fold into G at M=256, resumes under one to the uninterrupted run's
+        metrics."""
+        features, config = tmp_path / "features.csv", tmp_path / "cfg.json"
+        stream = {"d": 256, "num_classes": 6, "samples_per_class": 100,
+                  "sessions": 3, "batch_size": 32, "eval_interval": 1}
+        write_feature_file(features, SyntheticBackbone(StreamConfig(**stream)))
+        config.write_text(json.dumps({"M": 256, "seeds": [1], "stream": {
+            **stream, "feature_file": str(features)}}))
+        path, run_dir = tmp_path / "ck.npz", tmp_path / "resumed"
+        for threads, args in (("2", [path]), ("1", [path, run_dir])):
+            proc = subprocess.run(
+                [sys.executable, "-c", self._CHECKPOINT_OR_RESUME, config,
+                 *args], capture_output=True, text=True,
+                env={**self._env(None), "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+        direct = self._data_files(tmp_path / "direct", {
+            **self._env(None), "OPENBLAS_NUM_THREADS": "1"},
+            "--config", str(config))
+        assert (run_dir / "metrics.csv").read_bytes() == direct["metrics.csv"]
+
     def test_verbose_logs_the_blas_settings(self, tmp_path, caplog,
                                             monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")

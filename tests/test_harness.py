@@ -709,6 +709,10 @@ TAMPERED = {
         lambda log: log[0]["labels"].__setitem__(0, [0]))),
     "labels_shorter_than_predictions": ("predictions_log", _edit_log(
         lambda log: log[0]["labels"].pop())),
+    # equal to the rerun's log as a value, not as text
+    "label_stored_as_a_float": ("predictions_log", _edit_log(
+        lambda log: log[0]["labels"].__setitem__(
+            0, float(log[0]["labels"][0])))),
     # the records batches 1..7 end in: anytime 1 (batch 4), session 0
     # (batch 5)
     "first_anytime_record_dropped": ("predictions_log", _edit_log(
@@ -753,12 +757,12 @@ def _mutants(log: list):
 
 def test_every_single_record_mutant_of_a_checkpoint_log_is_refused(
         tmp_path):
-    """``resume`` reads a checkpoint's log through ``metrics.check_log``,
-    the checker of ``gclstream metrics``: each mutant of a log at the end of
-    the stream is refused at its record, and the untouched log resumes."""
+    """Each mutant of a log at the end of the stream is refused at its
+    first record that departs from the rerun's log, and the untouched log
+    resumes."""
     config, path = _fast(), tmp_path / "ck.npz"
-    state = _checkpoint_at(config, len(SeedRunState(config, 1).schedule
-                                       .batches), path)
+    done = len(SeedRunState(config, 1).schedule.batches)
+    state = _checkpoint_at(config, done, path)
     entries = _read(path)
     assert len(state.predictions_log) == 7
     assert state.predictions_log[-1]["phase"] == "final"
@@ -766,7 +770,8 @@ def test_every_single_record_mutant_of_a_checkpoint_log_is_refused(
     for log, index in _mutants(state.predictions_log):
         _write(path, {**entries, "predictions_log": json.dumps(log)})
         with pytest.raises(ConfigError, match=rf"ck\.npz: predictions_log "
-                           rf"record {index}: seed 1's "):
+                           rf"record {index} departs from the log its "
+                           rf"{done} batches write, which holds "):
             resume(path, config)
 
 
@@ -780,21 +785,35 @@ def test_an_end_of_stream_checkpoint_without_its_final_record_is_refused(
     log = state.predictions_log[:-1]
     _write(path, {**_read(path), "predictions_log": json.dumps(log)})
     with pytest.raises(ConfigError, match=rf"predictions_log record "
-                       rf"{len(log)}: seed 1's final record is missing"):
+                       rf"{len(log)} departs .*, which holds final record "
+                       "there$"):
         resume(path, config)
 
 
 def test_a_log_with_one_prediction_changed_is_refused(tmp_path):
-    """Mid-stream, a log that ``check_log`` reads as well formed but whose
-    one prediction is not the one its batches make is refused: resume
-    reruns the batches and requires their very log."""
+    """Mid-stream, a well-formed log whose one prediction is not the one
+    its batches make is refused at that record: resume reruns the batches
+    and requires the very text of their log."""
     config, path = _fast(), tmp_path / "ck.npz"
     state = _checkpoint_at(config, PAST_M, path)
     log = json.loads(json.dumps(state.predictions_log))
     log[-1]["predictions"][0] = (log[-1]["predictions"][0] + 1) % 6
     _write(path, {**_read(path), "predictions_log": json.dumps(log)})
+    with pytest.raises(ConfigError, match=rf"ck\.npz: predictions_log "
+                       rf"record {len(log) - 1} departs from the log its "
+                       rf"{PAST_M} batches write"):
+        resume(path, config)
+
+
+def test_a_log_respelled_as_other_json_text_is_refused(tmp_path):
+    """The stored log must be the text ``checkpoint`` writes, not only the
+    same records: the rerun's log, indented, is refused."""
+    config, path = _fast(), tmp_path / "ck.npz"
+    state = _checkpoint_at(config, PAST_M, path)
+    _write(path, {**_read(path), "predictions_log": json.dumps(
+        state.predictions_log, indent=1)})
     with pytest.raises(ConfigError, match=r"ck\.npz: predictions_log is not "
-                       rf"the log its {PAST_M} batches write"):
+                       "the text checkpoint writes$"):
         resume(path, config)
 
 

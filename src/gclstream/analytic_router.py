@@ -32,14 +32,47 @@ ever added: growing from T to T+1 zero-pads Q with a new column.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .errors import NotSolvedError, NumericalError, ShapeError
 from .expansion import ExpandedBatch
+
+
+def _scipy_linalg_module(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded without the
+    ``scipy.linalg`` package, whose init imports ~300 more modules (numpy.f2py
+    and numpy.testing among them) for ~27 MB of RSS and ~0.2 s in every
+    process.  ``scipy.linalg.blas`` and ``.lapack`` re-export these modules'
+    routines unchanged, so the router calls the very same objects.  The
+    module is registered under its own name, so a later ``import scipy.linalg``
+    reuses it, and one already loaded is reused here."""
+    fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    # find_spec imports the top-level scipy package (cheap; on Windows it puts
+    # the bundled OpenBLAS on the DLL path) but not scipy.linalg.
+    package = importlib.util.find_spec("scipy.linalg")
+    spec = importlib.machinery.PathFinder.find_spec(
+        fullname, package.submodule_search_locations)
+    if spec is None:
+        raise ImportError(f"scipy has no compiled module {fullname}",
+                          name=fullname)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[fullname] = module
+    return module
+
+
+_fblas = _scipy_linalg_module("_fblas")
+_flapack = _scipy_linalg_module("_flapack")
+dsyrk, dgemm, dtrsm = _fblas.dsyrk, _fblas.dgemm, _fblas.dtrsm
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 # The fold adds the rows to G this many at a time: wider dsyrk panels touch
 # more of OpenBLAS's work buffers, which stay resident (~1 MB at M=1024).
@@ -141,8 +174,8 @@ def accumulate(state: RouterState, batch: ExpandedBatch) -> RouterState:
             _fold(state)
         # A c that is not F-contiguous float64 would make scipy update a copy
         # and silently drop the batch.
-        if blas.dsyrk(1.0, phi.T, beta=1.0, c=state.gram, lower=1,
-                      overwrite_c=1) is not state.gram:
+        if dsyrk(1.0, phi.T, beta=1.0, c=state.gram, lower=1,
+                 overwrite_c=1) is not state.gram:
             raise ShapeError("router Gram must be an F-contiguous float64 "
                              "array; the batch was not accumulated")
         if state.factor_diag is not None:
@@ -161,8 +194,8 @@ def _fold(state: RouterState) -> None:
     state.row_expert = np.zeros(0, np.int64)
     state.gram = np.zeros((state.M, state.M), order="F")
     for i in range(0, n, _FOLD_ROWS):
-        blas.dsyrk(1.0, rows[:, i:min(i + _FOLD_ROWS, n)], beta=1.0,
-                   c=state.gram, lower=1, overwrite_c=1)
+        dsyrk(1.0, rows[:, i:min(i + _FOLD_ROWS, n)], beta=1.0,
+              c=state.gram, lower=1, overwrite_c=1)
     state.factor_buf = rows
 
 
@@ -200,11 +233,11 @@ def solve(state: RouterState) -> np.ndarray:
         factor = _grow(rows, state._region(), state.factored, state.lam,
                        state.jitter_used) if state.factored else None
         if factor is None:
-            factor = _factor(state, n, lambda buf: blas.dsyrk(
+            factor = _factor(state, n, lambda buf: dsyrk(
                 1.0, rows, trans=1, c=buf, lower=1, overwrite_c=1))
         state.factored = n
         targets = np.asfortranarray(np.eye(T)[state.row_expert])  # one-hot Y
-        ut = rows @ lapack.dpotrs(factor, targets, lower=1, overwrite_b=1)[0]
+        ut = rows @ dpotrs(factor, targets, lower=1, overwrite_b=1)[0]
     state.solved = np.ascontiguousarray(ut.T)
     return state.solved
 
@@ -238,7 +271,7 @@ def _factor(state: RouterState, n: int, fill) -> np.ndarray:
             step = 1e-10 * np.trace(buf) / state.M
         buf.flat[::n + 1] += state.lam
         buf.flat[::n + 1] += jitter
-        factor, info = lapack.dpotrf(buf, lower=1, clean=0, overwrite_a=1)
+        factor, info = dpotrf(buf, lower=1, clean=0, overwrite_a=1)
         if info == 0:
             break
         if attempt == 3:
@@ -264,14 +297,14 @@ def _grow(cols: np.ndarray, region: np.ndarray, k: int, shift: float,
     n = cols.shape[1]
     if k == n:
         return _head(region, n)
-    cross = blas.dgemm(1.0, cols, cols[:, k:], trans_a=1)
+    cross = dgemm(1.0, cols, cols[:, k:], trans_a=1)
     l22 = cross[k:]
     if k:
-        l21t = blas.dtrsm(1.0, _head(region, k), cross[:k], lower=1)
-        l22 = blas.dsyrk(-1.0, l21t, beta=1.0, c=l22, trans=1, lower=1)
+        l21t = dtrsm(1.0, _head(region, k), cross[:k], lower=1)
+        l22 = dsyrk(-1.0, l21t, beta=1.0, c=l22, trans=1, lower=1)
     l22.flat[::n - k + 1] += shift
     l22.flat[::n - k + 1] += jitter
-    l22, info = lapack.dpotrf(l22, lower=1, clean=0, overwrite_a=1)
+    l22, info = dpotrf(l22, lower=1, clean=0, overwrite_a=1)
     if info:
         return None
     for j in range(k - 1, 0, -1):
@@ -290,7 +323,7 @@ def _refactor(state: RouterState) -> np.ndarray:
     ``factor_diag``."""
     state.factor_diag, state.kept, state.factored = None, 0, 0
     factor = _factor(state, state.M, lambda buf: np.copyto(buf, state.gram))
-    ut, _ = lapack.dpotrs(factor, state.proto, lower=1)
+    ut, _ = dpotrs(factor, state.proto, lower=1)
     for j in range(0, state.M, _TILE):
         e = min(j + _TILE, state.M)
         state.gram[j:e, e:] = factor[e:, j:e].T
@@ -315,17 +348,17 @@ def _woodbury(state: RouterState) -> np.ndarray | None:
     diag[...] = state.factor_diag  # G's upper triangle is now L^T
     try:
         if k < r:  # in place: an F-contiguous float64 view
-            blas.dtrsm(1.0, lt, W[:, k:], trans_a=1, overwrite_b=1)
+            dtrsm(1.0, lt, W[:, k:], trans_a=1, overwrite_b=1)
         capacitance = _grow(W, state._region(), k, 1.0, 0.0)
         if capacitance is None:
             return None
         state.factored = r
-        z = blas.dtrsm(1.0, lt, state.proto, trans_a=1)
+        z = dtrsm(1.0, lt, state.proto, trans_a=1)
         if r:
-            s, _ = lapack.dpotrs(capacitance, blas.dgemm(1.0, W, z, trans_a=1),
-                                 lower=1, overwrite_b=1)
-            z = blas.dgemm(-1.0, W, s, beta=1.0, c=z, overwrite_c=1)
-        return blas.dtrsm(1.0, lt, z, overwrite_b=1)
+            s, _ = dpotrs(capacitance, dgemm(1.0, W, z, trans_a=1),
+                          lower=1, overwrite_b=1)
+            z = dgemm(-1.0, W, s, beta=1.0, c=z, overwrite_c=1)
+        return dtrsm(1.0, lt, z, overwrite_b=1)
     finally:
         diag[...] = own  # G's own diagonal back
 

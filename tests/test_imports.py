@@ -1,11 +1,15 @@
 """Every name a package module imports is used in that module, and every
-private name it defines at module level is read there.
+private name it defines at module level is read there; and the engine never
+loads the ``scipy.linalg`` package.
 
 ``__init__.py`` is exempt from the import check: its imports are the
 package's re-exports.  Dunders are exempt from the private-name check.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +81,22 @@ def test_the_check_sees_an_unread_private_name():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_every_private_name_is_read(module):
     assert unread_private_names((SRC / module).read_text()) == []
+
+
+def test_a_seed_runs_without_the_scipy_linalg_package():
+    """The router loads only scipy's compiled BLAS and LAPACK modules: the
+    ``scipy.linalg`` package init adds ~27 MB of RSS and ~0.2 s to every
+    process, so no module the engine imports or a seed runs may load it."""
+    code = ("import sys\n"
+            "from gclstream.harness import desk_config, run_seed\n"
+            "config = desk_config(M=64, lam=100.0, seeds=(1,), cka_probe=0, "
+            "stream=dict(num_classes=6, sessions=3, samples_per_class=30, "
+            "batch_size=12, eval_interval=4, d=8))\n"
+            "metrics, _ = run_seed(config, 1)\n"
+            "assert 0 < metrics['a_last'] <= 1, metrics\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,5 +1,8 @@
 """Streaming ridge router: accumulation, closed-form solve, growth, routing."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -466,3 +469,32 @@ class TestConstruction:
             new_router_state(4, 0.0)
         with pytest.raises(ValueError):
             new_router_state(4, 1.0, num_experts=0)
+
+
+class TestScipyRoutines:
+    """The router loads scipy's compiled BLAS and LAPACK modules without the
+    ``scipy.linalg`` package, and calls the very routine objects that
+    ``scipy.linalg.blas`` and ``.lapack`` export, whichever is imported
+    first (a fresh interpreter for each order)."""
+
+    @pytest.mark.parametrize("first, then", [
+        ("scipy.linalg", "gclstream.analytic_router"),
+        ("gclstream.analytic_router", "scipy.linalg")])
+    def test_the_routines_are_scipys_own(self, first, then):
+        code = (f"import {first}, {then}\n"
+                "import gclstream.analytic_router as router\n"
+                "from scipy.linalg import blas, lapack\n"
+                "print(router.dsyrk is blas.dsyrk, router.dgemm is blas.dgemm,"
+                " router.dtrsm is blas.dtrsm, router.dpotrf is lapack.dpotrf,"
+                " router.dpotrs is lapack.dpotrs)\n")
+        src = os.path.dirname(os.path.dirname(analytic_router.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True True True True True\n"
+
+    def test_a_missing_module_is_named(self):
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._fnone"):
+            analytic_router._scipy_linalg_module("_fnone")

@@ -106,31 +106,33 @@ def _cmd_gen_features(args) -> int:
     return 0
 
 
-def _check_config_hash(run_dir: Path) -> int:
+def _check_config_hash(run_dir: Path) -> tuple[int, list]:
     """Print whether config.json's ``config_hash`` is the hash of its
     ``config`` and, for a directory named ``run-<12 hex>`` as ``run`` names
-    it, whether those are the hash's first 12; returns the mismatches."""
+    it, whether those are the hash's first 12; returns the mismatches and
+    the seeds the config lists."""
     path = run_dir / "config.json"
     if not path.exists():
         print("config_hash: not checked, no config.json")
-        return 0
+        return 0, []
     payload = parse_json(path.read_text(), str(path))
     if not (isinstance(payload, dict)
             and isinstance(payload.get("config"), dict)
+            and isinstance(payload["config"].get("seeds"), list)
             and isinstance(payload.get("config_hash"), str)):
-        raise ConfigError(f"{path}: holds no config and config_hash")
-    stored = payload["config_hash"]
+        raise ConfigError(f"{path}: holds no config, seeds and config_hash")
+    seeds, stored = payload["config"]["seeds"], payload["config_hash"]
     value = config_dict_hash(payload["config"])
     print(f"config_hash {stored[:12]}: the config hashes to {value[:12]} "
           f"[{'ok' if value == stored else 'MISMATCH'}]")
     name = run_dir.resolve().name
     if not re.fullmatch("run-[0-9a-f]{12}", name):
         print(f"directory {name}: name not checked, not run-<12 hex>")
-        return int(value != stored)
+        return int(value != stored), seeds
     named = name == f"run-{stored[:12]}"
     print(f"directory {name}: config_hash prefix {stored[:12]} "
           f"[{'ok' if named else 'MISMATCH'}]")
-    return int(value != stored) + int(not named)
+    return int(value != stored) + int(not named), seeds
 
 
 def _cmd_metrics(args) -> int:
@@ -156,7 +158,12 @@ def _cmd_metrics(args) -> int:
             raise ConfigError(f"{metrics_path}:{number}: not "
                               f"seed,metric,value ({err})") from err
 
-    mismatches = _check_config_hash(run_dir)
+    mismatches, listed = _check_config_hash(run_dir)
+    # a seed the config lists or metrics.csv has rows for has a block
+    logged = {"mean", "std", *map(str, blocks)}
+    for seed in [*listed, *stored]:
+        if str(seed) not in logged:
+            raise ConfigError(f"{pred_path}: seed {seed}'s block is missing")
     for seed, (meta, records) in sorted(blocks.items()):
         rows = stored.get(str(seed), {})
         for metric, value in replay(records, meta)[1].items():

@@ -1,6 +1,6 @@
 """Fixed random feature expansion.
 
-Frozen backbone embeddings h in R^d are lifted to phi(h) = act(h @ W) in R^M
+Frozen backbone embeddings h in R^d are lifted to phi(h) = ReLU(h @ W) in R^M
 through a dense Gaussian projection W that is fixed for the lifetime of a run.
 Columns of W are generated independently from a counter-based bit generator
 keyed by (seed, column index), so the first M columns are identical for every
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-
-ACTIVATIONS = ("relu", "identity", "tanh")
 
 
 def _gaussian_columns(d: int, M: int, seed: int) -> np.ndarray:
@@ -49,7 +47,7 @@ def _gaussian_columns(d: int, M: int, seed: int) -> np.ndarray:
 
 
 class RandomExpansion:
-    """Immutable random projection plus element-wise nonlinearity.
+    """Immutable random projection followed by a ReLU.
 
     Parameters
     ----------
@@ -59,23 +57,16 @@ class RandomExpansion:
         Expansion width (number of random features).
     seed : int
         Nonnegative 64-bit key for the column generator.
-    activation : str
-        One of ``"relu"`` (default), ``"identity"``, ``"tanh"``.
     """
 
-    def __init__(self, d: int, M: int, seed: int, activation: str = "relu"):
+    def __init__(self, d: int, M: int, seed: int):
         if d <= 0 or M <= 0:
             raise ShapeError(f"d and M must be positive, got d={d}, M={M}")
-        if activation not in ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {activation!r}; choose from {ACTIVATIONS}"
-            )
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
         self.d = int(d)
         self.M = int(M)
         self.seed = int(seed)
-        self.activation = activation
         self._weights = _gaussian_columns(self.d, self.M, self.seed)
         self._weights.setflags(write=False)
 
@@ -95,10 +86,7 @@ class RandomExpansion:
                 f"expansion input width {self.d}"
             )
         z = features @ self._weights
-        if self.activation == "relu":
-            np.maximum(z, 0.0, out=z)
-        elif self.activation == "tanh":
-            np.tanh(z, out=z)
+        np.maximum(z, 0.0, out=z)
         return z[0] if squeeze else z
 
 

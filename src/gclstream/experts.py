@@ -90,9 +90,6 @@ class EmaBank:
     def from_online(cls, decays, online: Head) -> "EmaBank":
         return cls(decays, [online.clone() for _ in decays])
 
-    def __len__(self):
-        return len(self.heads)
-
 
 def ema_update(bank: EmaBank, online: Head) -> EmaBank:
     """Pull every shadow head toward the online head by its decay."""

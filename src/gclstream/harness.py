@@ -48,7 +48,7 @@ from .baselines import (BASELINE_KINDS, baseline_fit_update, baseline_route,
 from .ensemble import AGGREGATIONS, EnsembleConfig, full_inference
 from .errors import (ConfigError, ShapeError, check_fields, check_scalar,
                      parse_json)
-from .expansion import ACTIVATIONS, ExpandedBatch, RandomExpansion
+from .expansion import ExpandedBatch, RandomExpansion
 from .experts import (MASK_KINDS, SPAWN_POLICIES, ExpertPool, build_mask,
                       train_step)
 from .metrics import (MetricsLedger, adapter_cka, expected_records,
@@ -84,8 +84,6 @@ class RunConfig:
 
     stream: StreamConfig = field(default_factory=StreamConfig)
     M: int = 10_000
-    activation: str = "relu"
-    expansion_seed: int | None = None
     lam: float = 1e4
     ema_decays: tuple[float, ...] = (0.9, 0.99)
     aggregation: str = "softmax_max"
@@ -111,8 +109,7 @@ class RunConfig:
         self.ema_decays = tuple(float(a) for a in self.ema_decays)
         self.seeds = tuple(int(s) for s in self.seeds)
         self.track_baselines = tuple(self.track_baselines)
-        choices = [("activation", self.activation, ACTIVATIONS),
-                   ("aggregation", self.aggregation, AGGREGATIONS),
+        choices = [("aggregation", self.aggregation, AGGREGATIONS),
                    ("mask kind", self.mask_kind, MASK_KINDS),
                    ("routing mode", self.routing, ROUTING_MODES),
                    ("spawn policy", self.spawn_policy, SPAWN_POLICIES),
@@ -132,9 +129,6 @@ class RunConfig:
         if self.cka_probe < 0:
             raise ConfigError(f"cka_probe={self.cka_probe} must be >= 0; 0 "
                               "skips the probe")
-        if not 0 <= (self.expansion_seed or 0) < 2**64:  # the Philox key
-            raise ConfigError(f"expansion_seed {self.expansion_seed} must "
-                              "lie in 0..2**64-1")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if not all(0 <= s < 2**63 for s in self.seeds):  # a checkpoint's int64
@@ -250,10 +244,7 @@ class SeedRunState:
         self.seed = seed
         self.source, self.schedule = build_stream(
             replace(config.stream, seed=seed), source)
-        exp_seed = (config.expansion_seed
-                    if config.expansion_seed is not None else seed)
-        self.expansion = RandomExpansion(self.source.d, config.M, exp_seed,
-                                         config.activation)
+        self.expansion = RandomExpansion(self.source.d, config.M, seed)
         self.router = new_router_state(config.M, config.lam, num_experts=1)
         adapter_rng = np.random.default_rng(
             np.random.SeedSequence([seed, TAG_ADAPTER]))

@@ -48,7 +48,6 @@ class StreamConfig:
     eval_interval: int = 10
     seed: int = 1           # a run sets it to each of RunConfig.seeds
     d: int = 32
-    cluster_spread: float = 1.0
     noise_scale: float = 0.3
     holdout_fraction: float = 0.2
     feature_file: str | None = None
@@ -100,7 +99,7 @@ class SyntheticBackbone(FeatureSource):
         rng = np.random.default_rng(
             np.random.SeedSequence([config.seed, TAG_DATA]))
         C, spc, d = config.num_classes, config.samples_per_class, config.d
-        self.prototypes = config.cluster_spread * rng.standard_normal((C, d))
+        self.prototypes = rng.standard_normal((C, d))
         labels = np.repeat(np.arange(C), spc)
         noise = rng.standard_normal((C * spc, d))
         super().__init__(d, C, labels,

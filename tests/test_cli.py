@@ -536,15 +536,16 @@ def two_seed_run(tmp_path_factory) -> Path:
     return next(outdir.glob("run-*"))
 
 
-def _verify_cut(run_dir: Path, tmp_path: Path, cut, capsys) -> tuple:
-    """`metrics` on a copy of ``run_dir`` whose log lines ``cut`` rewrote:
-    its exit code and stderr."""
+def _verify_cut(run_dir: Path, tmp_path: Path, cut, capsys,
+                rows=list) -> tuple:
+    """`metrics` on a copy of ``run_dir`` whose log lines ``cut`` rewrote,
+    and its metrics.csv lines ``rows``: its exit code and stderr."""
     copy = tmp_path / run_dir.name
     shutil.rmtree(copy, ignore_errors=True)
     shutil.copytree(run_dir, copy)
-    pred_path = copy / "predictions.jsonl"
-    lines = cut(pred_path.read_text().splitlines())
-    pred_path.write_text("".join(line + "\n" for line in lines))
+    for name, edit in (("predictions.jsonl", cut), ("metrics.csv", rows)):
+        lines = edit((copy / name).read_text().splitlines())
+        (copy / name).write_text("".join(line + "\n" for line in lines))
     capsys.readouterr()
     rc = main(["metrics", "--run-dir", str(copy)])
     return rc, capsys.readouterr().err
@@ -605,6 +606,31 @@ class TestCutLogs:
         assert rc == 1 and "Traceback" not in err
         assert err.startswith("config error: ")
         assert err.endswith(f"predictions.jsonl:{number}: {why}\n")
+
+    @pytest.mark.parametrize("rows", [
+        list,  # metrics.csv keeps seed 2's rows
+        lambda lines: [line for line in lines if not line.startswith("2,")],
+    ], ids=["rows_kept", "rows_dropped"])
+    def test_log_without_a_listed_seed_is_a_config_error_naming_it(
+            self, two_seed_run, tmp_path, capsys, rows):
+        """Seed 2's block dropped whole, meta line too, leaves a log that
+        checks as seed 1's alone; config.json still lists seed 2."""
+        rc, err = _verify_cut(two_seed_run, tmp_path, lambda lines: lines[:9],
+                              capsys, rows)
+        assert rc == 1 and "Traceback" not in err
+        assert err.startswith("config error: ")
+        assert err.endswith("predictions.jsonl: seed 2's block is missing\n")
+
+    def test_seed_with_metrics_rows_and_no_block_is_refused_without_config(
+            self, two_seed_run, tmp_path, capsys):
+        """Without config.json, metrics.csv's rows still name seed 2."""
+        copy = tmp_path / "copy"
+        shutil.copytree(two_seed_run, copy)
+        (copy / "config.json").unlink()
+        rc, err = _verify_cut(copy, tmp_path / "cut", lambda lines: lines[:9],
+                              capsys)
+        assert rc == 1
+        assert err.endswith("predictions.jsonl: seed 2's block is missing\n")
 
     @pytest.mark.parametrize("mutation", ["delete", "duplicate", "swap"])
     def test_every_single_record_mutant_is_refused_at_its_line(
@@ -742,14 +768,17 @@ class TestExitCodes:
         (["--config", "[1, 2]"], "holds no JSON object"),
         (["--seeds", "1,a"], "--seeds '1,a'"),
         (["--seeds", "1,1"], "seeds repeat 1"),
-        (["--set", "expansion_seed=18446744073709551616"], "expansion_seed"),
+        (["--set", "activation=relu"], "unknown config keys: ['activation']"),
+        (["--set", "expansion_seed=0"],
+         "unknown config keys: ['expansion_seed']"),
+        (["--set", "stream.cluster_spread=1.0"],
+         "unknown config keys: ['stream.cluster_spread']"),
         (["--set", "lam=NaN"], "lam=nan is not a finite float"),
         (["--set", "lam=Infinity"], "lam=inf is not a finite float"),
         (["--set", "lr=NaN"], "lr=nan is not a finite float"),
         (["--set", "lr=Infinity"], "lr=inf is not a finite float"),
         (["--set", "stream.noise_scale=NaN"], "stream.noise_scale=nan"),
-        (["--set", "stream.cluster_spread=Infinity"],
-         "stream.cluster_spread=inf"),
+        (["--set", "stream.noise_scale=Infinity"], "stream.noise_scale=inf"),
         (["--config", '{"lam": -Infinity}'], "lam=-inf is not a finite float"),
         (["--set", f"lam={10**400}"], "is not a finite float"),
         (["--set", "cka_probe=-3"], "cka_probe=-3"),

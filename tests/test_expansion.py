@@ -9,11 +9,10 @@ from gclstream.errors import ShapeError
 from oracles import gaussian_columns_ref
 
 
-def _with_weights(weights: np.ndarray, activation: str = "relu"):
+def _with_weights(weights: np.ndarray):
     """An expansion whose projection is pinned to a hand-written matrix."""
     weights = np.asarray(weights, dtype=np.float64)
-    exp = RandomExpansion(weights.shape[0], weights.shape[1], seed=0,
-                          activation=activation)
+    exp = RandomExpansion(weights.shape[0], weights.shape[1], seed=0)
     weights = weights.copy()
     weights.setflags(write=False)
     exp._weights = weights
@@ -21,7 +20,7 @@ def _with_weights(weights: np.ndarray, activation: str = "relu"):
 
 
 class TestExpansionArithmetic:
-    """The map is activation(h @ R) with hand-checkable numbers."""
+    """The map is ReLU(h @ R) with hand-checkable numbers."""
 
     def test_rectifier_passes_positive_kills_negative(self):
         exp = _with_weights([[1.0, -1.0, 2.0], [0.0, 1.0, -1.0]])
@@ -33,17 +32,6 @@ class TestExpansionArithmetic:
     def test_zero_row_maps_to_zero_row(self):
         exp = RandomExpansion(5, 16, seed=3)
         np.testing.assert_array_equal(exp(np.zeros((1, 5))), np.zeros((1, 16)))
-
-    def test_identity_activation_is_plain_projection(self):
-        exp = _with_weights([[1.0, -1.0, 2.0], [0.0, 1.0, -1.0]], "identity")
-        np.testing.assert_array_equal(exp(np.array([-1.0, 0.0])),
-                                      [-1.0, 1.0, -2.0])
-
-    def test_tanh_activation_is_bounded(self):
-        exp = RandomExpansion(4, 32, seed=1, activation="tanh")
-        rng = np.random.default_rng(0)
-        out = exp(rng.standard_normal((8, 4)) * 50.0)
-        assert np.all(np.abs(out) <= 1.0)
 
     def test_batch_equals_row_by_row(self):
         # batching only reorders the dot-product summation (gemm vs gemv)
@@ -106,10 +94,6 @@ class TestExpansionValidation:
             RandomExpansion(0, 8, seed=0)
         with pytest.raises(ShapeError):
             RandomExpansion(4, 0, seed=0)
-
-    def test_unknown_activation_raises(self):
-        with pytest.raises(ValueError):
-            RandomExpansion(4, 8, seed=0, activation="gelu")
 
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import pytest
 
 import gclstream
 from gclstream.cli import main
+from gclstream.harness import config_dict_hash
 from gclstream.stream import (StreamConfig, SyntheticBackbone,
                               load_feature_file, write_feature_file)
 
@@ -344,6 +345,30 @@ class TestMetricsCommand:
         assert flagged[0].startswith("directory run-000000000000: "
                                      "config_hash prefix ")
         assert "[ok]" in out
+
+    def test_run_written_with_the_deleted_knobs_still_verifies(
+            self, two_seed_run, tmp_path, capsys):
+        """A run directory whose config.json still holds activation,
+        expansion_seed and stream.cluster_spread, hashed and named as they
+        were written then, verifies: metrics hashes the stored config as
+        it stands and builds no RunConfig from it."""
+        payload = json.loads((two_seed_run / "config.json").read_text())
+        old = payload["config"]
+        old.update(activation="relu", expansion_seed=None,
+                   stream={**old["stream"], "cluster_spread": 1.0})
+        payload["config_hash"] = config_dict_hash(old)
+        copy = tmp_path / f"run-{payload['config_hash'][:12]}"
+        shutil.copytree(two_seed_run, copy)
+        (copy / "config.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True))
+        capsys.readouterr()
+        assert main(["metrics", "--run-dir", str(copy)]) == 0
+        hashed, named, *_ = capsys.readouterr().out.splitlines()
+        short = payload["config_hash"][:12]
+        assert hashed == (f"config_hash {short}: the config hashes to "
+                          f"{short} [ok]")
+        assert named == (f"directory {copy.name}: config_hash prefix "
+                         f"{copy.name[len('run-'):]} [ok]")
 
     def test_other_directory_names_are_not_checked(self, tmp_path, capsys):
         copy = tmp_path / "seed-1"

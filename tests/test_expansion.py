@@ -33,6 +33,15 @@ class TestExpansionArithmetic:
         exp = RandomExpansion(5, 16, seed=3)
         np.testing.assert_array_equal(exp(np.zeros((1, 5))), np.zeros((1, 16)))
 
+    def test_output_is_the_rectified_projection(self):
+        """Large inputs of either sign come out as max(h @ R, 0), bit for
+        bit: nothing bounds or rescales them."""
+        exp = RandomExpansion(4, 32, seed=1)
+        X = np.random.default_rng(0).standard_normal((8, 4)) * 50.0
+        out = exp(X)
+        np.testing.assert_array_equal(out, np.maximum(X @ exp.weights, 0.0))
+        assert (out == 0.0).any() and out.max() > 1.0
+
     def test_batch_equals_row_by_row(self):
         # batching only reorders the dot-product summation (gemm vs gemv)
         exp = RandomExpansion(6, 24, seed=9)
@@ -94,6 +103,11 @@ class TestExpansionValidation:
             RandomExpansion(0, 8, seed=0)
         with pytest.raises(ShapeError):
             RandomExpansion(4, 0, seed=0)
+
+    def test_activation_is_not_a_parameter(self):
+        """The expansion is keyed by (d, M, seed) alone."""
+        with pytest.raises(TypeError):
+            RandomExpansion(4, 8, seed=0, activation="relu")
 
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError):

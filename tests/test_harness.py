@@ -23,8 +23,9 @@ from gclstream.expansion import ExpandedBatch, RandomExpansion
 from gclstream.experts import MASK_KINDS, SPAWN_POLICIES, ExpertPool
 from gclstream.harness import (
     ABLATION_AXES, ABLATIONS, ROUTING_MODES, SeedRunState, ablate,
-    apply_overrides, checkpoint, config_from_dict, config_hash,
-    config_to_dict, desk_config, resume, run, run_batch, run_seed,
+    apply_overrides, checkpoint, config_dict_hash, config_from_dict,
+    config_hash, config_to_dict, desk_config, resume, run, run_batch,
+    run_seed,
     _component_cells, _select,
 )
 from gclstream.metrics import replay
@@ -176,6 +177,21 @@ class TestConfigIdentity:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("activation", "relu", "activation"),
+        ("expansion_seed", 0, "expansion_seed"),
+        ("stream", {"cluster_spread": 1.0}, "stream.cluster_spread"),
+    ])
+    def test_deleted_knob_is_an_unknown_key(self, key, value, named):
+        """A config naming a knob that no longer exists, even at its old
+        default, is refused rather than silently dropped."""
+        data = config_to_dict(_fast())
+        data[key] = ({**data[key], **value} if isinstance(value, dict)
+                     else value)
+        refusal = re.escape(f"unknown config keys: ['{named}']")
+        with pytest.raises(ConfigError, match=refusal):
+            config_from_dict(data)
+
     @pytest.mark.parametrize("annotation", [
         "list[int]", "Optional[int]", "tuple", int])
     def test_unreadable_field_annotation_is_a_type_error(self, annotation):
@@ -228,6 +244,17 @@ class TestSeedRuns:
         a, _ = run_seed(_fast(), 1)
         b, _ = run_seed(_fast(), 2)
         assert a != b
+
+    def test_expansion_is_keyed_by_the_run_seed(self):
+        """Each run seed draws its own expansion, the one that
+        RandomExpansion keys by that seed."""
+        config = _fast()
+        weights = [SeedRunState(config, seed).expansion.weights
+                   for seed in (1, 2)]
+        for seed, drawn in zip((1, 2), weights):
+            np.testing.assert_array_equal(
+                drawn, RandomExpansion(8, config.M, seed).weights)
+        assert np.abs(weights[0] - weights[1]).max() > 1e-6
 
     def test_single_pass_guard_trips_on_replay(self):
         config = _fast()
@@ -562,6 +589,21 @@ class TestCheckpointResume:
         checkpoint(state, path)
         with pytest.raises(ConfigError):
             resume(path, _fast(lam=999.0))
+
+    def test_checkpoint_hashed_with_the_deleted_knobs_is_refused(
+            self, tmp_path):
+        """A checkpoint whose config still held activation, expansion_seed
+        and stream.cluster_spread at their defaults hashes otherwise."""
+        config = _fast()
+        path = tmp_path / "ck.npz"
+        checkpoint(SeedRunState(config, 1), path)
+        old = config_to_dict(config)
+        old.update(activation="relu", expansion_seed=None,
+                   stream={**old["stream"], "cluster_spread": 1.0})
+        _write(path, {**_read(path), "config_hash": config_dict_hash(old)})
+        with pytest.raises(ConfigError, match="written under a different "
+                           "config"):
+            resume(path, config)
 
     def test_tampered_version_is_refused(self, tmp_path):
         config = _fast()

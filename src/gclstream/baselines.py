@@ -57,6 +57,9 @@ NB_EPS = 1e-6  # variance smoothing against rectified-zero coordinates
 # contiguous reduction over M, whichever block holds it.
 _DIST_BLOCK = 1 << 16
 
+# Rows of W1 per tile of ShallowRouter's hidden-weight gradient.
+GRAD_TILE = 64
+
 LLOYD_MAX_ITERS = 25
 
 
@@ -65,6 +68,23 @@ class _Baseline:
 
     def finalize(self) -> None:
         """Nothing to fit: ``route`` reads what ``update`` keeps current."""
+
+
+def _l2_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` bit for bit, which is
+    ``sqrt(add.reduce(x * x, axis=1))``, squaring a block of about
+    ``_DIST_BLOCK`` elements at a time into one reused buffer instead of
+    all of ``x`` at once.  Each norm is one contiguous sum over a row,
+    whichever block holds it."""
+    n, M = x.shape
+    out = np.empty(n)
+    step = max(1, _DIST_BLOCK // M)
+    buf = np.empty((min(step, n), M))
+    for i in range(0, n, step):
+        block = x[i:i + step]
+        sq = np.multiply(block, block, out=buf[:len(block)])
+        np.add.reduce(sq, axis=1, out=out[i:i + step])
+    return np.sqrt(out, out=out)
 
 
 class PrototypeRouter(_Baseline):
@@ -97,10 +117,8 @@ class PrototypeRouter(_Baseline):
         return mean_b, delta
 
     def route(self, phi: np.ndarray) -> np.ndarray:
-        pn = phi / np.maximum(np.linalg.norm(phi, axis=1, keepdims=True),
-                              1e-300)
-        mn = self.means / np.maximum(
-            np.linalg.norm(self.means, axis=1, keepdims=True), 1e-300)
+        pn = phi / np.maximum(_l2_norms(phi), 1e-300)[:, None]
+        mn = self.means / np.maximum(_l2_norms(self.means), 1e-300)[:, None]
         scores = pn @ mn.T
         scores[:, self.counts == 0] = -np.inf
         return np.argmax(scores, axis=1)
@@ -257,18 +275,17 @@ class KMeansRouter(_Baseline):
     def update(self, e: int, phi: np.ndarray) -> None:
         """Uniform reservoir; acceptance keyed by (seed, expert, arrival
         count).  Expert e's reservoir holds min(seen[e], cap) rows."""
-        cap = self.reservoir_cap
-        for row in phi:
-            self.seen[e] += 1
-            n = self.seen[e]
-            if n <= cap:
-                self.reservoirs[e][n - 1] = row
-            else:
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    [self.seed, TAG_RESERVOIR, e, n]))
-                j = int(rng.integers(n))
-                if j < cap:
-                    self.reservoirs[e][j] = row
+        cap, seen = self.reservoir_cap, self.seen[e]
+        fill = min(max(cap - seen, 0), len(phi))
+        self.reservoirs[e][seen:seen + fill] = phi[:fill]
+        for i in range(fill, len(phi)):
+            n = seen + i + 1
+            rng = np.random.default_rng(np.random.SeedSequence(
+                [self.seed, TAG_RESERVOIR, e, n]))
+            j = int(rng.integers(n))
+            if j < cap:
+                self.reservoirs[e][j] = phi[i]
+        self.seen[e] = seen + len(phi)
         self.centroids = self.centroid_owner = None
 
     def finalize(self) -> None:
@@ -331,11 +348,26 @@ class ShallowRouter(_Baseline):
     before its step writes: W2, b2 and b1 keep the batch's earlier steps,
     W1 none of them.
 
-    ``grad_buf`` is the hidden-weight gradient's H x M workspace, allocated
-    on the first update and kept: a fresh one per batch (4 MiB at the desk
-    preset) would page-fault its memory in anew each time.  Subtracting the gradient with an in-place ``blas.dgemm`` into
-    ``W1.T`` (beta=1) instead writes W1 before the gradient can be checked,
-    and measured slower than this GEMM and one pass: 0.14-0.22 s against
+    The summed gradient is subtracted from W1 ``GRAD_TILE`` rows at a time
+    through ``grad_tile``, a ``GRAD_TILE`` x M workspace allocated on the
+    first update and kept (512 KB at the desk preset, where a whole H x M
+    gradient held 4 MiB beside W1).  A tile is written into W1 as soon as
+    it is computed, so the tiles need a certificate that no entry of the
+    gradient overflows: with G = dz_sum^T Phi, every entry and partial sum
+    obeys |G_hm| <= sum_b |dz_sum_bh| max|Phi| (the exact value, which the
+    GEMM's rounding can raise by a factor 1 + gamma_B only), so a bound
+    below ``finfo.max / 4`` leaves every entry finite.  A NaN or inf in
+    dz_sum or Phi fails the comparison.  A batch the certificate cannot
+    clear takes the whole product, is checked with ``isfinite`` and raises
+    ``NumericalError`` before W1 is written.  Each tile is computed as the
+    same rows of the whole product are; OpenBLAS 0.3.31 (SkylakeX kernels)
+    gave the whole product's bits at every width a preset or golden config
+    uses (H = 512; M = 2, 64, 1024, 2048, 4096 and 10^4; B = 1-200; one
+    and two threads), but not at every width: at M = 500, 777 and 1500 (and
+    M = 100 with B = 200 on two threads) a tile's entries moved at ulp
+    level, and a one-row tile goes through numpy's GEMV.  An in-place
+    ``blas.dgemm`` into ``W1.T`` (beta=1) would write W1 before any check,
+    and measured slower than a GEMM and one pass: 0.14-0.22 s against
     0.12-0.15 s of updates per desk seed (2-core Xeon).
     """
 
@@ -351,7 +383,7 @@ class ShallowRouter(_Baseline):
         self.b1 = np.zeros(hidden)
         self.W2 = np.zeros((num_experts, hidden))
         self.b2 = np.zeros(num_experts)
-        self.grad_buf: np.ndarray | None = None
+        self.grad_tile: np.ndarray | None = None
 
     @property
     def num_experts(self) -> int:
@@ -362,20 +394,15 @@ class ShallowRouter(_Baseline):
         self.b2 = np.append(self.b2, 0.0)
         return self.num_experts - 1
 
-    def _head(self, z1):
-        a1 = np.maximum(z1, 0.0)
-        return a1, a1 @ self.W2.T + self.b2
-
     def update(self, e: int, phi: np.ndarray) -> None:
         B = phi.shape[0]
         lr = self.lr
-        if self.grad_buf is None:
-            self.grad_buf = np.empty_like(self.W1)
         z1 = phi @ self.W1.T + self.b1
         K = phi @ phi.T if self.iters > 1 else None
         dz_sum = np.zeros_like(z1)
         for k in range(self.iters):
-            a1, logits = self._head(z1)
+            a1 = np.maximum(z1, 0.0)
+            logits = a1 @ self.W2.T + self.b2
             logits -= logits.max(axis=1, keepdims=True)
             p = np.exp(logits)
             p /= p.sum(axis=1, keepdims=True)
@@ -395,14 +422,27 @@ class ShallowRouter(_Baseline):
                 z1 -= lr * (K @ dz1)
                 z1 -= lr * gb1
         dz_sum *= lr
-        gw1 = np.matmul(dz_sum.T, phi, out=self.grad_buf)
-        if not np.isfinite(gw1).all():
-            raise NumericalError("non-finite gradient in shallow router")
-        self.W1 -= gw1
+        # Python floats: an overflowing bound is inf, and no warning
+        bound = (float(np.abs(dz_sum).sum(axis=0).max())
+                 * float(np.abs(phi).max()))
+        if not bound < np.finfo(float).max / 4:
+            gw1 = dz_sum.T @ phi
+            if not np.isfinite(gw1).all():
+                raise NumericalError("non-finite gradient in shallow router")
+            self.W1 -= gw1
+            return
+        if self.grad_tile is None:
+            self.grad_tile = np.empty((min(GRAD_TILE, len(self.W1)), self.M))
+        for i in range(0, len(self.W1), GRAD_TILE):
+            rows = dz_sum.T[i:i + GRAD_TILE]
+            tile = np.matmul(rows, phi, out=self.grad_tile[:len(rows)])
+            self.W1[i:i + GRAD_TILE] -= tile
 
     def route(self, phi: np.ndarray) -> np.ndarray:
-        _, logits = self._head(phi @ self.W1.T + self.b1)
-        return np.argmax(logits, axis=1)
+        z1 = phi @ self.W1.T
+        z1 += self.b1
+        a1 = np.maximum(z1, 0.0, out=z1)
+        return np.argmax(a1 @ self.W2.T + self.b2, axis=1)
 
 
 BASELINES = {

@@ -181,19 +181,23 @@ def masked_ce_loss(logits: np.ndarray, mask: LogitMask, label: int) -> float:
 # training
 # ---------------------------------------------------------------------------
 
-def _forward_backward(adapter, head, features, labels, mask):
-    """Mean masked CE over the batch and gradients for (W, b, a, c)."""
+def _forward_backward(adapter, head, features, labels, mask, with_loss):
+    """Gradients for (W, b, a, c), after the batch's mean masked CE if
+    ``with_loss`` (else None): no gradient reads it."""
     B = features.shape[0]
     adapted = adapter.adapted(features)
     logits = head.logits(adapted)
     probs = masked_softmax(logits, mask.values)
 
     rows = np.arange(B)
-    zm = logits + mask.values
-    zmax = zm.max(axis=1)
-    loss = float(np.mean(
-        np.log(np.exp(zm - zmax[:, None]).sum(axis=1)) - (zm[rows, labels] - zmax)
-    ))
+    loss = None
+    if with_loss:
+        zm = logits + mask.values
+        zmax = zm.max(axis=1)
+        loss = float(np.mean(
+            np.log(np.exp(zm - zmax[:, None]).sum(axis=1))
+            - (zm[rows, labels] - zmax)
+        ))
 
     dz = probs.copy()
     dz[rows, labels] -= 1.0
@@ -230,12 +234,11 @@ def train_step(adapter: ExpertAdapter, online: Head, features: np.ndarray,
     if np.any(mask.values[labels] <= MASK_NEG / 2):
         raise ValueError("some batch labels are masked")
 
-    first_loss = None
-    for _ in range(iters):
+    for k in range(iters):
         loss, gw, gb, ga, gc = _forward_backward(
-            adapter, online, features, labels, mask
+            adapter, online, features, labels, mask, with_loss=k == 0
         )
-        if first_loss is None:
+        if k == 0:
             first_loss = loss
         if not all(np.isfinite(g).all() for g in (gw, gb, ga, gc)):
             raise NumericalError("non-finite gradient; step aborted")

@@ -147,6 +147,41 @@ class TestNaiveBayes:
         assert peak < 4 * baselines_mod._DIST_BLOCK * 8
 
 
+class TestPrototypeNorms:
+    @pytest.mark.parametrize("M, n", [
+        (1024, 400),                                # 6 blocks of 64, then 16
+        (1000, 131),                                # 65 rows a block
+        (baselines_mod._DIST_BLOCK + 3, 3),         # one row per block
+    ])
+    def test_blocked_norms_equal_np_linalg_norm(self, M, n):
+        rng = np.random.default_rng(13)
+        x = np.maximum(rng.standard_normal((n, M)), 0.0) * 3.0
+        np.testing.assert_array_equal(baselines_mod._l2_norms(x),
+                                      np.linalg.norm(x, axis=1))
+
+    @pytest.mark.parametrize("M, n", [(1024, 400), (1000, 131)])
+    def test_route_selects_as_the_linalg_norm_formula(self, M, n):
+        """A pool of several norm blocks plus a remainder, and four experts
+        with close means (expert 1 unfed): every selection equals that of
+        the whole-pool formula through np.linalg.norm."""
+        rng = np.random.default_rng(14)
+        router = PrototypeRouter(M, num_experts=4)
+        base = np.abs(rng.standard_normal(M))
+        for e in (0, 2, 3):
+            router.update(e, np.maximum(
+                base + 0.3 * rng.standard_normal((20, M)), 0.0))
+        phi = np.maximum(base + 0.3 * rng.standard_normal((n, M)), 0.0)
+        pn = phi / np.maximum(np.linalg.norm(phi, axis=1, keepdims=True),
+                              1e-300)
+        mn = router.means / np.maximum(
+            np.linalg.norm(router.means, axis=1, keepdims=True), 1e-300)
+        scores = pn @ mn.T
+        scores[:, router.counts == 0] = -np.inf
+        want = np.argmax(scores, axis=1)
+        assert len(set(want.tolist())) == 3
+        np.testing.assert_array_equal(router.route(phi), want)
+
+
 class TestKmeans:
     def test_blocked_distances_equal_the_full_broadcast(self):
         """Enough centers that the rows go through several blocks; every
@@ -478,42 +513,91 @@ class TestTrainedShallow:
         """The kernel-form update leaves W1, b1, W2 and b2 bit-equal to its
         reference with no array reused, and within SHALLOW_RTOL of the
         plain steps, across an expert registration and onto a router that
-        copies the learnt arrays and allocates its own H x M workspace."""
+        copies the learnt arrays and allocates its own workspace.  H = 150
+        takes W1 in three tiles, the last of 22 rows, through one reused
+        GRAD_TILE x M tile; no other array of W1's shape is kept."""
         rng = np.random.default_rng(8)
-        router = ShallowRouter(24, seed=3, num_experts=2, hidden=16,
+        H, M = 150, 64
+        router = ShallowRouter(M, seed=3, num_experts=2, hidden=H,
                                lr=0.05, iters=3)
         ref = tuple(np.array(getattr(router, k)) for k in SHALLOW_ARRAYS)
         refs = (ref, ref, ref)  # kernel form, plain steps, their scales
 
         def step(r, refs, e):
-            phi = np.maximum(rng.standard_normal((10, 24)) + e, 0.0)
+            phi = np.maximum(rng.standard_normal((10, M)) + e, 0.0)
             r.update(e, phi)
             kernel, plain, scales = refs
             kernel = shallow_update_kernel_ref(kernel, e, phi, r.lr, r.iters)
             plain, scales = shallow_update_ref(plain, e, phi, r.lr, r.iters,
                                                scales)
             _assert_shallow_matches(r, kernel, plain, scales)
+            held = [k for k, v in vars(r).items()
+                    if isinstance(v, np.ndarray) and v.shape == r.W1.shape]
+            assert held == ["W1"]
             return kernel, plain, scales
 
         def grow(ref):
-            return ref[:2] + (np.vstack([ref[2], np.zeros((1, 16))]),
+            return ref[:2] + (np.vstack([ref[2], np.zeros((1, H))]),
                               np.append(ref[3], 0.0))
 
         for e in (0, 1, 0):
             refs = step(router, refs, e)
-        buf = router.grad_buf
-        assert buf.shape == router.W1.shape
+        tile = router.grad_tile
+        assert tile.shape == (baselines_mod.GRAD_TILE, M)
         router.register_expert()
         refs = tuple(grow(ref) for ref in refs)
         for e in (2, 1):
             refs = step(router, refs, e)
-        assert router.grad_buf is buf
-        copy = ShallowRouter(24, seed=3, num_experts=3, hidden=16,
+        assert router.grad_tile is tile
+        copy = ShallowRouter(M, seed=3, num_experts=3, hidden=H,
                              lr=0.05, iters=3)
         for key in SHALLOW_ARRAYS:
             setattr(copy, key, getattr(router, key).copy())
         for e in (0, 2):
             refs = step(copy, refs, e)
+        assert copy.grad_tile is not tile
+
+    def test_narrow_hidden_layer_takes_one_tile_of_its_own_height(self):
+        router = ShallowRouter(5, seed=0, hidden=3)
+        router.update(0, np.ones((2, 5)))
+        assert router.grad_tile.shape == (3, 5)
+
+    def test_uncertified_finite_step_takes_the_whole_product(self):
+        """A 1e308 entry in a row whose ReLU is off (so it adds nothing to
+        dz_sum) puts the certificate's bound at ~0.49 of the float64
+        maximum, past max / 4, while every entry of the gradient stays
+        finite: the update takes the whole product, never allocates the
+        tile, and W1 ends bit-equal to the reference."""
+        rng = np.random.default_rng(5)
+        router = ShallowRouter(3, seed=0, num_experts=2, hidden=4, lr=0.1,
+                               iters=1)
+        router.W1[:, 0] = -1.0
+        router.W2[:] = [[5.0] * 4, [-5.0] * 4]
+        phi = rng.uniform(0.5, 1.5, (8, 3))
+        phi[:, 0] = 0.0
+        phi[0] = [1e308, 0.0, 0.0]
+        before = tuple(np.array(getattr(router, k)) for k in SHALLOW_ARRAYS)
+        _feed(router, phi, 1, chunk=8)
+        with np.errstate(over="ignore", invalid="ignore"):  # the ref's K
+            kernel = shallow_update_kernel_ref(before, 1, phi, 0.1, 1)
+        assert router.grad_tile is None
+        assert np.isfinite(router.W1).all()
+        assert not np.array_equal(router.W1, before[0])
+        for key, want in zip(SHALLOW_ARRAYS, kernel):
+            np.testing.assert_array_equal(getattr(router, key), want,
+                                          err_msg=key)
+
+    def test_route_equals_the_unfused_formula(self):
+        rng = np.random.default_rng(9)
+        router = ShallowRouter(32, seed=4, num_experts=3, hidden=70)
+        for e in (0, 1, 2, 1):
+            router.update(e, np.maximum(rng.standard_normal((12, 32)) + e,
+                                        0.0))
+        phi = np.maximum(rng.standard_normal((200, 32)), 0.0)
+        z1 = phi @ router.W1.T + router.b1
+        want = np.argmax(np.maximum(z1, 0.0) @ router.W2.T + router.b2,
+                         axis=1)
+        np.testing.assert_array_equal(router.route(phi), want)
 
     @settings(max_examples=60, deadline=None)
     # b1 cancels to -1.66e-6 here, 3.3e-18 from the plain steps

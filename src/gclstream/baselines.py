@@ -57,8 +57,10 @@ NB_EPS = 1e-6  # variance smoothing against rectified-zero coordinates
 # contiguous reduction over M, whichever block holds it.
 _DIST_BLOCK = 1 << 16
 
-# Rows of W1 per tile of ShallowRouter's hidden-weight gradient.
+# Rows of W1 per tile of ShallowRouter's hidden-weight gradient, and the
+# multiple of 8 doubles (one AVX-512 vector) the width M must be for tiles.
 GRAD_TILE = 64
+GRAD_ALIGN = 8
 
 LLOYD_MAX_ITERS = 25
 
@@ -350,25 +352,31 @@ class ShallowRouter(_Baseline):
 
     The summed gradient is subtracted from W1 ``GRAD_TILE`` rows at a time
     through ``grad_tile``, a ``GRAD_TILE`` x M workspace allocated on the
-    first update and kept (512 KB at the desk preset, where a whole H x M
-    gradient held 4 MiB beside W1).  A tile is written into W1 as soon as
-    it is computed, so the tiles need a certificate that no entry of the
+    first tiled update and kept (512 KB at the desk preset, where a whole
+    H x M gradient held 4 MiB beside W1).  A tile is written into W1 as soon
+    as it is computed, so the tiles need a certificate that no entry of the
     gradient overflows: with G = dz_sum^T Phi, every entry and partial sum
     obeys |G_hm| <= sum_b |dz_sum_bh| max|Phi| (the exact value, which the
     GEMM's rounding can raise by a factor 1 + gamma_B only), so a bound
     below ``finfo.max / 4`` leaves every entry finite.  A NaN or inf in
-    dz_sum or Phi fails the comparison.  A batch the certificate cannot
-    clear takes the whole product, is checked with ``isfinite`` and raises
-    ``NumericalError`` before W1 is written.  Each tile is computed as the
-    same rows of the whole product are; OpenBLAS 0.3.31 (SkylakeX kernels)
-    gave the whole product's bits at every width a preset or golden config
-    uses (H = 512; M = 2, 64, 1024, 2048, 4096 and 10^4; B = 1-200; one
-    and two threads), but not at every width: at M = 500, 777 and 1500 (and
-    M = 100 with B = 200 on two threads) a tile's entries moved at ulp
-    level, and a one-row tile goes through numpy's GEMV.  An in-place
-    ``blas.dgemm`` into ``W1.T`` (beta=1) would write W1 before any check,
-    and measured slower than a GEMM and one pass: 0.14-0.22 s against
-    0.12-0.15 s of updates per desk seed (2-core Xeon).
+    dz_sum or Phi fails the comparison.
+
+    The tiles must also give the whole product's bits, which dgemm does not
+    promise.  With numpy's OpenBLAS 0.3.31 (SkylakeX kernels, 2-core Xeon)
+    every tile height tried (16 to 256 rows) gave them, under one thread
+    and under two, at each of 404 (H, M, B) shapes whose M is a multiple of
+    ``GRAD_ALIGN`` (a row of Phi fills whole 8-double vectors), and missed
+    them at most other widths above ~250 (M = 500, 777, 1500, ...), where
+    the whole product's own bits change between one and two threads.  numpy
+    computes a one-row tile by GEMV, which rounds differently again.  So a
+    width that is not a multiple of ``GRAD_ALIGN``, a hidden layer of
+    k ``GRAD_TILE`` + 1 rows and a batch the certificate cannot clear take
+    the whole product, which is checked with ``isfinite`` and raises
+    ``NumericalError`` before W1 is written.  An in-place ``blas.dgemm``
+    into ``W1.T`` (beta=1) would need no workspace, but gave other bits
+    than W1 - G at B = 400 and 1000, and under two threads at M = 500-1500;
+    it also measured slower than a GEMM and one
+    pass: 0.14-0.22 s against 0.12-0.15 s of updates per desk seed.
     """
 
     def __init__(self, M: int, seed: int, num_experts: int = 1,
@@ -425,7 +433,8 @@ class ShallowRouter(_Baseline):
         # Python floats: an overflowing bound is inf, and no warning
         bound = (float(np.abs(dz_sum).sum(axis=0).max())
                  * float(np.abs(phi).max()))
-        if not bound < np.finfo(float).max / 4:
+        if not (self.M % GRAD_ALIGN == 0 and len(self.W1) % GRAD_TILE != 1
+                and bound < np.finfo(float).max / 4):
             gw1 = dz_sum.T @ phi
             if not np.isfinite(gw1).all():
                 raise NumericalError("non-finite gradient in shallow router")

@@ -181,33 +181,33 @@ def masked_ce_loss(logits: np.ndarray, mask: LogitMask, label: int) -> float:
 # training
 # ---------------------------------------------------------------------------
 
-def _forward_backward(adapter, head, features, labels, mask, with_loss):
-    """Gradients for (W, b, a, c), after the batch's mean masked CE if
-    ``with_loss`` (else None): no gradient reads it."""
+def _mean_masked_ce(logits, mask, labels):
+    """Mean masked CE over a batch of logit rows."""
+    zm = logits + mask.values
+    zmax = zm.max(axis=1)
+    return float(np.mean(
+        np.log(np.exp(zm - zmax[:, None]).sum(axis=1))
+        - (zm[np.arange(len(labels)), labels] - zmax)
+    ))
+
+
+def _forward_backward(adapter, head, features, labels, mask):
+    """Logits and the gradients of the batch's mean masked CE for
+    (W, b, a, c)."""
     B = features.shape[0]
     adapted = adapter.adapted(features)
     logits = head.logits(adapted)
     probs = masked_softmax(logits, mask.values)
 
-    rows = np.arange(B)
-    loss = None
-    if with_loss:
-        zm = logits + mask.values
-        zmax = zm.max(axis=1)
-        loss = float(np.mean(
-            np.log(np.exp(zm - zmax[:, None]).sum(axis=1))
-            - (zm[rows, labels] - zmax)
-        ))
-
     dz = probs.copy()
-    dz[rows, labels] -= 1.0
+    dz[np.arange(B), labels] -= 1.0
     dz /= B
     grad_w = dz.T @ adapted
     grad_b = dz.sum(axis=0)
     dadapted = dz @ head.weights
     grad_a = (dadapted * features).sum(axis=0)
     grad_c = dadapted.sum(axis=0)
-    return loss, grad_w, grad_b, grad_a, grad_c
+    return logits, grad_w, grad_b, grad_a, grad_c
 
 
 def train_step(adapter: ExpertAdapter, online: Head, features: np.ndarray,
@@ -235,11 +235,11 @@ def train_step(adapter: ExpertAdapter, online: Head, features: np.ndarray,
         raise ValueError("some batch labels are masked")
 
     for k in range(iters):
-        loss, gw, gb, ga, gc = _forward_backward(
-            adapter, online, features, labels, mask, with_loss=k == 0
+        logits, gw, gb, ga, gc = _forward_backward(
+            adapter, online, features, labels, mask
         )
         if k == 0:
-            first_loss = loss
+            first_loss = _mean_masked_ce(logits, mask, labels)
         if not all(np.isfinite(g).all() for g in (gw, gb, ga, gc)):
             raise NumericalError("non-finite gradient; step aborted")
         online.weights -= lr * gw

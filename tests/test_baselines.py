@@ -1,5 +1,8 @@
 """Routing baselines: streaming moments, reservoirs, kmeans, shallow net."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -558,24 +561,89 @@ class TestTrainedShallow:
         assert copy.grad_tile is not tile
 
     def test_narrow_hidden_layer_takes_one_tile_of_its_own_height(self):
-        router = ShallowRouter(5, seed=0, hidden=3)
-        router.update(0, np.ones((2, 5)))
-        assert router.grad_tile.shape == (3, 5)
+        router = ShallowRouter(8, seed=0, hidden=3)
+        router.update(0, np.ones((2, 8)))
+        assert router.grad_tile.shape == (3, 8)
+
+    @pytest.mark.parametrize("M, hidden, tiled", [
+        (104, 150, True),                   # a multiple of GRAD_ALIGN
+        (100, 150, False),                  # 100 = 12 * 8 + 4
+        (104, 2 * baselines_mod.GRAD_TILE + 1, False),  # a one-row tile
+        (104, 1, False),
+    ])
+    def test_tiles_only_where_they_keep_the_whole_products_bits(
+            self, M, hidden, tiled):
+        """A width that is not a multiple of GRAD_ALIGN, or a hidden layer
+        whose last tile would hold one row, takes the whole product and
+        allocates no tile; either way W1 ends bit-equal to the reference."""
+        rng = np.random.default_rng(15)
+        router = ShallowRouter(M, seed=2, num_experts=2, hidden=hidden,
+                               iters=2)
+        ref = tuple(np.array(getattr(router, k)) for k in SHALLOW_ARRAYS)
+        for e in (0, 1, 0):
+            phi = np.maximum(rng.standard_normal((40, M)) + e, 0.0)
+            router.update(e, phi)
+            ref = shallow_update_kernel_ref(ref, e, phi, router.lr,
+                                            router.iters)
+        assert (router.grad_tile is not None) == tiled
+        for key, want in zip(SHALLOW_ARRAYS, ref):
+            np.testing.assert_array_equal(getattr(router, key), want,
+                                          err_msg=key)
+
+    # Per (H, M, B): the update's W1 equals the whole-product reference, and
+    # its hash.  Run under OPENBLAS_NUM_THREADS = 1 and = 2.
+    _UPDATE_UNDER_THREADS = """
+import hashlib
+import numpy as np
+from gclstream.baselines import ShallowRouter
+from oracles import shallow_update_kernel_ref
+for H, M, B in ((512, 1024, 64), (512, 104, 200), (512, 100, 200)):
+    rng = np.random.default_rng(M + B)
+    router = ShallowRouter(M, seed=1, num_experts=3, hidden=H)
+    ref = (router.W1, router.b1, router.W2, router.b2)
+    for e in (0, 1, 2, 1, 0):
+        phi = np.maximum(rng.standard_normal((B, M)) + 0.1 * e, 0.0)
+        ref = shallow_update_kernel_ref(ref, e, phi, router.lr, router.iters)
+        router.update(e, phi)
+    print(np.array_equal(router.W1, ref[0]),
+          hashlib.sha1(router.W1.tobytes()).hexdigest())
+"""
+
+    def test_update_does_not_depend_on_the_thread_count(self):
+        """At the desk preset's shape (tiled), at an aligned width of
+        200-row batches (tiled) and at M = 100 with 200-row batches (whole
+        product), W1 is the whole-product reference's, bit for bit, under
+        one BLAS thread and under two.  At M = 500 the whole product itself
+        differs between one and two threads, so no width like it is here."""
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(baselines_mod.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", self._UPDATE_UNDER_THREADS],
+                capture_output=True, text=True, env={
+                    **os.environ, "OPENBLAS_NUM_THREADS": threads,
+                    "PYTHONPATH": os.pathsep.join([src, tests])})
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout.split())
+        assert [out[::2] for out in outs] == [["True"] * 3] * 2
+        assert outs[0] == outs[1]
 
     def test_uncertified_finite_step_takes_the_whole_product(self):
         """A 1e308 entry in a row whose ReLU is off (so it adds nothing to
-        dz_sum) puts the certificate's bound at ~0.49 of the float64
-        maximum, past max / 4, while every entry of the gradient stays
-        finite: the update takes the whole product, never allocates the
-        tile, and W1 ends bit-equal to the reference."""
+        dz_sum) puts the certificate's bound past float64 max / 4 while
+        every entry of the gradient stays finite: the update takes the
+        whole product, never allocates the tile, and W1 ends bit-equal to
+        the reference."""
         rng = np.random.default_rng(5)
-        router = ShallowRouter(3, seed=0, num_experts=2, hidden=4, lr=0.1,
+        router = ShallowRouter(8, seed=0, num_experts=2, hidden=4, lr=0.1,
                                iters=1)
         router.W1[:, 0] = -1.0
         router.W2[:] = [[5.0] * 4, [-5.0] * 4]
-        phi = rng.uniform(0.5, 1.5, (8, 3))
+        phi = rng.uniform(0.5, 1.5, (8, 8))
         phi[:, 0] = 0.0
-        phi[0] = [1e308, 0.0, 0.0]
+        phi[0] = 0.0
+        phi[0, 0] = 1e308
         before = tuple(np.array(getattr(router, k)) for k in SHALLOW_ARRAYS)
         _feed(router, phi, 1, chunk=8)
         with np.errstate(over="ignore", invalid="ignore"):  # the ref's K
@@ -659,6 +727,21 @@ class TestTrainedShallow:
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             _feed(router, phi, 1, chunk=8)
         np.testing.assert_array_equal(router.W1, W1)
+
+    def test_overflow_at_a_tiled_width_fails_the_certificate(self):
+        """The same step at M = 8, a width the tiles serve: the bound is
+        inf, so the step takes the whole product and raises before any
+        tile is written into W1."""
+        router = ShallowRouter(8, seed=0, num_experts=2, hidden=4, lr=0.5,
+                               iters=1)
+        router.W1 *= 1e-20
+        router.W2[:] = [[1e300], [-1e300]]
+        phi = np.full((8, 8), 1e10)
+        W1 = router.W1.copy()
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            _feed(router, phi, 1, chunk=8)
+        np.testing.assert_array_equal(router.W1, W1)
+        assert router.grad_tile is None
 
 
 class TestOracle:

@@ -6,6 +6,10 @@ Columns of W are generated independently from a counter-based bit generator
 keyed by (seed, column index), so the first M columns are identical for every
 expansion built from the same seed — sweeping M compares nested feature sets
 rather than resampling everything.
+
+As M grows, (1/M) phi(X) phi(X)^T converges to the degree-1 arc-cosine
+kernel (Cho & Saul 2009), so the router is random-feature kernel ridge
+regression with that kernel and ridge lam/M.
 """
 
 from __future__ import annotations

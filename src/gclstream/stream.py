@@ -11,7 +11,8 @@ Two feature sources implement the same contract: a synthetic Gaussian-
 prototype backbone (class prototypes and per-sample noise reproducible from
 the seed and sample id) and a loader for precomputed feature files, one
 streaming ``loadtxt`` pass with a line walk that words each refusal, so real
-embeddings can be plugged in later.
+embeddings can be plugged in later.  The pass caches its table in a sidecar
+keyed by the SHA-256 of the file's bytes, so an unchanged file is parsed once.
 
 A fixed fraction of every class is held out before scheduling; held-out rows
 never enter the stream and feed all evaluations.
@@ -19,8 +20,13 @@ never enter the stream and feed all evaluations.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import logging
 import math
+import os
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +37,8 @@ from .errors import ConfigError, check_fields
 # from (seed, tag, counters) so that no RNG state ever needs checkpointing.
 TAG_STREAM = 11
 TAG_DATA = 12
+
+log = logging.getLogger("gclstream")
 
 
 def _round_half_up(x: float) -> int:
@@ -117,6 +125,11 @@ def load_feature_file(path) -> FeatureSource:
     line.  The accepted syntax is the line walk's: blank lines and
     whitespace around a line or a cell are skipped, and the fast pass never
     accepts a file the walk refuses, nor reads it to other bits.
+
+    A table the fast pass accepts is cached next to the file, in
+    ``<path>.table.npz``, under the SHA-256 of the bytes it was parsed
+    from; a later read whose file hashes to that digest loads the table
+    from there instead of parsing, and any other sidecar is ignored.
     """
     try:
         source = _load_table(path)
@@ -153,23 +166,41 @@ def _malformed(path, line: bytes) -> ConfigError:
 _PLAIN = b"0123456789+-.eE, \t\n"
 
 
-def _plain_lines(fh):
+def _plain_lines(fh, digest):
     for line in fh:
         if line.translate(None, _PLAIN):
             raise ValueError("a byte outside the fast pass's alphabet")
+        digest.update(line)
         yield line
 
 
 def _load_table(path) -> FeatureSource | None:
-    """The file's source from one ``loadtxt`` pass over its body, or None
-    if the table fails a check the walk makes."""
+    """The file's source from its sidecar, or else from one ``loadtxt`` pass
+    over its body, whose table then becomes the sidecar; None if the table
+    fails a check the walk makes."""
+    sidecar = f"{os.fspath(path)}.table.npz"
     with open(path, "rb") as fh:
-        d, num_classes, rows = _header(path, fh.readline())
+        head = fh.readline()
+        d, num_classes, rows = _header(path, head)
+        source = _read_sidecar(sidecar, fh, head, d, num_classes, rows)
+        if source is not None:
+            return source
+        fh.seek(len(head))
+        digest = hashlib.sha256(head)  # of the bytes parsed, not re-read
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty body only warns
-            table = np.loadtxt(_plain_lines(fh), delimiter=",",
+            table = np.loadtxt(_plain_lines(fh, digest), delimiter=",",
                                comments=None, quotechar=None, ndmin=2,
                                converters={0: int})
+    source = _checked(table, d, num_classes, rows)
+    if source is not None:
+        _write_sidecar(sidecar, table, digest.digest())
+    return source
+
+
+def _checked(table, d, num_classes, rows) -> FeatureSource | None:
+    """The source a ``label,f1,...,fd`` table holds, or None if it fails a
+    check the walk makes."""
     if table.shape != (rows, d + 1) or not np.isfinite(table).all():
         return None
     labels = table[:, 0]
@@ -178,6 +209,74 @@ def _load_table(path) -> FeatureSource | None:
         return None
     return FeatureSource(d, num_classes, labels.astype(np.int64),
                          table[:, 1:])
+
+
+# The sidecar's layout: a stored zip of three members, ``version`` (these
+# bytes), ``digest`` (the SHA-256 of the feature file's bytes) and
+# ``table.npy`` (the fast pass's float64 table).  Change it whenever the
+# layout or the table a file's bytes parse to changes.
+_TABLE_VERSION = b"gclstream feature table 1"
+_CHUNK = 1 << 16
+
+
+def _read_sidecar(sidecar, fh, head, d, num_classes, rows):
+    """The source of the table the sidecar holds for the bytes ``head`` and
+    the rest of ``fh``, or None.  A sidecar is only a cache: one that is
+    missing, stale, of another version, damaged (each member carries a
+    CRC-32) or fails a check means a parse, never an error."""
+    try:
+        with zipfile.ZipFile(sidecar) as zf:
+            if zf.read("version") != _TABLE_VERSION:
+                return None
+            digest = hashlib.sha256(head)
+            for block in iter(lambda: fh.read(_CHUNK), b""):
+                digest.update(block)
+            if zf.read("digest") != digest.digest():
+                return None
+            with zf.open("table.npy") as member:
+                if np.lib.format.read_magic(member) != (1, 0):
+                    return None
+                shape, fortran, dtype = (
+                    np.lib.format.read_array_header_1_0(member))
+                if shape != (rows, d + 1) or fortran or dtype != np.float64:
+                    return None
+                table = np.empty(shape)
+                # chunk by chunk into the table: np.load would add a copy
+                view = memoryview(table).cast("B")
+                for at in range(0, len(view), _CHUNK):
+                    chunk = view[at:at + _CHUNK]
+                    if member.readinto(chunk) != len(chunk):
+                        return None
+                if member.read(1):
+                    return None
+    except FileNotFoundError:
+        return None
+    except Exception as err:  # whatever a damaged zip raises
+        log.info("%s: ignoring the sidecar (%s: %s)", sidecar,
+                 type(err).__name__, err)
+        return None
+    return _checked(table, d, num_classes, rows)
+
+
+def _write_sidecar(sidecar, table, digest: bytes) -> None:
+    """Cache the table under the digest of the bytes it was parsed from,
+    through a temporary file renamed into place, so that no reader sees
+    half a sidecar.  A sidecar that cannot be written (a read-only
+    directory, a full disk) is left out."""
+    tmp = f"{sidecar}.{os.getpid()}.tmp"
+    try:
+        with zipfile.ZipFile(tmp, "w") as zf:
+            zf.writestr("version", _TABLE_VERSION)
+            zf.writestr("digest", digest)
+            with zf.open("table.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(table))
+                member.write(memoryview(table))  # np.savez would copy it
+        os.replace(tmp, sidecar)
+    except OSError as err:
+        log.info("%s: not written (%s)", sidecar, err)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def _walk(path) -> FeatureSource:

@@ -136,31 +136,38 @@ class TestBlasSettings:
                 for timeout in (None, "28"))  # the engine's, OpenBLAS's own
         assert a == b
 
-    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+    # At M = 256 and the desk width: dpotrf's bits, and so U's, differ
+    # between one and two threads at both, while the data files may not.
+    @pytest.mark.parametrize("M", [256, 1024])
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, M):
         """A d=256 feature-file run, where BLAS splits the big products
         between threads, writes the same bytes under one and two threads."""
-        self._assert_thread_count_free(tmp_path, {
+        self._assert_thread_count_free(tmp_path, M, {
             "d": 256, "num_classes": 6, "samples_per_class": 40,
             "sessions": 3})
 
-    def test_primal_solves_do_not_depend_on_the_thread_count(self, tmp_path):
-        """The same with 480 rows into M=256, solved after every 32-row
+    @pytest.mark.parametrize("M", [256, 1024])
+    def test_primal_solves_do_not_depend_on_the_thread_count(self, tmp_path,
+                                                             M):
+        """The same with 1.875 M rows into M, solved after every 32-row
         batch: the router folds into G, factors it, and then solves by the
         Woodbury identity through the held factor, refactoring once the
         kept rows pass their cap."""
-        self._assert_thread_count_free(tmp_path, {
-            "d": 256, "num_classes": 6, "samples_per_class": 100,
+        self._assert_thread_count_free(tmp_path, M, {
+            "d": 256, "num_classes": 6, "samples_per_class": 100 * M // 256,
             "sessions": 3, "batch_size": 32, "eval_interval": 1})
 
-    def _assert_thread_count_free(self, tmp_path, stream):
+    def _assert_thread_count_free(self, tmp_path, M, stream):
         features = tmp_path / "features.csv"
         write_feature_file(features, SyntheticBackbone(StreamConfig(**stream)))
-        args = ["--set", f"stream.feature_file={features}", "--set", "M=256"]
+        args = ["--set", f"stream.feature_file={features}", "--set", f"M={M}"]
         for key, value in stream.items():
             args += ["--set", f"stream.{key}={value}"]
+        # the first process parses the file, the second reads its sidecar
         a, b = (self._data_files(tmp_path / threads, {
             **self._env(None), "OPENBLAS_NUM_THREADS": threads}, *args)
             for threads in ("1", "2"))
+        assert Path(f"{features}.table.npz").exists()
         assert a == b
 
     # Seed 1 of the config file argv[1]: checkpointed three quarters of the

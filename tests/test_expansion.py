@@ -92,6 +92,24 @@ class TestExpansionKeying:
         assert abs(w.std() - 1.0) < 0.02
 
 
+class TestExpansionKernel:
+    @pytest.mark.parametrize("M", [4096, 16384])
+    def test_gram_converges_to_the_arc_cosine_kernel(self, M):
+        """(1/M) ΦΦᵀ lies within 4/√M of the degree-1 arc-cosine kernel
+        k(x, y) = ‖x‖‖y‖(sin θ + (π − θ) cos θ)/(2π), in units of ‖x‖‖y‖
+        (measured 2-3/√M); without the ReLU, or with W scaled by 1.1, the
+        error is 37/√M and 9/√M at M = 4096."""
+        X = np.random.default_rng(0).standard_normal((30, 32))
+        norms = np.linalg.norm(X, axis=1)
+        scale = np.outer(norms, norms)
+        theta = np.arccos(np.clip(X @ X.T / scale, -1.0, 1.0))
+        kernel = scale * (np.sin(theta) + (np.pi - theta) * np.cos(theta)) \
+            / (2 * np.pi)
+        phi = RandomExpansion(32, M, seed=0)(X)
+        error = np.abs(phi @ phi.T / M - kernel) / scale
+        assert error.max() < 4 / np.sqrt(M)
+
+
 class TestExpansionValidation:
     def test_wrong_input_width_raises(self):
         exp = RandomExpansion(4, 8, seed=0)

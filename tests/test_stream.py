@@ -1,6 +1,11 @@
 """Blurry-boundary stream: partition, scatter, holdout, batching, file IO."""
 
+import hashlib
+import io
+import os
 import tracemalloc
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,6 +517,8 @@ class TestFastPassAgainstTheWalk:
         assert _outcome(load_feature_file, path) == walked
         if fault == "none" and not isinstance(walked, str):
             assert _load_table(path) is not None  # a clean file needs no walk
+        # again, from the sidecar if the first read wrote one
+        assert _outcome(load_feature_file, path) == walked
 
     def test_clean_file_reads_without_a_copy_of_its_bytes(self, tmp_path):
         """The fast pass holds the table, not the file: its traced peak
@@ -519,6 +526,155 @@ class TestFastPassAgainstTheWalk:
         path = tmp_path / "features.txt"
         write_feature_file(path, SyntheticBackbone(
             _tiny(d=64, samples_per_class=50)))
+        tracemalloc.start()
+        try:
+            source = load_feature_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows, d = len(source.labels), source.d
+        assert peak < path.stat().st_size
+        assert peak < 2 * rows * (d + 1) * 8
+
+
+def _sidecar(path) -> Path:
+    return Path(f"{path}.table.npz")
+
+
+def _features(tmp_path, name="features.txt", seed=1) -> Path:
+    path = tmp_path / name
+    write_feature_file(path, SyntheticBackbone(_tiny(d=16, seed=seed)))
+    return path
+
+
+def _no_parse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+    monkeypatch.setattr(np, "loadtxt", refuse)
+
+
+def _with_member(sidecar, name, data) -> None:
+    """Rewrite a sidecar with its member ``name`` replaced by ``data``."""
+    with zipfile.ZipFile(sidecar) as zf:
+        members = {n: zf.read(n) for n in zf.namelist()}
+    members[name] = data
+    with zipfile.ZipFile(sidecar, "w") as zf:
+        for n, member in members.items():
+            zf.writestr(n, member)
+
+
+def _truncate(sidecar, other):
+    sidecar.write_bytes(sidecar.read_bytes()[:100])
+
+
+def _flip_a_table_byte(sidecar, other):
+    raw = bytearray(sidecar.read_bytes())
+    raw[raw.index(b"\x93NUMPY") + 200] ^= 0x10  # past the npy header
+    sidecar.write_bytes(bytes(raw))
+
+
+def _other_version(sidecar, other):
+    """Another file's table under this file's digest and another version:
+    the version alone keeps the table from being read."""
+    with zipfile.ZipFile(other) as zf:
+        _with_member(sidecar, "table.npy", zf.read("table.npy"))
+    _with_member(sidecar, "version", b"gclstream feature table 0")
+
+
+def _other_digest(sidecar, other):
+    sidecar.write_bytes(other.read_bytes())  # another file's whole sidecar
+
+
+class TestTableSidecar:
+    """A table the fast pass accepted is cached beside its file under the
+    SHA-256 of the file's bytes; any sidecar that is not exactly that
+    table's is ignored and rewritten, and none is ever an error."""
+
+    def test_a_second_read_loads_the_cold_parse_from_the_sidecar(
+            self, tmp_path, monkeypatch):
+        path = _features(tmp_path)
+        cold = _outcome(load_feature_file, path)
+        sidecar = _sidecar(path)
+        with zipfile.ZipFile(sidecar) as zf:
+            assert zf.read("digest") == hashlib.sha256(
+                path.read_bytes()).digest()
+        rows, d = cold[4]  # X's shape
+        assert sidecar.stat().st_size < 8 * rows * (d + 1) + 1024
+        _no_parse(monkeypatch)
+        assert _outcome(load_feature_file, path) == cold == _outcome(
+            _walk, path)
+
+    @pytest.mark.parametrize("edit", ["cell digit", "label out of range"])
+    def test_a_same_size_same_mtime_edit_is_read_from_its_bytes(
+            self, tmp_path, edit):
+        path = _features(tmp_path)
+        before = _outcome(load_feature_file, path)
+        assert _sidecar(path).exists()
+        body = bytearray(path.read_bytes())
+        row = body.index(b"\n") + 1  # the first row: label, then cells
+        if edit == "cell digit":
+            at = body.index(b".", row) + 1  # the first cell's first decimal
+            body[at] = ord("0") + (body[at] - ord("0") + 1) % 10
+        else:
+            at = row
+            body[at] = ord("9")  # 8 classes
+        stat = path.stat()
+        path.write_bytes(bytes(body))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        after = _outcome(load_feature_file, path)
+        assert after != before and after == _outcome(_walk, path)
+        if edit == "label out of range":
+            assert "label 9 outside [0, 8)" in after
+
+    @pytest.mark.parametrize("damage", [_truncate, _flip_a_table_byte,
+                                        _other_version, _other_digest])
+    def test_a_damaged_or_stale_sidecar_is_ignored_and_rewritten(
+            self, tmp_path, monkeypatch, damage):
+        path, other = _features(tmp_path), _features(tmp_path, "other.txt",
+                                                     seed=2)
+        for source in (path, other):
+            load_feature_file(source)
+        damage(_sidecar(path), _sidecar(other))
+        walked = _outcome(_walk, path)
+        assert _outcome(load_feature_file, path) == walked
+        _no_parse(monkeypatch)
+        assert _outcome(load_feature_file, path) == walked
+
+    def test_a_read_only_directory_loads_without_a_sidecar(
+            self, tmp_path, monkeypatch):
+        """Opening a file for writing there fails, as in a read-only
+        directory.  (Root writes through a directory's mode bits, so the
+        refusal is made at ``io.open``, which zipfile opens files with.)"""
+        path = _features(tmp_path)
+        real_open = io.open
+
+        def read_only(file, mode="r", *args, **kwargs):
+            if any(flag in mode for flag in "wax+"):
+                raise PermissionError(13, "Permission denied", file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", read_only)
+        assert _outcome(load_feature_file, path) == _outcome(_walk, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.txt"]
+
+    @pytest.mark.parametrize("body", ["0,1.0,2.0\n1,3.0,nan\n",  # refused
+                                      "0,1.0,2.0\r\n1,3.0,4.0\r\n"])  # walk
+    def test_a_file_the_fast_pass_does_not_accept_leaves_no_sidecar(
+            self, tmp_path, body):
+        path = tmp_path / "odd.txt"
+        path.write_text("d=2 classes=2 rows=2\n" + body, newline="")
+        assert _outcome(load_feature_file, path) == _outcome(_walk, path)
+        assert not _sidecar(path).exists()
+
+    def test_a_hit_reads_without_a_copy_of_its_bytes(self, tmp_path):
+        """The traced peak of a read from the sidecar stays within the
+        bounds of a cold read's."""
+        path = tmp_path / "features.txt"
+        write_feature_file(path, SyntheticBackbone(
+            _tiny(d=64, samples_per_class=50)))
+        load_feature_file(path)
+        assert _sidecar(path).exists()
         tracemalloc.start()
         try:
             source = load_feature_file(path)
